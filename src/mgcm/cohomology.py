@@ -33,7 +33,6 @@ from .graded_poly import (
     deg_add,
     deg_neg,
     deg_scale,
-    deg_sub,
     deg_zero,
 )
 from .groebner_engine import ModulePresentation, normal_form_column
@@ -44,6 +43,7 @@ from .homological import (
     is_zero_module,
     minimal_free_resolution,
     piece_basis,
+    standard_monomials,
     v_of,
 )
 
@@ -51,63 +51,33 @@ KOSZUL_STEP_LIMIT = 40
 
 
 # ---------------------------------------------------------------------------
-# exact rank over the coefficient field
+# exact rank over the coefficient field: one kernel for F_p and Q alike
 
 
 def matrix_rank(field, rows: Sequence[Sequence]) -> int:
-    """Rank of a dense matrix with entries in the coefficient field."""
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    if ncols == 0:
-        return 0
-    if field.char != 0:
-        return _rank_mod_p(rows, field.char)
-    work = [list(r) for r in rows]
+    """Rank of a dense matrix with entries in the coefficient field.
+
+    One exact kernel serves every field: entries are taken into the field
+    and all arithmetic goes through it, so ranks over F_p are exact for any
+    prime and ranks over Q are exact in Fractions.  Forward elimination
+    only; rows below the pivot are cleared from the pivot column on.
+    """
+    work = [[field.of(x) for x in r] for r in rows]
+    zero = field.zero
+    nrows = len(work)
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if work[r][col] != 0:
-                piv = r
-                break
+    for col in range(len(work[0]) if work else 0):
+        piv = next((r for r in range(rank, nrows) if work[r][col] != zero), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(nrows):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    import numpy as np
-
-    a = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1 :, col].copy()
-        if below.any():
-            a[rank + 1 :] = (a[rank + 1 :] - below[:, None] * a[rank][None, :]) % p
+        tail = work[rank][col:]
+        inv = field.inv(tail[0])
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            if row[col] != zero:
+                f = field.mul(row[col], inv)
+                row[col:] = [field.sub(a, field.mul(f, b)) for a, b in zip(row[col:], tail)]
         rank += 1
         if rank == nrows:
             break
@@ -475,70 +445,10 @@ def mdeg_layer_nonzero(module: ModulePresentation, n: Degree) -> bool:
     """Is the full multidegree-n layer (all weights) of the module nonzero?
 
     A monomial b * t * e_s with t supported on positive-multidegree variables
-    and b on multidegree-0 variables survives for some b iff t * e_s is not
-    divisible by any relation lead term supported only on the t-variables.
+    and b on multidegree-0 variables survives for some b iff t * e_s is
+    standard, so one standard monomial with b = 1 settles it.
     """
-    ring = module.ring
-    if len(n) != ring.rank:
-        raise InputError("degree rank mismatch")
-    if module.rank == 0:
-        return False
-    gb = _relations_gb(module)
-    base = set(ring.base_variable_indices())
-    order = None
-    leads: Dict[int, List[Tuple[int, ...]]] = {}
-    for col in gb.elements:
-        if order is None:
-            order = gb.order()
-        vec = {(c, e): v for c, entry in enumerate(col) for e, v in entry.terms}
-        comp, exps = max(vec, key=order.key)
-        if all(exps[v] == 0 for v in base):
-            leads.setdefault(comp, []).append(exps)
-
-    nv = ring.nvars
-    degs = ring.degrees
-    nonbase = [v for v in range(nv) if v not in base]
-
-    for comp in range(module.rank):
-        target = deg_sub(n, module.mdeg_shifts[comp])
-        if any(x < 0 for x in target):
-            continue
-        acc = {v: 0 for v in nonbase}
-
-        def walk(pos: int, rem: Degree) -> bool:
-            if pos == len(nonbase):
-                if any(rem):
-                    return False
-                exps = tuple(acc.get(v, 0) for v in range(nv))
-                for lt in leads.get(comp, ()):
-                    if all(a <= b for a, b in zip(lt, exps)):
-                        break
-                else:
-                    return True
-                return False
-            v = nonbase[pos]
-            d = degs[v]
-            cap = None
-            for coord in range(len(d)):
-                if d[coord] > 0:
-                    c = rem[coord] // d[coord]
-                    cap = c if cap is None else min(cap, c)
-            if cap is None:
-                raise InputError("variable with zero multidegree outside the base")
-            for e in range(cap + 1):
-                nr = deg_sub(rem, deg_scale(d, e))
-                if any(x < 0 for x in nr):
-                    break
-                acc[v] = e
-                if walk(pos + 1, nr):
-                    acc[v] = 0
-                    return True
-            acc[v] = 0
-            return False
-
-        if walk(0, target):
-            return True
-    return False
+    return next(standard_monomials(module, n), None) is not None
 
 
 # ---------------------------------------------------------------------------

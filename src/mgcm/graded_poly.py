@@ -521,9 +521,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> Dict[Tuple[int, ...], object]:
-        return dict(self.terms)
-
     def lead_exps(self) -> Tuple[int, ...]:
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")

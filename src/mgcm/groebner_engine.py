@@ -11,7 +11,10 @@ Design points, fixed once for the whole package:
     deterministic, sugar = true degree because all inputs are homogeneous;
   * syzygies/kernels/intersections/colons all run through one code path: a
     Groebner basis of the elimination embedding F (+) A^s with the F block
-    dominant.
+    dominant;
+  * a basis carries its own lead terms: its (lead, vec) reducers are built
+    once, on first use, and every normal form and standard-monomial
+    enumeration reads them from the basis.
 
 Inhomogeneous generators are rejected.  Every public result is canonically
 sorted, so identical inputs give byte-identical outputs.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graded_poly import (
@@ -123,9 +126,6 @@ class ModulePresentation:
 
     def free(self) -> FreeModule:
         return FreeModule(self.ring, self.mdeg_shifts, self.weight_shifts)
-
-    def is_zero_presentation(self) -> bool:
-        return self.rank == 0
 
 
 def presentation(ring: GradedRing, shifts, relations) -> ModulePresentation:
@@ -236,7 +236,7 @@ def _divides(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reduce_vec(field, v: Vec, basis: List[Tuple[Term, Vec]], keyf) -> Vec:
+def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf) -> Vec:
     """Full normal form: leading term reduced when possible, otherwise moved
     to the remainder; reducers are scanned in fixed list order."""
     work = dict(v)
@@ -278,6 +278,18 @@ class GroebnerBasis:
     def order(self) -> ModOrder:
         return ModOrder(self.free, self.elim, self.split)
 
+    @cached_property
+    def reducers(self) -> Tuple[Tuple[Term, Vec], ...]:
+        """(lead term, vec) per element in element order, built on first use;
+        cached off the dataclass fields, so equality and hashing ignore it."""
+        keyf = self.order().key
+        vecs = [_col_to_vec(col) for col in self.elements]
+        return tuple((max(v, key=keyf), v) for v in vecs)
+
+    @property
+    def lead_terms(self) -> Tuple[Term, ...]:
+        return tuple(lt for lt, _ in self.reducers)
+
 
 def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) -> List[Vec]:
     field = free.ring.field
@@ -294,10 +306,6 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
     basis: List[Tuple[Term, Vec]] = []
     pairs: List[Tuple[int, int, int, int]] = []  # (degree, counter, i, j)
     counter = itertools.count()
-
-    def sdegree(lead: Term) -> int:
-        c, e = lead
-        return free.ring.monomial_weight(e) + free.weight_shifts[c]
 
     def push_element(v: Vec):
         lead = max(v, key=keyf)
@@ -388,9 +396,7 @@ def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial],
 def normal_form_column(gb: GroebnerBasis, col: Column) -> Column:
     free = gb.free
     free.validate_column(col)
-    order = gb.order()
-    basis = [(max(_col_to_vec(c), key=order.key), _col_to_vec(c)) for c in gb.elements]
-    rem = _reduce_vec(free.ring.field, _col_to_vec(col), basis, order.key)
+    rem = _reduce_vec(free.ring.field, _col_to_vec(col), gb.reducers, gb.order().key)
     return _vec_to_col(free.ring, free.rank, rem)
 
 

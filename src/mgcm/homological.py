@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graded_poly import (
     Degree,
@@ -25,6 +25,7 @@ from .graded_poly import (
     Polynomial,
     deg_add,
     deg_neg,
+    deg_scale,
     deg_sub,
     deg_zero,
 )
@@ -75,14 +76,6 @@ class Resolution:
 
     def betti(self) -> Dict[int, int]:
         return {i: self.rank(i) for i in range(self.length + 1) if self.rank(i)}
-
-    def graded_betti(self) -> Dict[int, Tuple[Tuple[Degree, int], ...]]:
-        out = {}
-        for i in range(self.length + 1):
-            md, w = self.shifts[i]
-            if md:
-                out[i] = tuple(sorted(zip(md, w)))
-        return out
 
 
 def _column_is_zero(col: Column) -> bool:
@@ -387,6 +380,58 @@ def _relations_gb(module: ModulePresentation) -> GroebnerBasis:
     return groebner_module(module.free(), rels)
 
 
+def standard_monomials(
+    module: ModulePresentation, n: Degree, weight: Optional[int] = None
+) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Standard monomials (component, exponents) of multidegree n, lazily.
+
+    A monomial is standard when no lead term of the relation basis divides
+    it.  With a weight, every variable is walked under the weight budget.
+    Without one, the multidegree-0 variables are held at 0; a lead term that
+    involves one of them never divides such a monomial, and the
+    multidegree-n layer is nonzero iff one of them is standard, so a caller
+    may stop at the first hit.
+    """
+    ring = module.ring
+    if len(n) != ring.rank:
+        raise InputError("degree rank mismatch")
+    leads = _relations_gb(module).lead_terms
+    held = () if weight is not None else ring.base_variable_indices()
+    walked = [v for v in range(ring.nvars) if v not in held]
+    degs, wts = ring.degrees, ring.weights
+    exps = [0] * ring.nvars
+
+    def walk(pos: int, comp_leads, rem_m: Degree, rem_w: Optional[int]):
+        if pos == len(walked):
+            if any(rem_m) or rem_w:
+                return
+            mono = tuple(exps)
+            if not any(all(a <= b for a, b in zip(lt, mono)) for lt in comp_leads):
+                yield mono
+            return
+        v = walked[pos]
+        d, w = degs[v], wts[v]
+        caps = [rem_m[c] // x for c, x in enumerate(d) if x > 0]
+        if rem_w is not None:
+            caps.append(rem_w // w if w > 0 else rem_w)  # w = 0 never in public rings
+        if not caps:
+            raise InputError("unbounded enumeration (zero-degree variable)")
+        for e in range(min(caps) + 1):
+            exps[v] = e
+            yield from walk(pos + 1, comp_leads, deg_sub(rem_m, deg_scale(d, e)),
+                            None if rem_w is None else rem_w - e * w)
+        exps[v] = 0
+
+    for comp in range(module.rank):
+        target_m = deg_sub(n, module.mdeg_shifts[comp])
+        target_w = None if weight is None else weight - module.weight_shifts[comp]
+        if any(x < 0 for x in target_m) or (target_w is not None and target_w < 0):
+            continue
+        comp_leads = [e for c, e in leads if c == comp]
+        for mono in walk(0, comp_leads, target_m, target_w):
+            yield comp, mono
+
+
 @lru_cache(maxsize=None)
 def piece_basis(
     module: ModulePresentation, n: Degree, weight: Optional[int] = None
@@ -397,76 +442,11 @@ def piece_basis(
     the piece is not finite-dimensional and we refuse to sum over weights.
     """
     ring = module.ring
-    if len(n) != ring.rank:
-        raise InputError("degree rank mismatch")
     if weight is None and not ring.is_field_base():
         raise InputError(
             "piece is an infinite-dimensional base-module; pass a weight slice"
         )
-    gb = _relations_gb(module)
-    leads = {}
-    for col in gb.elements:
-        order = gb.order()
-        vec = {(i, e): c for i, entry in enumerate(col) for e, c in entry.terms}
-        comp, exps = max(vec, key=order.key)
-        leads.setdefault(comp, []).append(exps)
-
-    nv = ring.nvars
-    degs = ring.degrees
-    wts = ring.weights
-    out: List[Tuple[int, Tuple[int, ...]]] = []
-
-    def standard(comp: int, exps: Tuple[int, ...]) -> bool:
-        for lt in leads.get(comp, ()):  # divisor check
-            if all(a <= b for a, b in zip(lt, exps)):
-                return False
-        return True
-
-    for comp in range(module.rank):
-        target_m = deg_sub(n, module.mdeg_shifts[comp])
-        target_w = None if weight is None else weight - module.weight_shifts[comp]
-        if any(x < 0 for x in target_m):
-            continue
-        if target_w is not None and target_w < 0:
-            continue
-
-        acc: List[int] = []
-
-        def walk(i: int, rem_m: Degree, rem_w: Optional[int]):
-            if i == nv:
-                if any(rem_m) or (rem_w is not None and rem_w != 0):
-                    return
-                exps = tuple(acc)
-                if standard(comp, exps):
-                    out.append((comp, exps))
-                return
-            d, w = degs[i], wts[i]
-            if rem_w is not None:
-                cap = rem_w // w if w > 0 else rem_w  # w=0 never in public rings
-            else:
-                cap = None
-            # max exponent from the multidegree budget
-            mcap = None
-            for coord in range(len(d)):
-                if d[coord] > 0:
-                    c = rem_m[coord] // d[coord]
-                    mcap = c if mcap is None else min(mcap, c)
-            if cap is None and mcap is None:
-                raise InputError("unbounded enumeration (zero-degree variable)")
-            top = min(x for x in (cap, mcap) if x is not None)
-            for e in range(top + 1):
-                nm = deg_sub(rem_m, tuple(e * x for x in d))
-                if any(x < 0 for x in nm):
-                    break
-                nw = None if rem_w is None else rem_w - e * w
-                if nw is not None and nw < 0:
-                    break
-                acc.append(e)
-                walk(i + 1, nm, nw)
-                acc.pop()
-
-        walk(0, target_m, target_w)
-
+    out = list(standard_monomials(module, n, weight))
     out.sort(key=lambda t: (t[0], ring.term_sort_key(t[1])))
     return tuple(out)
 

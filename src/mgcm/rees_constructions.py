@@ -215,11 +215,19 @@ def rees_module_presentation(N: ModulePresentation, ideals) -> ModulePresentatio
 
     Generators track those of N (multidegree zero, weights preserved);
     relations come from eliminating the tag variables out of the graph of
-    the substitution together with N's own relations.
+    the substitution together with N's own relations.  Each call registers
+    the module for rees_info, also when an equal module was built before:
+    equal modules can come from different ideals.
     """
-    base = N.ring
-    blocks = _check_blocks(base, ideals)
-    plan = _rees_plan(base, blocks)
+    blocks = _check_blocks(N.ring, ideals)
+    module = _rees_module(N, blocks)
+    _REES_MODULES[module] = ReesModuleInfo(_rees_plan(N.ring, blocks).rees, N)
+    return module
+
+
+@lru_cache(maxsize=None)
+def _rees_module(N: ModulePresentation, blocks) -> ModulePresentation:
+    plan = _rees_plan(N.ring, blocks)
     for d in N.mdeg_shifts:
         if any(x != 0 for x in d):
             raise InputError("module generators must sit in multidegree zero over the base")
@@ -237,9 +245,7 @@ def rees_module_presentation(N: ModulePresentation, ideals) -> ModulePresentatio
             col[s] = g
             cols.append(tuple(col))
     _, kernel = eliminate_module(qfree, cols, plan.tag_names)
-    module = presentation(plan.rees.ambient, shifts, kernel)
-    _REES_MODULES[module] = ReesModuleInfo(plan.rees, N)
-    return module
+    return presentation(plan.rees.ambient, shifts, kernel)
 
 
 def rees_info(module: ModulePresentation) -> ReesModuleInfo:

@@ -360,6 +360,14 @@ def test_main_corpus_with_manifest(tmp_path, capsys):
     assert data["summary"] == {"pass": 1, "fail": 0}
 
 
+def test_main_run_large_prime(capsys):
+    # p^2 exceeds 2^63: ranks must stay exact past machine-word products
+    path = os.path.join(os.path.dirname(shipped_manifest_path()), "cox-p1p1-shift.mgcm")
+    assert main(["run", path, "--char", "4294967311", "--no-cache"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["entries"][0]["verdict"] == "holds"
+
+
 def test_diagnostic_render():
     d = Diagnostic(3, 7, "boom")
     assert d.render() == "3:7: boom"

@@ -1,5 +1,7 @@
 """Local and sheaf cohomology dimensions against classical hand values."""
 
+import itertools
+
 import pytest
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from mgcm.graded_poly import (
     make_graded_ring,
 )
 from mgcm.groebner_engine import cyclic_presentation, presentation
+from mgcm.homological import ext_dual_module, graded_piece_dim
 from mgcm.cohomology import (
     CohomologyValue,
     cohomology_table,
@@ -27,6 +30,7 @@ from mgcm.cohomology import (
     sheaf_cohomology_dim,
     support_E_dim,
 )
+from test_acceptance import _corpus_modules
 
 
 def p1_ring(char=0):
@@ -64,6 +68,11 @@ def test_rank_mod_p():
     F = PrimeField(7)
     assert matrix_rank(F, [[1, 2], [2, 4], [0, 1]]) == 2
     assert matrix_rank(F, [[7, 14]]) == 0
+    # rank-1 outer products whose entry products overflow 64-bit integers
+    for p in (4294967311, 2**61 - 1):
+        u = [p - 1 - 3 * i for i in range(6)]
+        v = [p - 7 - 5 * j for j in range(6)]
+        assert matrix_rank(PrimeField(p), [[ui * vj % p for vj in v] for ui in u]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,27 @@ def test_layer_vanishing_graded_local():
     assert local_cohomology_layer_vanishes(M, 1, (-1,))
 
 
+def _witness_weights(M, n):
+    """Weights of the monomials t * e_s, t in the positive-multidegree
+    variables, of multidegree n: every weight a standard witness can have."""
+    ring = M.ring
+    pos = [v for v in range(ring.nvars) if any(ring.degrees[v])]
+    assert all(x >= 0 for v in pos for x in ring.degrees[v])
+    weights = set()
+    for s in range(M.rank):
+        target = tuple(a - b for a, b in zip(n, M.mdeg_shifts[s]))
+        if any(x < 0 for x in target):
+            continue
+        caps = [min(t // x for t, x in zip(target, ring.degrees[v]) if x > 0) for v in pos]
+        for exps in itertools.product(*(range(c + 1) for c in caps)):
+            mdeg = [sum(e * ring.degrees[v][i] for e, v in zip(exps, pos))
+                    for i in range(ring.rank)]
+            if tuple(mdeg) == target:
+                w = sum(e * ring.weights[v] for e, v in zip(exps, pos))
+                weights.add(w + M.weight_shifts[s])
+    return weights
+
+
 def test_mdeg_layer_nonzero_direct():
     R = make_graded_ring(GradedRingSpec(0, ("a", "T"), ((0,), (1,)), (1, 1)))
     a, T = R.gens()
@@ -218,6 +248,25 @@ def test_mdeg_layer_nonzero_direct():
     assert mdeg_layer_nonzero(M, (1,))
     assert not mdeg_layer_nonzero(M, (2,))
     assert not mdeg_layer_nonzero(M, (-1,))
+
+    # against weight slices: the layer is nonzero iff some slice up to the
+    # largest witness weight is; the dual Ext modules are the layer test's
+    # production inputs and vanish in many multidegrees
+    modules = [M for _label, M in _corpus_modules()]
+    modules += [ext_dual_module(M, i) for M in modules for i in range(M.ring.nvars + 1)]
+    for M in modules:
+        if M.rank == 0:
+            continue
+        r = M.ring.rank
+        lo = [min(d[i] for d in M.mdeg_shifts) - 1 for i in range(r)]
+        hi = [max(d[i] for d in M.mdeg_shifts) + 2 for i in range(r)]
+        for n in degree_box(lo, hi):
+            weights = _witness_weights(M, n)
+            top = max(weights, default=-1)
+            expected = any(
+                graded_piece_dim(M, n, w) for w in range(min(weights | {0}), top + 1)
+            )
+            assert mdeg_layer_nonzero(M, n) == expected, (M, n)
 
 
 # ---------------------------------------------------------------------------

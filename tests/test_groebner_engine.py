@@ -5,6 +5,7 @@ import pytest
 from mgcm.graded_poly import GradedRingSpec, InputError, make_graded_ring, parse_polynomial
 from mgcm.groebner_engine import (
     FreeModule,
+    _col_to_vec,
     cyclic_presentation,
     eliminate,
     eliminate_module,
@@ -50,6 +51,24 @@ def test_reduced_basis_of_conic_pair():
     assert nf("y^3").is_zero()
     assert nf("y^2") == P(R, "y^2")
     assert len(polys) == 3
+
+
+def test_stored_lead_terms_and_identity():
+    R = std_ring(names=("x", "y", "z"))
+    fm = free_module(R, (((0,), 0), ((1,), 1)))
+    gens = (
+        (P(R, "x^2"), P(R, "y")),
+        (P(R, "x*y - z^2"), R.zero()),
+        (R.zero(), P(R, "y*z + x^2")),
+    )
+    gb = groebner_module(fm, gens)
+    key = gb.order().key
+    assert gb.lead_terms == tuple(max(_col_to_vec(col), key=key) for col in gb.elements)
+    nf = normal_form_column(gb, (P(R, "x^3*y"), P(R, "x^2*z")))
+    assert nf == normal_form_column(gb, (P(R, "x^3*y"), P(R, "x^2*z")))
+    fresh = groebner_module.__wrapped__(fm, gens)
+    assert fresh is not gb
+    assert gb == fresh and hash(gb) == hash(fresh)
 
 
 def test_groebner_requires_homogeneous():
