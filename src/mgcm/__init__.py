@@ -31,5 +31,4 @@ from .graded_poly import (  # noqa: F401
     make_graded_ring,
     parse_polynomial,
     poly_str,
-    ring_arithmetic,
 )

@@ -30,7 +30,7 @@ from .graded_poly import (
 from .groebner_engine import cyclic_presentation, free_presentation
 from .homological import a_invariant, is_cohen_macaulay, is_zero_module, v_of
 from .cohomology import cohomology_table, degree_box
-from .rees_constructions import diagonal_of, rees_module_presentation, ReesPresentation
+from .rees_constructions import diagonal_of, rees_module_presentation
 from .theorem_harness import (
     AggregateReport,
     CheckRecord,
@@ -625,9 +625,8 @@ def build_session(session: Session, char: Optional[int] = None) -> Dict[str, Tup
             mod = rees_module_presentation(source, ideals)
             out[d.name] = (d.kind, ReesData(mod, source, ideals))
         elif isinstance(d, DiagonalDecl):
-            value, _cert = diagonal_of(out[d.rees][1].module)
-            if isinstance(value, ReesPresentation):
-                value = value.as_module()
+            rees = out[d.rees][1]
+            value, _cert = diagonal_of(rees.source, rees.ideals)
             out[d.name] = ("diagonal", value)
     return out
 
@@ -948,10 +947,31 @@ def cache_store(directory: str, material: str, result: dict) -> None:
             os.unlink(tmp)
 
 
+_SOURCE_DIGEST: Optional[str] = None
+
+
+def _source_digest() -> str:
+    """sha256 over the package's .py files, read once per process: any change
+    to the code that computes results changes every cache key, with or
+    without a version bump."""
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        here = os.path.dirname(os.path.abspath(__file__))
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(here)):
+            if name.endswith(".py"):
+                with open(os.path.join(here, name), "rb") as fh:
+                    data = fh.read()
+                h.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+                h.update(data)
+        _SOURCE_DIGEST = h.hexdigest()
+    return _SOURCE_DIGEST
+
+
 def _file_key_material(text: str, flags: RunFlags, scope: str) -> str:
     return json.dumps(
         {
-            "engine": ENGINE_VERSION,
+            "source": _source_digest(),
             "flags": json.loads(flags.key_material()),
             "scope": scope,
             "session": text,

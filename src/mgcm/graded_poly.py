@@ -628,17 +628,6 @@ class Polynomial:
         return next(iter(pairs))
 
 
-def ring_arithmetic(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Convenience dispatcher: op in {add, sub, mul}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise InputError(f"unknown op {op!r}")
-
-
 def substitute(poly: Polynomial, target: GradedRing, images: Dict[str, Polynomial]) -> Polynomial:
     """Ring map by variable images; names absent from `images` map to the
     same-named variable of the target ring."""

@@ -655,10 +655,8 @@ def grade_of(ideal_gens: Sequence[Polynomial], target: ModulePresentation) -> Op
                 tuple(ring.one() if a == j else zero for a in range(hom_i.rank))
                 for j in range(hom_i.rank)
             )
-        if i >= 1:
-            prev = _hom_image_cols(res, i, target)
-        else:
-            prev = ()
+        # image of Hom(F_{i-1}, N) -> Hom(F_i, N)
+        prev = _hom_transpose_map(res, i - 1, target) if i >= 1 else ()
         span = tuple(prev) + tuple(hom_i.relations)
         span = tuple(c for c in span if not _column_is_zero(c))
         for col in kernel:
@@ -669,8 +667,3 @@ def grade_of(ideal_gens: Sequence[Polynomial], target: ModulePresentation) -> Op
             if not submodule_contains(free_i, span, col):
                 return i
     return None
-
-
-def _hom_image_cols(res: Resolution, i: int, target: ModulePresentation) -> Tuple[Column, ...]:
-    """Image generators of Hom(F_{i-1}, N) -> Hom(F_i, N)."""
-    return _hom_transpose_map(res, i - 1, target)

@@ -1,16 +1,20 @@
 """Rees and multi-Rees presentations over graded-local bases.
 
 Blows up a list of ideals into a polynomial ambient (one new variable per
-ideal generator, multidegree e_j, weight inherited from the generator),
-eliminates internal tag variables to obtain defining relations, and derives
-the constructions layered on top: Rees modules, diagonal subobjects of the
-product ideal, fiber cones with their analytic spread, and the regraded
-module of the irrelevant ideal used by the vanishing checks.
+ideal generator, multidegree e_j, weight inherited from the generator).
+One routine builds the graph T - image * t of the substitution in a ring
+with internal tag variables t and eliminates the tags: from the graph alone
+for the defining relations, and from the graph on every generator of a
+module plus that module's relations for its Rees module.  The multi-Rees
+construction and the regraded module of the irrelevant ideal used by the
+vanishing checks differ only in how they grade the tag ring.  Layered on
+top: the diagonal, taken from a module and its ideals as the Rees module
+of their product, and fiber cones with their analytic spread.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .graded_poly import (
     GradedRing,
@@ -135,11 +139,50 @@ class ReesPresentation:
 
 
 @dataclass(frozen=True)
-class _Plan:
-    rees: ReesPresentation
+class _Graph:
+    """Graph of T -> image * t in the tag ring, and its tag-free part.
+
+    `relations` holds T - image * t for every new variable T, with t the tag
+    of T's block; `ambient` and `defining` are what survives eliminating the
+    tags from those relations."""
+
     tag_ring: GradedRing
-    tag_names: Tuple[str, ...]
-    graph: Tuple[Polynomial, ...]
+    tags: Tuple[str, ...]
+    relations: Tuple[Polynomial, ...]
+    ambient: GradedRing
+    defining: Tuple[Polynomial, ...]
+
+
+def _eliminate_tags(tag_ring: GradedRing, tags, blocks, tnames) -> _Graph:
+    """Graph of T -> g * t_j for the generators g of block j, named by
+    tnames[j], with the tags eliminated; every surviving relation is
+    checked by substituting the images back."""
+    images: Dict[str, Polynomial] = {}
+    for tag, gens, blk in zip(tags, blocks, tnames):
+        tpoly = tag_ring.var(tag)
+        for g, nm in zip(gens, blk):
+            images[nm] = substitute(g, tag_ring, {}) * tpoly
+    graph = tuple(tag_ring.var(nm) - image for nm, image in images.items())
+    ambient, defining = eliminate(tag_ring, graph, tuple(tags))
+    for h in defining:
+        if not substitute(h, tag_ring, images).is_zero():
+            raise AssertionError("Rees relation fails the tag substitution check")
+    return _Graph(tag_ring, tuple(tags), graph, ambient, defining)
+
+
+def _graph_module(graph: _Graph, M: ModulePresentation, shifts) -> ModulePresentation:
+    """Image of M under the blow-up: M's relations plus the graph placed on
+    every generator, with the tags eliminated, over the ambient."""
+    tag_ring = graph.tag_ring
+    p = M.rank
+    cols = [tuple(substitute(e, tag_ring, {}) for e in col) for col in M.relations]
+    for g in graph.relations:
+        for s in range(p):
+            col = [tag_ring.zero()] * p
+            col[s] = g
+            cols.append(tuple(col))
+    _, kernel = eliminate_module(free_module(tag_ring, shifts), cols, graph.tags)
+    return presentation(graph.ambient, shifts, kernel)
 
 
 def _unit_vector(j: int, r: int) -> Tuple[int, ...]:
@@ -147,7 +190,7 @@ def _unit_vector(j: int, r: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rees_plan(base: GradedRing, blocks) -> _Plan:
+def _rees_plan(base: GradedRing, blocks) -> Tuple[ReesPresentation, _Graph]:
     _check_base(base)
     _grade_gate(base, blocks)
     r = len(blocks)
@@ -174,40 +217,19 @@ def _rees_plan(base: GradedRing, blocks) -> _Plan:
         degrees.append(_unit_vector(j, r))
         weights.append(0)
     tag_ring = GradedRing(base.field, names, degrees, weights, (), False, True)
-
-    graph: List[Polynomial] = []
-    images: Dict[str, Polynomial] = {}
-    for j, (gens, blk) in enumerate(zip(blocks, tnames)):
-        tpoly = tag_ring.var(tags[j])
-        for g, nm in zip(gens, blk):
-            image = substitute(g, tag_ring, {}) * tpoly
-            graph.append(tag_ring.var(nm) - image)
-            images[nm] = image
-    ambient, defining = eliminate(tag_ring, tuple(graph), tuple(tags))
-    for h in defining:
-        if not substitute(h, tag_ring, images).is_zero():
-            raise AssertionError("Rees relation fails the tag substitution check")
-    rees = ReesPresentation(base, blocks, ambient, defining, tnames, r)
-    return _Plan(rees, tag_ring, tuple(tags), tuple(graph))
+    graph = _eliminate_tags(tag_ring, tags, blocks, tnames)
+    rees = ReesPresentation(base, blocks, graph.ambient, graph.defining, tnames, r)
+    return rees, graph
 
 
 def multi_rees_algebra_presentation(base: GradedRing, ideals) -> ReesPresentation:
     """Presentation of the blow-up algebra of the given ideals of the base."""
     blocks = _check_blocks(base, ideals)
-    return _rees_plan(base, blocks).rees
+    return _rees_plan(base, blocks)[0]
 
 
 # ---------------------------------------------------------------------------
 # multi-Rees modules
-
-
-@dataclass(frozen=True)
-class ReesModuleInfo:
-    rees: ReesPresentation
-    source: ModulePresentation
-
-
-_REES_MODULES: Dict[ModulePresentation, ReesModuleInfo] = {}
 
 
 def rees_module_presentation(N: ModulePresentation, ideals) -> ModulePresentation:
@@ -215,44 +237,19 @@ def rees_module_presentation(N: ModulePresentation, ideals) -> ModulePresentatio
 
     Generators track those of N (multidegree zero, weights preserved);
     relations come from eliminating the tag variables out of the graph of
-    the substitution together with N's own relations.  Each call registers
-    the module for rees_info, also when an equal module was built before:
-    equal modules can come from different ideals.
+    the substitution together with N's own relations.
     """
-    blocks = _check_blocks(N.ring, ideals)
-    module = _rees_module(N, blocks)
-    _REES_MODULES[module] = ReesModuleInfo(_rees_plan(N.ring, blocks).rees, N)
-    return module
+    return _rees_module(N, _check_blocks(N.ring, ideals))
 
 
 @lru_cache(maxsize=None)
 def _rees_module(N: ModulePresentation, blocks) -> ModulePresentation:
-    plan = _rees_plan(N.ring, blocks)
+    rees, graph = _rees_plan(N.ring, blocks)
     for d in N.mdeg_shifts:
         if any(x != 0 for x in d):
             raise InputError("module generators must sit in multidegree zero over the base")
-    tag_ring = plan.tag_ring
-    r = plan.rees.rank
-    p = N.rank
-    shifts = tuple((deg_zero(r), w) for w in N.weight_shifts)
-    qfree = free_module(tag_ring, shifts)
-    cols: List[Tuple[Polynomial, ...]] = []
-    for col in N.relations:
-        cols.append(tuple(substitute(e, tag_ring, {}) for e in col))
-    for g in plan.graph:
-        for s in range(p):
-            col = [tag_ring.zero()] * p
-            col[s] = g
-            cols.append(tuple(col))
-    _, kernel = eliminate_module(qfree, cols, plan.tag_names)
-    return presentation(plan.rees.ambient, shifts, kernel)
-
-
-def rees_info(module: ModulePresentation) -> ReesModuleInfo:
-    info = _REES_MODULES.get(module)
-    if info is None:
-        raise InputError("module was not built by rees_module_presentation")
-    return info
+    shifts = tuple((deg_zero(rees.rank), w) for w in N.weight_shifts)
+    return _graph_module(graph, N, shifts)
 
 
 def rees_piece_oracle(
@@ -288,43 +285,31 @@ def rees_piece_oracle(
 # diagonals
 
 
-def diagonal_of(X, window: int = 2):
-    """Rees object of the product of the blocks, with a window certificate.
+def diagonal_of(N: ModulePresentation, ideals, window: int = 2):
+    """Rees module of N over the product of the ideals, with a window certificate.
 
     Returns (value, certificate): the certificate lists (n, weight, dim)
-    triples on which the diagonal's graded pieces were checked against X at
-    (n, ..., n).  A mismatch raises AssertionError since the identity is
-    exact; rank-one input is returned unchanged with an empty certificate.
+    triples on which the diagonal's graded pieces were checked against the
+    multi-Rees module of N at (n, ..., n).  A mismatch raises AssertionError
+    since the identity is exact; for a single ideal the Rees module itself is
+    returned with an empty certificate.
     """
-    if isinstance(X, ReesPresentation):
-        rees, source = X, None
-    elif isinstance(X, ModulePresentation):
-        info = rees_info(X)
-        rees, source = info.rees, info.source
-    else:
-        raise InputError("diagonal_of expects a Rees presentation or module")
-    r = rees.rank
+    blocks = _check_blocks(N.ring, ideals)
+    mod = _rees_module(N, blocks)
+    r = len(blocks)
     if r == 1:
-        return X, ()
-    prod = ideal_power_product(rees.blocks, (1,) * r)
-    if source is None:
-        value = multi_rees_algebra_presentation(rees.base, (prod,))
-        dmod = value.as_module()
-        xmod = X.as_module()
-        wshifts: Tuple[int, ...] = (0,)
-    else:
-        value = rees_module_presentation(source, (prod,))
-        dmod = value
-        xmod = X
-        wshifts = source.weight_shifts or (0,)
-    wmax = max(g.degree_pair()[1] for blk in rees.blocks for g in blk)
+        return mod, ()
+    prod = ideal_power_product(blocks, (1,) * r)
+    value = rees_module_presentation(N, (prod,))
+    wshifts = N.weight_shifts or (0,)
+    wmax = max(g.degree_pair()[1] for blk in blocks for g in blk)
     wlo = min(0, min(wshifts))
     whi = window * wmax + max(0, max(wshifts)) + 1
     entries = []
     for nd in range(window + 1):
         for w in range(wlo, whi + 1):
-            dd = graded_piece_dim(dmod, (nd,), w)
-            xx = graded_piece_dim(xmod, (nd,) * r, w)
+            dd = graded_piece_dim(value, (nd,), w)
+            xx = graded_piece_dim(mod, (nd,) * r, w)
             if dd != xx:
                 raise AssertionError(
                     f"diagonal certificate failed at n={nd} weight={w}: {dd} != {xx}"
@@ -366,11 +351,9 @@ class IrrelevantReesModule:
     """
 
     source: ModulePresentation
-    generators: Tuple[Polynomial, ...]
     ambient: GradedRing
     algebra_relations: Tuple[Polynomial, ...]
     module: ModulePresentation
-    rank: int
 
 
 @lru_cache(maxsize=None)
@@ -396,31 +379,13 @@ def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     degrees.append(tuple(-1 for _ in range(r)) + (1,))
     weights = list(S.weights) + [gp.degree_pair()[1] for gp in gens] + [0]
     tag_ring = GradedRing(S.field, names, degrees, weights, (), False, True)
+    graph = _eliminate_tags(tag_ring, (tag,), (gens,), (tnames,))
 
-    tpoly = tag_ring.var(tag)
-    images = {
-        nm: substitute(gp, tag_ring, {}) * tpoly for nm, gp in zip(tnames, gens)
-    }
-    graph = tuple(tag_ring.var(nm) - images[nm] for nm in tnames)
-    ambient, algebra_rels = eliminate(tag_ring, graph, (tag,))
-    for h in algebra_rels:
-        if not substitute(h, tag_ring, images).is_zero():
-            raise AssertionError("Rees relation fails the tag substitution check")
-
-    p = M.rank
     shifts = tuple(
         (tuple(d) + (0,), w) for d, w in zip(M.mdeg_shifts, M.weight_shifts)
     )
-    qfree = free_module(tag_ring, shifts)
-    cols = [tuple(substitute(e, tag_ring, {}) for e in col) for col in M.relations]
-    for gr in graph:
-        for s in range(p):
-            col = [tag_ring.zero()] * p
-            col[s] = gr
-            cols.append(tuple(col))
-    _, kernel = eliminate_module(qfree, cols, (tag,))
-    module = presentation(ambient, shifts, kernel)
-    return IrrelevantReesModule(M, gens, ambient, algebra_rels, module, r)
+    module = _graph_module(graph, M, shifts)
+    return IrrelevantReesModule(M, graph.ambient, graph.defining, module)
 
 
 def irrelevant_piece_oracle(

@@ -364,7 +364,7 @@ def verify_rees_transfer(
     )
     if not inv.cm:
         return _finish("thm42", instance, hyps, None, None, None, char, [], [])
-    value, cert = diagonal_of(mod)
+    value, cert = diagonal_of(N, blocks)
     dinv = is_cohen_macaulay(value)
     checks = [
         _bool_row("diagonal-cm", None, None, dinv.cm,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import mgcm.cli_io as cli_io
 from mgcm.graded_poly import InputError
 from mgcm.theorem_harness import AggregateReport, CheckRecord, VerificationReport
 from mgcm.cli_io import (
@@ -193,6 +194,32 @@ table M i=0..1 window=(-2)..(2);
     assert cells[(1, (2,))] == "0"
 
 
+def test_diagonal_declaration_matches_direct_rees_module():
+    # Q's Rees module equals R's although its ideals differ; D must still be
+    # the diagonal of R, the Rees module of I*J = (a^2, a*b).
+    text = """\
+ring A = poly(char=default; a,b : deg=(0), weight=1);
+ideal I = (a);
+ideal J = (a, b);
+ideal K = (b);
+ideal P = (a^2, a*b);
+module N = free(A);
+multirees R = rees(N; I, J);
+multirees Q = rees(N; K, J);
+diagonal D = diagonal(R);
+rees E = rees(N; P);
+check D;
+check E;
+"""
+    session = parse_session(text)
+    objs = build_session(session)
+    assert objs["Q"][1].module == objs["R"][1].module
+    agg = execute_session(session, RunFlags(), "t")
+    d_check, e_check = agg.entries
+    assert d_check.checks == e_check.checks
+    assert {c.check: c.value for c in d_check.checks}["cm"] == "True"
+
+
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -254,6 +281,16 @@ def test_cache_corrupt_file_is_miss(tmp_path):
     with open(_cache_path(d, "key1"), "w", encoding="utf-8") as fh:
         fh.write("not json")
     assert cache_fetch(d, "key1") is None
+
+
+def test_cache_keyed_on_source_digest(monkeypatch, tmp_path):
+    d = str(tmp_path)
+    flags = RunFlags()
+    cache_store(d, cli_io._file_key_material(SMALL, flags, "corpus-entry"), {"x": 1})
+    assert cache_fetch(d, cli_io._file_key_material(SMALL, flags, "corpus-entry")) == {"x": 1}
+    assert len(cli_io._source_digest()) == 64
+    monkeypatch.setattr(cli_io, "_SOURCE_DIGEST", "0" * 64)
+    assert cache_fetch(d, cli_io._file_key_material(SMALL, flags, "corpus-entry")) is None
 
 
 def test_cache_directory_env(monkeypatch, tmp_path):

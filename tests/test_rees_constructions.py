@@ -3,11 +3,13 @@ piece counts from generator products, and classical invariant values."""
 
 import pytest
 
+import mgcm.rees_constructions as rc
 from mgcm.graded_poly import GradedRing, InputError, RationalField, parse_polynomial
 from mgcm.groebner_engine import (
     cyclic_presentation,
     free_module,
     free_presentation,
+    ideal_power_product,
     presentation,
     submodules_equal,
 )
@@ -20,13 +22,11 @@ from mgcm.homological import (
 )
 from mgcm.rees_constructions import (
     IrrelevantReesModule,
-    ReesPresentation,
     diagonal_of,
     fiber_cone_spread,
     irrelevant_piece_oracle,
     irrelevant_rees,
     multi_rees_algebra_presentation,
-    rees_info,
     rees_module_presentation,
     rees_piece_oracle,
 )
@@ -166,39 +166,44 @@ def test_nonzero_multidegree_shift_rejected(A):
 
 
 def test_diagonal_of_algebra(A):
+    # the Rees algebra is the Rees module of the free cyclic module
+    N = free_presentation(A, (((0,), 0),))
     blocks = ((A.var("a"),), (A.var("a"), A.var("b")))
-    rees = multi_rees_algebra_presentation(A, blocks)
-    value, cert = diagonal_of(rees)
-    assert isinstance(value, ReesPresentation)
-    assert value.rank == 1
-    assert ideal_equal(A, value.blocks[0], ["a^2", "a*b"])
+    value, cert = diagonal_of(N, blocks)
+    product = ideal_power_product(blocks, (1, 1))
+    assert ideal_equal(A, product, ["a^2", "a*b"])
+    assert value == multi_rees_algebra_presentation(A, (product,)).as_module()
     assert cert
-    dm = value.as_module()
-    assert [graded_piece_dim(dm, (n,), 2 * n) for n in range(3)] == [1, 2, 3]
+    assert [graded_piece_dim(value, (n,), 2 * n) for n in range(3)] == [1, 2, 3]
 
 
 def test_diagonal_rank_one_is_identity(A):
-    rees = multi_rees_algebra_presentation(A, ((A.var("a"), A.var("b")),))
-    value, cert = diagonal_of(rees)
-    assert value is rees
+    N = free_presentation(A, (((0,), 0),))
+    ideals = ((A.var("a"), A.var("b")),)
+    value, cert = diagonal_of(N, ideals)
+    assert value == rees_module_presentation(N, ideals)
     assert cert == ()
 
 
 def test_diagonal_of_module(A):
     N = free_presentation(A, (((0,), 0),))
     blocks = ((A.var("a"),), (A.var("a"), A.var("b")))
-    mod = rees_module_presentation(N, blocks)
-    value, cert = diagonal_of(mod)
+    value, cert = diagonal_of(N, blocks)
     assert graded_piece_dim(value, (1,), 2) == 2
     assert cert
 
 
-def test_unregistered_module_rejected(A):
-    stray = free_presentation(A, (((0,), 0),))
-    with pytest.raises(InputError):
-        rees_info(stray)
-    with pytest.raises(InputError):
-        diagonal_of(stray)
+def test_diagonal_certificate_catches_a_wrong_piece(A, monkeypatch):
+    real = rc.graded_piece_dim
+
+    def off_by_one_on_rank_one(module, n, *rest):
+        return real(module, n, *rest) + (1 if len(n) == 1 else 0)
+
+    monkeypatch.setattr(rc, "graded_piece_dim", off_by_one_on_rank_one)
+    N = cyclic_presentation(A, (A.var("b"),))
+    blocks = ((A.var("a"),), (A.var("a"), A.var("b")))
+    with pytest.raises(AssertionError, match="diagonal certificate failed"):
+        diagonal_of(N, blocks)
 
 
 # -- fiber cones --------------------------------------------------------------

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+import mgcm.theorem_harness as th
 from mgcm.graded_poly import (
     GradedRing,
     InputError,
@@ -7,7 +10,8 @@ from mgcm.graded_poly import (
     field_for_char,
     parse_polynomial,
 )
-from mgcm.groebner_engine import cyclic_presentation, free_presentation
+from mgcm.groebner_engine import cyclic_presentation, free_presentation, ideal_power_product
+from mgcm.rees_constructions import rees_module_presentation
 from mgcm.theorem_harness import (
     AggregateReport,
     CheckRecord,
@@ -214,6 +218,38 @@ def test_rees_transfer_noncm_module_gate():
     rep = verify_rees_transfer(N, ((p(A, "b"),),))
     assert rep.verdict == "hypothesis-not-met"
     assert any(h.name == "multi-rees-cm" and not h.passed for h in rep.hypotheses)
+
+
+def test_rees_a_invariant_violated_by_a_shifted_coordinate(monkeypatch):
+    real = th.a_invariant
+
+    def shifted(module):
+        a = real(module)
+        return (a[0] + 1,) + a[1:]
+
+    monkeypatch.setattr(th, "a_invariant", shifted)
+    A = local_plane(rank=2)
+    N = free_presentation(A, (((0, 0), 0),))
+    rep = verify_rees_a_invariant(N, ((p(A, "a"),), (p(A, "a"), p(A, "b"))))
+    assert rep.verdict == "violated"
+    assert rep.checks[0].value == "(0|-1)"
+
+
+def test_rees_transfer_violated_by_a_non_cm_diagonal(monkeypatch):
+    A = local_plane(rank=2)
+    N = free_presentation(A, (((0, 0), 0),))
+    mm = (p(A, "a"), p(A, "b"))
+    diagonal = rees_module_presentation(N, (ideal_power_product((mm, mm), (1, 1)),))
+    real = th.is_cohen_macaulay
+
+    def diagonal_not_cm(module):
+        inv = real(module)
+        return replace(inv, cm=False) if module == diagonal else inv
+
+    monkeypatch.setattr(th, "is_cohen_macaulay", diagonal_not_cm)
+    rep = verify_rees_transfer(N, (mm, mm))
+    assert rep.verdict == "violated"
+    assert any(h.name == "multi-rees-cm" and h.passed for h in rep.hypotheses)
 
 
 # ---------------------------------------------------------------------------
