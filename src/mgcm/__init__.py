@@ -18,17 +18,13 @@ from .graded_poly import (  # noqa: F401
     Degree,
     DegreeRelation,
     GradedRing,
-    GradedRingSpec,
-    GradingMap,
     InputError,
     Polynomial,
     PrimeField,
     RationalField,
     ResourceLimit,
-    coarsen_grading,
     compare_degrees,
     field_for_char,
-    make_graded_ring,
     parse_polynomial,
     poly_str,
 )

@@ -648,7 +648,10 @@ def _parse_range_arg(text: str) -> range:
     m = re.match(r"(-?\d+)\.\.(-?\d+)\Z", text.strip())
     if not m:
         raise InputError(f"range expects 'a..b', got '{text}'")
-    return range(int(m.group(1)), int(m.group(2)) + 1)
+    a, b = int(m.group(1)), int(m.group(2))
+    if b < a:
+        raise InputError(f"empty range '{text}': the end is below the start")
+    return range(a, b + 1)
 
 
 def _info_report(theorem: str, instance: str, char: int, rows, window=None) -> VerificationReport:

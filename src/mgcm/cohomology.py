@@ -407,7 +407,7 @@ def local_cohomology_dim(
     if len(n) != ring.rank:
         raise InputError("degree rank mismatch")
     for g in support.generators:
-        if g.ring.core_key() != ring.core_key():
+        if g.ring != ring:
             raise InputError("support ideal lives in a different ring")
 
     if support.kind == "maximal":

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 
 class InputError(ValueError):
@@ -233,66 +233,19 @@ def compare_degrees(a: Sequence[int], b: Sequence[int]) -> DegreeRelation:
     )
 
 
-@dataclass(frozen=True)
-class GradingMap:
-    """Integer matrix Z^k -> Z^l applied to multidegrees (rows = target coords)."""
-
-    rows: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise InputError("grading map needs at least one row")
-        k = len(self.rows[0])
-        if any(len(r) != k for r in self.rows):
-            raise InputError("ragged grading map")
-
-    @property
-    def source_rank(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def target_rank(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def identity(rank: int) -> "GradingMap":
-        return GradingMap(tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "GradingMap":
-        return GradingMap(tuple(tuple(int(x) for x in r) for r in rows))
-
-    def apply(self, deg: Degree) -> Degree:
-        if len(deg) != self.source_rank:
-            raise InputError(f"grading map rank mismatch: {len(deg)} vs {self.source_rank}")
-        return tuple(sum(c * d for c, d in zip(row, deg)) for row in self.rows)
-
-
 # ---------------------------------------------------------------------------
-# ring spec and ring
+# rings
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class GradedRingSpec:
-    """Validated description of a ring: names, multidegrees, weights, char,
-    optional defining ideal given as polynomial strings."""
-
-    char: int
-    names: Tuple[str, ...]
-    degrees: Tuple[Degree, ...]
-    weights: Tuple[int, ...]
-    quotient: Tuple[str, ...] = ()
-    reduce_on_multiply: bool = False
-
-
 class GradedRing:
-    """Immutable multigraded polynomial ring, optionally with a defining ideal.
+    """Immutable multigraded polynomial ring P = k[x_1..x_n].
 
-    Most machinery treats a quotient ring S = P/J as the free cover P plus
-    module relations; `quotient_gens` carries J for the constructions that
-    need it (Rees presentations, reduce-on-multiply arithmetic).
+    There is no quotient ring: a module over S = P/J is presented over P,
+    with J among its relations (`cyclic_presentation` gives S itself).  Depth,
+    dimension and local cohomology at the irrelevant ideal are the same over
+    S and over P, so every construction works over P alone.
     """
 
     __slots__ = (
@@ -300,8 +253,6 @@ class GradedRing:
         "names",
         "degrees",
         "weights",
-        "quotient_gens",
-        "reduce_on_multiply",
         "_allow_zero_weight",
         "_name_index",
         "_key",
@@ -314,8 +265,6 @@ class GradedRing:
         names: Sequence[str],
         degrees: Sequence[Sequence[int]],
         weights: Sequence[int],
-        quotient_gens: Sequence["Polynomial"] = (),
-        reduce_on_multiply: bool = False,
         _allow_zero_weight: bool = False,
     ):
         names = tuple(names)
@@ -346,32 +295,10 @@ class GradedRing:
         self.names = names
         self.degrees = degrees
         self.weights = weights
-        self.reduce_on_multiply = bool(reduce_on_multiply)
         self._allow_zero_weight = bool(_allow_zero_weight)
         self._name_index = {nm: i for i, nm in enumerate(names)}
-        qg = tuple(quotient_gens)
-        for g in qg:
-            if g.ring.core_key() != self.core_key():
-                raise InputError("defining ideal generator from a different ring")
-            if g.is_zero():
-                raise InputError("zero generator in defining ideal")
-            if not g.is_homogeneous():
-                raise InputError("inhomogeneous defining ideal generator")
-        self.quotient_gens = qg
-        self._key = (
-            self.field,
-            names,
-            degrees,
-            weights,
-            tuple(g.terms for g in qg),
-            self.reduce_on_multiply,
-            self._allow_zero_weight,
-        )
+        self._key = (field, names, degrees, weights, self._allow_zero_weight)
         self._hash = hash(self._key)
-
-    # identity of the underlying free ring, quotient ignored
-    def core_key(self):
-        return (self.field, self.names, self.degrees, self.weights, self._allow_zero_weight)
 
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self._key == other._key
@@ -380,8 +307,7 @@ class GradedRing:
         return self._hash
 
     def __repr__(self):
-        q = f"/({len(self.quotient_gens)} gens)" if self.quotient_gens else ""
-        return f"GradedRing(char={self.field.char}, vars={','.join(self.names)}{q})"
+        return f"GradedRing(char={self.field.char}, vars={','.join(self.names)})"
 
     # -- basic data ----------------------------------------------------
 
@@ -453,18 +379,7 @@ class GradedRing:
         items.sort(key=lambda t: self.term_sort_key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
-    # -- variants --------------------------------------------------------
-
-    def free_cover(self) -> "GradedRing":
-        """The same ring with the defining ideal dropped."""
-        if not self.quotient_gens:
-            return self
-        return GradedRing(self.field, self.names, self.degrees, self.weights,
-                          (), self.reduce_on_multiply, self._allow_zero_weight)
-
-    def with_quotient(self, gens: Sequence["Polynomial"]) -> "GradedRing":
-        return GradedRing(self.field, self.names, self.degrees, self.weights,
-                          tuple(gens), self.reduce_on_multiply, self._allow_zero_weight)
+    # -- base block --------------------------------------------------------
 
     def base_variable_indices(self) -> Tuple[int, ...]:
         """Variables with multidegree 0 (the graded-local base block)."""
@@ -473,17 +388,6 @@ class GradedRing:
 
     def is_field_base(self) -> bool:
         return not self.base_variable_indices()
-
-
-def make_graded_ring(spec: GradedRingSpec) -> GradedRing:
-    """Validate a GradedRingSpec and build the ring (quotient strings parsed)."""
-    field = field_for_char(spec.char)
-    ring = GradedRing(field, spec.names, spec.degrees, spec.weights,
-                      reduce_on_multiply=spec.reduce_on_multiply)
-    if spec.quotient:
-        qg = tuple(parse_polynomial(ring, s) for s in spec.quotient)
-        ring = ring.with_quotient(qg)
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +406,13 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring.core_key(), self.terms))
+            self._hash = hash((self.ring, self.terms))
         return self._hash
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring.core_key() == other.ring.core_key()
+            and self.ring == other.ring
             and self.terms == other.terms
         )
 
@@ -532,7 +436,7 @@ class Polynomial:
         return self.terms[0][1]
 
     def _check_same_ring(self, other: "Polynomial"):
-        if self.ring.core_key() != other.ring.core_key():
+        if self.ring != other.ring:
             raise InputError("polynomials from different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -575,12 +479,7 @@ class Polynomial:
                     d.pop(e, None)
                 else:
                     d[e] = nc
-        out = self.ring.from_dict(d)
-        if self.ring.reduce_on_multiply and self.ring.quotient_gens:
-            from . import groebner_engine as _ge
-
-            out = _ge.reduce_by_quotient(out)
-        return out
+        return self.ring.from_dict(d)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -751,10 +650,11 @@ class _PolyParser:
                 kind2, val2 = self.take()
                 if kind2 != "int":
                     raise InputError("only integer denominators are supported")
-                if self.ring.field.char == 0:
-                    p = p.scale(Fraction(1, int(val2)))
-                else:
-                    p = p.scale(self.ring.field.inv(int(val2)))
+                field = self.ring.field
+                den = field.of(int(val2))
+                if den == field.zero:
+                    raise InputError(f"denominator {val2} is zero in characteristic {field.char}")
+                p = p.scale(field.inv(den))
             else:
                 return p
 
@@ -788,32 +688,3 @@ class _PolyParser:
 
 def parse_polynomial(ring: GradedRing, text: str) -> Polynomial:
     return _PolyParser(ring, text).parse()
-
-
-# ---------------------------------------------------------------------------
-# grading coarsening
-
-
-def coarsen_grading(obj, gmap: GradingMap):
-    """Re-grade a ring or a module presentation along an integer matrix.
-
-    New variable multidegrees must land in N^l; weights are untouched, so
-    graded-piece counts aggregate along fibers of the map.
-    """
-    if isinstance(obj, GradedRing):
-        new_degs = tuple(gmap.apply(d) for d in obj.degrees)
-        for d in new_degs:
-            if any(x < 0 for x in d):
-                raise InputError("coarsened multidegree leaves N^r")
-        ring = GradedRing(obj.field, obj.names, new_degs, obj.weights, (),
-                          obj.reduce_on_multiply, obj._allow_zero_weight)
-        if obj.quotient_gens:
-            qg = tuple(Polynomial(ring, g.terms) for g in obj.quotient_gens)
-            ring = ring.with_quotient(qg)
-        return ring
-    # late import: presentations live in groebner_engine
-    from . import groebner_engine as _ge
-
-    if isinstance(obj, _ge.ModulePresentation):
-        return _ge.coarsen_presentation(obj, gmap)
-    raise InputError(f"cannot coarsen object of type {type(obj).__name__}")

@@ -26,18 +26,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graded_poly import (
-    Degree,
-    GradedRing,
-    GradingMap,
-    InputError,
-    Polynomial,
-    coarsen_grading,
-    deg_add,
-    deg_sub,
-)
+from .graded_poly import Degree, GradedRing, InputError, Polynomial, deg_add, deg_sub
 
 Column = Tuple[Polynomial, ...]
 Term = Tuple[int, Tuple[int, ...]]  # (component, exponent vector)
@@ -87,7 +78,7 @@ class FreeModule:
         if len(col) != self.rank:
             raise InputError(f"column length {len(col)} != rank {self.rank}")
         for entry in col:
-            if entry.ring.core_key() != self.ring.core_key():
+            if entry.ring != self.ring:
                 raise InputError("column entry from a different ring")
         if any(not e.is_zero() for e in col):
             self.column_degree(col)
@@ -142,17 +133,21 @@ def free_presentation(ring: GradedRing, shifts) -> ModulePresentation:
 
 
 def cyclic_presentation(ring: GradedRing, polys: Sequence[Polynomial]) -> ModulePresentation:
-    """ring/(polys) as a module over the free cover, shift 0."""
+    """S = ring/(polys) as a cyclic module over the polynomial ring, shift 0.
+
+    This is how a quotient ring enters the package: S and every S-module are
+    presented over the polynomial ring, whose depth, dimension and local
+    cohomology at the irrelevant ideal agree with those over S.
+    """
     shift = ((0,) * ring.rank, 0)
     cols = tuple((p,) for p in polys if not p.is_zero())
-    return presentation(ring.free_cover(), (shift,), cols)
+    return presentation(ring, (shift,), cols)
 
 
-def coarsen_presentation(pres: ModulePresentation, gmap: GradingMap) -> ModulePresentation:
-    ring = coarsen_grading(pres.ring, gmap)
-    rels = tuple(tuple(Polynomial(ring, e.terms) for e in col) for col in pres.relations)
-    return ModulePresentation(ring, tuple(gmap.apply(d) for d in pres.mdeg_shifts),
-                              pres.weight_shifts, rels)
+def basis_multiples(f: Polynomial, rank: int) -> Tuple[Column, ...]:
+    """The columns f*e_0, ..., f*e_{rank-1}; with f = 1, the unit columns."""
+    zero = f.ring.zero()
+    return tuple(tuple(f if i == j else zero for i in range(rank)) for j in range(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -167,31 +162,19 @@ class ModOrder:
     """
 
     def __init__(self, free: FreeModule, elim: Tuple[int, ...] = (), split: Optional[int] = None):
-        self.free = free
-        self.elim = tuple(sorted(elim))
         self.split = split
-        ring = free.ring
-        weights = ring.weights
+        weights = free.ring.weights
         wshift = free.weight_shifts
-        elimset = self.elim
-        split_at = split
+        elimset = tuple(sorted(elim))
 
         def key(term: Term):
             c, e = term
-            blockflag = 1 if (split_at is None or c < split_at) else 0
+            blockflag = 1 if (split is None or c < split) else 0
             tagdeg = sum(e[i] for i in elimset) if elimset else 0
             w = sum(ee * ww for ee, ww in zip(e, weights)) + wshift[c]
             return (blockflag, tagdeg, w, tuple(-x for x in reversed(e)), -c)
 
         self.key = key
-
-    def descriptor(self) -> str:
-        bits = ["degrevlex-weight"]
-        if self.elim:
-            bits.append("elim=" + ",".join(self.free.ring.names[i] for i in self.elim))
-        if self.split is not None:
-            bits.append(f"split={self.split}")
-        return "|".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +249,12 @@ def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf) -> Vec:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced, monic, canonically sorted basis with its order descriptor."""
+    """Reduced, monic, canonically sorted basis with the data of its order."""
 
     free: FreeModule
     elements: Tuple[Column, ...]
-    order_descriptor: str
     elim: Tuple[int, ...] = ()
     split: Optional[int] = None
-    certified: bool = True  # every S-pair reduced to zero
 
     def order(self) -> ModOrder:
         return ModOrder(self.free, self.elim, self.split)
@@ -383,13 +364,13 @@ def groebner_module(
     vecs = _buchberger_vecs(free, gens, order)
     vecs = _reduced_basis(free, vecs, order)
     cols = tuple(_vec_to_col(free.ring, free.rank, v) for v in vecs)
-    return GroebnerBasis(free, cols, order.descriptor(), elim, split)
+    return GroebnerBasis(free, cols, elim, split)
 
 
 def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial],
                    elim_names: Tuple[str, ...] = ()) -> GroebnerBasis:
     """Reduced GB of an ideal (rank-1 module at shift 0)."""
-    fm = FreeModule(ring.free_cover(), ((0,) * ring.rank,), (0,))
+    fm = FreeModule(ring, ((0,) * ring.rank,), (0,))
     return groebner_module(fm, tuple((p,) for p in polys if not p.is_zero()), elim_names)
 
 
@@ -404,15 +385,6 @@ def normal_form(gb: GroebnerBasis, f: Polynomial) -> Polynomial:
     if gb.free.rank != 1:
         raise InputError("normal_form on a polynomial needs a rank-1 basis")
     return normal_form_column(gb, (f,))[0]
-
-
-def reduce_by_quotient(f: Polynomial) -> Polynomial:
-    """Normal form modulo the ring's defining ideal (reduce-on-multiply hook)."""
-    ring = f.ring
-    if not ring.quotient_gens:
-        return f
-    gb = groebner_basis(ring.free_cover(), ring.quotient_gens)
-    return normal_form(gb, Polynomial(ring.free_cover(), f.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +412,9 @@ def _syzygy_data(free: FreeModule, gens: Tuple[Column, ...]):
         free.mdeg_shifts + tuple(d for d, _ in degs),
         free.weight_shifts + tuple(w for _, w in degs),
     )
-    zero = ring.zero()
-    emb: List[Column] = []
-    for i, col in enumerate(gens):
-        tail = tuple(ring.one() if j == i else zero for j in range(s))
-        emb.append(tuple(col) + tail)
-    gb = groebner_module(big, tuple(emb), (), p)
+    units = basis_multiples(ring.one(), s)
+    emb = tuple(tuple(col) + unit for col, unit in zip(gens, units))
+    gb = groebner_module(big, emb, (), p)
     return big, gb
 
 
@@ -528,9 +497,8 @@ def module_kernel(
     nonzero_idx = [j for j in range(len(image_cols)) if j not in zero_idx]
     ring = source.ring
     zero = ring.zero()
-    out: List[Column] = []
-    for j in zero_idx:
-        out.append(tuple(ring.one() if i == j else zero for i in range(source.rank)))
+    units = basis_multiples(ring.one(), source.rank)
+    out: List[Column] = [units[j] for j in zero_idx]
     live = tuple(combined[j] for j in nonzero_idx) + rels
     if nonzero_idx:
         _, syz = syzygy_basis(tfree, live)
@@ -556,12 +524,7 @@ def intersect_submodules(free: FreeModule, gens_a: Sequence[Column], gens_b: Seq
         tuple(tuple(col) + (zero,) * p for col in gens_a)
         + tuple((zero,) * p + tuple(col) for col in gens_b),
     )
-    images = []
-    for j in range(p):
-        col = [zero] * (2 * p)
-        col[j] = ring.one()
-        col[p + j] = ring.one()
-        images.append(tuple(col))
+    images = tuple(unit + unit for unit in basis_multiples(ring.one(), p))
     return module_kernel(free, images, target)
 
 
@@ -598,16 +561,10 @@ def colon_module(free: FreeModule, gens: Sequence[Column], ideal: Sequence[Polyn
     ideal = [f for f in ideal if not f.is_zero()]
     if not ideal:
         raise InputError("colon by the zero ideal")
-    ring = free.ring
     current: Optional[Tuple[Column, ...]] = None
     for f in ideal:
         # (U : f) = (1/f) (U cap fF)
-        f_cols = []
-        for j in range(free.rank):
-            col = [ring.zero()] * free.rank
-            col[j] = f
-            f_cols.append(tuple(col))
-        meet = intersect_submodules(free, tuple(gens), tuple(f_cols))
+        meet = intersect_submodules(free, tuple(gens), basis_multiples(f, free.rank))
         part = tuple(tuple(poly_div_exact(e, f) if not e.is_zero() else e for e in col) for col in meet)
         if current is None:
             current = part
@@ -707,9 +664,7 @@ def subring_without(ring: GradedRing, drop: Sequence[str]) -> Tuple[GradedRing, 
         tuple(ring.names[i] for i in keep),
         kept_degrees,
         kept_weights,
-        (),
-        ring.reduce_on_multiply,
-        still_internal,
+        _allow_zero_weight=still_internal,
     )
     return sub, keep
 

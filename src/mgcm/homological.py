@@ -1,10 +1,10 @@
 """Minimal free resolutions and the invariants read off from them.
 
-Everything here runs over a free polynomial ambient; quotient modules are
-re-presented over the cover (their defining ideal folded into the relation
-columns).  The weight grading does the graded-local work: minimal generators
-via Nakayama, depth via Auslander-Buchsbaum (depth = #vars - pd), Krull
-dimension as the pole order of the weight Hilbert series at t = 1.
+Everything here runs over a polynomial ring P; a module over a quotient
+S = P/J is presented over P with J folded into its relation columns.  The
+weight grading does the graded-local work: minimal generators via Nakayama,
+depth via Auslander-Buchsbaum (depth = #vars - pd), Krull dimension as the
+pole order of the weight Hilbert series at t = 1.
 
 Duality: ext_dual_module(M, i) presents Ext^i(M, P(-w_total)) where w_total
 is the sum of all variable degrees.  Its graded pieces are the k-duals of
@@ -34,6 +34,7 @@ from .groebner_engine import (
     FreeModule,
     GroebnerBasis,
     ModulePresentation,
+    basis_multiples,
     cyclic_presentation,
     free_presentation,
     groebner_module,
@@ -181,9 +182,6 @@ def _minimal_generators(free: FreeModule, cols: Sequence[Column]) -> Tuple[Colum
 
 @lru_cache(maxsize=None)
 def _minimal_free_resolution_cached(module: ModulePresentation, bound: int) -> Resolution:
-    ring = module.ring
-    if ring.quotient_gens:
-        raise InputError("resolutions need a free ambient; re-present over the cover")
     shifts: List[Tuple[List[Degree], List[int]]] = [
         (list(module.mdeg_shifts), list(module.weight_shifts))
     ]
@@ -512,13 +510,7 @@ def ext_dual_module(module: ModulePresentation, i: int) -> ModulePresentation:
         )
         kernel = module_kernel(d_i, delta_next, target)
     else:
-        unit = []
-        zero = ring.zero()
-        for j in range(d_i.rank):
-            col = [zero] * d_i.rank
-            col[j] = ring.one()
-            unit.append(tuple(col))
-        kernel = tuple(unit)
+        kernel = basis_multiples(ring.one(), d_i.rank)
     if not kernel:
         return _zero_presentation(ring)
 
@@ -618,28 +610,18 @@ def grade_of(ideal_gens: Sequence[Polynomial], target: ModulePresentation) -> Op
     if not gens:
         raise InputError("grade of the zero ideal")
     ring = target.ring
-    if ring.quotient_gens:
-        raise InputError("grade needs a free ambient; re-present over the cover")
     for g in gens:
-        if g.ring.core_key() != ring.core_key():
+        if g.ring != ring:
             raise InputError("ideal and module over different rings")
     if is_zero_module(target):
         raise InputError("grade against the zero module")
-    # I N = N detection: every cover generator inside I*cover + relations
+    # I N = N detection: every generator of N inside I*N + relations
     free = target.free()
-    zero = ring.zero()
-    in_gens: List[Column] = list(target.relations)
+    in_gens = tuple(target.relations)
     for f in gens:
-        for j in range(target.rank):
-            col = [zero] * target.rank
-            col[j] = f
-            in_gens.append(tuple(col))
-    unit_cols = []
-    for j in range(target.rank):
-        col = [zero] * target.rank
-        col[j] = ring.one()
-        unit_cols.append(tuple(col))
-    if all(submodule_contains(free, tuple(in_gens), c) for c in unit_cols):
+        in_gens += basis_multiples(f, target.rank)
+    units = basis_multiples(ring.one(), target.rank)
+    if all(submodule_contains(free, in_gens, c) for c in units):
         return None
 
     quot = cyclic_presentation(ring, tuple(gens))
@@ -651,10 +633,7 @@ def grade_of(ideal_gens: Sequence[Polynomial], target: ModulePresentation) -> Op
             hom_next, _ = _hom_into_module(res, i + 1, target)
             kernel = module_kernel(free_i, delta, hom_next)
         else:
-            kernel = tuple(
-                tuple(ring.one() if a == j else zero for a in range(hom_i.rank))
-                for j in range(hom_i.rank)
-            )
+            kernel = basis_multiples(ring.one(), hom_i.rank)
         # image of Hom(F_{i-1}, N) -> Hom(F_i, N)
         prev = _hom_transpose_map(res, i - 1, target) if i >= 1 else ()
         span = tuple(prev) + tuple(hom_i.relations)

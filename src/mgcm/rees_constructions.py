@@ -26,6 +26,7 @@ from .graded_poly import (
 )
 from .groebner_engine import (
     ModulePresentation,
+    basis_multiples,
     cyclic_presentation,
     eliminate,
     eliminate_module,
@@ -45,10 +46,6 @@ from .cohomology import irrelevant_support, matrix_rank
 
 
 def _check_base(base: GradedRing):
-    if base.quotient_gens:
-        raise InputError(
-            "Rees base must be a free ambient; re-present quotients as modules"
-        )
     for d in base.degrees:
         if any(x != 0 for x in d):
             raise InputError(
@@ -66,7 +63,7 @@ def _check_blocks(base: GradedRing, ideals) -> Tuple[Tuple[Polynomial, ...], ...
         if not gens:
             raise InputError("ideal needs at least one generator")
         for g in gens:
-            if not isinstance(g, Polynomial) or g.ring.core_key() != base.core_key():
+            if not isinstance(g, Polynomial) or g.ring != base:
                 raise InputError("ideal generator outside the base ring")
             if g.is_zero():
                 raise InputError("zero ideal generator")
@@ -131,7 +128,6 @@ class ReesPresentation:
     blocks: Tuple[Tuple[Polynomial, ...], ...]
     ambient: GradedRing
     defining: Tuple[Polynomial, ...]
-    tvar_names: Tuple[Tuple[str, ...], ...]
     rank: int
 
     def as_module(self) -> ModulePresentation:
@@ -174,13 +170,9 @@ def _graph_module(graph: _Graph, M: ModulePresentation, shifts) -> ModulePresent
     """Image of M under the blow-up: M's relations plus the graph placed on
     every generator, with the tags eliminated, over the ambient."""
     tag_ring = graph.tag_ring
-    p = M.rank
     cols = [tuple(substitute(e, tag_ring, {}) for e in col) for col in M.relations]
     for g in graph.relations:
-        for s in range(p):
-            col = [tag_ring.zero()] * p
-            col[s] = g
-            cols.append(tuple(col))
+        cols.extend(basis_multiples(g, M.rank))
     _, kernel = eliminate_module(free_module(tag_ring, shifts), cols, graph.tags)
     return presentation(graph.ambient, shifts, kernel)
 
@@ -216,9 +208,9 @@ def _rees_plan(base: GradedRing, blocks) -> Tuple[ReesPresentation, _Graph]:
         names.append(nm)
         degrees.append(_unit_vector(j, r))
         weights.append(0)
-    tag_ring = GradedRing(base.field, names, degrees, weights, (), False, True)
+    tag_ring = GradedRing(base.field, names, degrees, weights, _allow_zero_weight=True)
     graph = _eliminate_tags(tag_ring, tags, blocks, tnames)
-    rees = ReesPresentation(base, blocks, graph.ambient, graph.defining, tnames, r)
+    rees = ReesPresentation(base, blocks, graph.ambient, graph.defining, r)
     return rees, graph
 
 
@@ -271,10 +263,7 @@ def rees_piece_oracle(
         return total
     cols = list(N.relations)
     for f in prod:
-        for s in range(N.rank):
-            col = [base.zero()] * N.rank
-            col[s] = f
-            cols.append(tuple(col))
+        cols.extend(basis_multiples(f, N.rank))
     quotient = presentation(
         base, tuple(zip(N.mdeg_shifts, N.weight_shifts)), cols
     )
@@ -359,8 +348,6 @@ class IrrelevantReesModule:
 @lru_cache(maxsize=None)
 def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     S = M.ring
-    if S.quotient_gens:
-        raise InputError("present the module over the free cover first")
     gens = irrelevant_support(S).generators
     target = free_presentation(S, ((deg_zero(S.rank), 0),))
     g = grade_of(gens, target)
@@ -378,7 +365,7 @@ def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     degrees.extend(tdeg for _ in tnames)
     degrees.append(tuple(-1 for _ in range(r)) + (1,))
     weights = list(S.weights) + [gp.degree_pair()[1] for gp in gens] + [0]
-    tag_ring = GradedRing(S.field, names, degrees, weights, (), False, True)
+    tag_ring = GradedRing(S.field, names, degrees, weights, _allow_zero_weight=True)
     graph = _eliminate_tags(tag_ring, (tag,), (gens,), (tnames,))
 
     shifts = tuple(

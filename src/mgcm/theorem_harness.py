@@ -19,6 +19,7 @@ from .graded_poly import (
 )
 from .groebner_engine import (
     ModulePresentation,
+    basis_multiples,
     free_presentation,
     ideal_power_product,
     submodules_equal,
@@ -382,23 +383,11 @@ def verify_rees_transfer(
 
 
 def _power_cols(N: ModulePresentation, blocks, exps) -> Tuple[Tuple, ...]:
-    """Cover columns spanning (product of ideal powers) * N + relations."""
-    base = N.ring
-    prod = ideal_power_product(blocks, exps)
-    cols: List[Tuple] = []
-    if prod == (base.one(),):
-        for s in range(N.rank):
-            col = [base.zero()] * N.rank
-            col[s] = base.one()
-            cols.append(tuple(col))
-    else:
-        for f in prod:
-            for s in range(N.rank):
-                col = [base.zero()] * N.rank
-                col[s] = f
-                cols.append(tuple(col))
-    cols.extend(N.relations)
-    return tuple(cols)
+    """Columns spanning (product of ideal powers) * N + relations."""
+    cols: Tuple[Tuple, ...] = ()
+    for f in ideal_power_product(blocks, exps):
+        cols += basis_multiples(f, N.rank)
+    return cols + tuple(N.relations)
 
 
 def verify_colon_identities(

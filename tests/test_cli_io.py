@@ -356,6 +356,26 @@ def test_main_bad_window_flag(tmp_path, capsys):
     assert main(["run", str(f), "--window", "oops"]) == 2
 
 
+def test_main_run_zero_denominator(tmp_path, capsys):
+    f = tmp_path / "s.mgcm"
+    f.write_text(SMALL.replace("ideal I = (a, b);", "ideal I = (a/32003, b);"))
+    assert main(["run", str(f)]) == 2
+    assert "denominator 32003 is zero" in capsys.readouterr().err
+
+
+def test_empty_range_is_input_error(tmp_path, capsys):
+    assert list(cli_io._parse_range_arg("-1..1")) == [-1, 0, 1]
+    assert list(cli_io._parse_range_arg("2..2")) == [2]
+    for text in ("3..1", "0..-1"):
+        with pytest.raises(InputError, match="empty range"):
+            cli_io._parse_range_arg(text)
+    f = tmp_path / "s.mgcm"
+    f.write_text(SMALL.replace("verify lem41 R;", "verify lem44 R weights=3..1;"))
+    assert main(["run", str(f)]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["entries"][0]["verdict"] == "input-error"
+
+
 def test_corpus_files_expected_mismatch(tmp_path):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL)
@@ -409,3 +429,21 @@ def test_diagnostic_render():
     d = Diagnostic(3, 7, "boom")
     assert d.render() == "3:7: boom"
     assert d.render("f.mgcm") == "f.mgcm:3:7: boom"
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def test_run_reports_match_golden_bytes(capsysbinary):
+    # tests/golden/<stem>.json holds the `mgcm run --format json` bytes of each
+    # shipped session; a change that alters a report on purpose rewrites them
+    corpus_dir = os.path.dirname(shipped_manifest_path())
+    stems = sorted(n[:-5] for n in os.listdir(corpus_dir) if n.endswith(".mgcm"))
+    assert sorted(n[:-5] for n in os.listdir(GOLDEN_DIR)) == stems
+    changed = []
+    for stem in stems:
+        assert main(["run", os.path.join(corpus_dir, stem + ".mgcm")]) == 0
+        with open(os.path.join(GOLDEN_DIR, stem + ".json"), "rb") as fh:
+            if capsysbinary.readouterr().out != fh.read():
+                changed.append(stem)
+    assert changed == []

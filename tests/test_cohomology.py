@@ -6,11 +6,11 @@ import pytest
 from fractions import Fraction
 
 from mgcm.graded_poly import (
-    GradedRingSpec,
+    GradedRing,
     InputError,
     PrimeField,
     RationalField,
-    make_graded_ring,
+    field_for_char,
 )
 from mgcm.groebner_engine import cyclic_presentation, presentation
 from mgcm.homological import ext_dual_module, graded_piece_dim
@@ -34,23 +34,19 @@ from test_acceptance import _corpus_modules
 
 
 def p1_ring(char=0):
-    return make_graded_ring(GradedRingSpec(char, ("x0", "x1"), ((1,), (1,)), (1, 1)))
+    return GradedRing(field_for_char(char), ("x0", "x1"), ((1,), (1,)), (1, 1))
 
 
 def p2_ring(char=32003):
-    return make_graded_ring(
-        GradedRingSpec(char, ("x0", "x1", "x2"), ((1,), (1,), (1,)), (1, 1, 1))
-    )
+    return GradedRing(field_for_char(char), ("x0", "x1", "x2"), ((1,), (1,), (1,)), (1, 1, 1))
 
 
 def p1xp1_ring(char=32003):
-    return make_graded_ring(
-        GradedRingSpec(
-            char,
-            ("x0", "x1", "y0", "y1"),
-            ((1, 0), (1, 0), (0, 1), (0, 1)),
-            (1, 1, 1, 1),
-        )
+    return GradedRing(
+        field_for_char(char),
+        ("x0", "x1", "y0", "y1"),
+        ((1, 0), (1, 0), (0, 1), (0, 1)),
+        (1, 1, 1, 1),
     )
 
 
@@ -90,7 +86,7 @@ def test_irrelevant_support_blocks():
 
 
 def test_irrelevant_support_requires_block_variables():
-    R = make_graded_ring(GradedRingSpec(0, ("x",), ((2,),), (2,)))
+    R = GradedRing(field_for_char(0), ("x",), ((2,),), (2,))
     with pytest.raises(InputError):
         irrelevant_support(R)
 
@@ -130,7 +126,7 @@ def test_duality_equals_colimit_small_window():
 
 
 def test_bigraded_corner_piece():
-    R = make_graded_ring(GradedRingSpec(0, ("x", "y"), ((1, 0), (0, 1)), (1, 1)))
+    R = GradedRing(field_for_char(0), ("x", "y"), ((1, 0), (0, 1)), (1, 1))
     M = cyclic_presentation(R, ())
     ms = maximal_support(R)
     assert local_cohomology_dim(M, ms, 2, (-1, -1)).value == 1
@@ -203,7 +199,7 @@ def test_support_E_direct_mode_on_field_base():
 
 def test_support_E_identity_gate():
     # graded-local base: one base variable and one block variable
-    R = make_graded_ring(GradedRingSpec(0, ("a", "T"), ((0,), (1,)), (1, 1)))
+    R = GradedRing(field_for_char(0), ("a", "T"), ((0,), (1,)), (1, 1))
     M = cyclic_presentation(R, ())
     with pytest.raises(InputError):
         support_E_dim(M, 0, (0,))  # not strictly below v = 0
@@ -213,7 +209,7 @@ def test_support_E_identity_gate():
 
 
 def test_layer_vanishing_graded_local():
-    R = make_graded_ring(GradedRingSpec(0, ("a", "T"), ((0,), (1,)), (1, 1)))
+    R = GradedRing(field_for_char(0), ("a", "T"), ((0,), (1,)), (1, 1))
     M = cyclic_presentation(R, ())
     assert not local_cohomology_layer_vanishes(M, 2, (-1,))
     assert local_cohomology_layer_vanishes(M, 2, (0,))
@@ -242,7 +238,7 @@ def _witness_weights(M, n):
 
 
 def test_mdeg_layer_nonzero_direct():
-    R = make_graded_ring(GradedRingSpec(0, ("a", "T"), ((0,), (1,)), (1, 1)))
+    R = GradedRing(field_for_char(0), ("a", "T"), ((0,), (1,)), (1, 1))
     a, T = R.gens()
     M = cyclic_presentation(R, (T * T,))
     assert mdeg_layer_nonzero(M, (1,))

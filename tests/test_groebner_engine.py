@@ -2,7 +2,7 @@
 
 import pytest
 
-from mgcm.graded_poly import GradedRingSpec, InputError, make_graded_ring, parse_polynomial
+from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
 from mgcm.groebner_engine import (
     FreeModule,
     _col_to_vec,
@@ -29,8 +29,8 @@ from mgcm.groebner_engine import (
 
 
 def std_ring(char=0, names=("x", "y")):
-    spec = GradedRingSpec(char, names, tuple((1,) for _ in names), tuple(1 for _ in names))
-    return make_graded_ring(spec)
+    return GradedRing(field_for_char(char), names, tuple((1,) for _ in names),
+                      tuple(1 for _ in names))
 
 
 def P(ring, s):
@@ -224,8 +224,7 @@ def test_ideal_power_zero_exponent():
 
 
 def test_eliminate_monomial_curve():
-    spec = GradedRingSpec(0, ("x", "y", "t"), ((2,), (3,), (1,)), (2, 3, 1))
-    R = make_graded_ring(spec)
+    R = GradedRing(field_for_char(0), ("x", "y", "t"), ((2,), (3,), (1,)), (2, 3, 1))
     x, y, t = R.gens()
     sub, gens = eliminate(R, (x - t * t, y - t * t * t), ("t",))
     assert sub.names == ("x", "y")
@@ -235,8 +234,7 @@ def test_eliminate_monomial_curve():
 
 def test_eliminate_module_graph():
     # intersect the graph column with the subring in a rank 1 free module
-    spec = GradedRingSpec(0, ("x", "t"), ((1,), (1,)), (1, 1))
-    R = make_graded_ring(spec)
+    R = GradedRing(field_for_char(0), ("x", "t"), ((1,), (1,)), (1, 1))
     x, t = R.gens()
     free = free_module(R, (((0,), 0),))
     sub_free, cols = eliminate_module(free, ((x - t,), (t * t,)), ("t",))
