@@ -262,10 +262,6 @@ def _subset_shift(degs: Sequence[Tuple[Degree, int]], J: Tuple[int, ...], k: int
     return m, w
 
 
-def _piece_dim_at(module, n, weight) -> int:
-    return len(piece_basis(module, n, weight))
-
-
 @lru_cache(maxsize=None)
 def _differential_rank(
     module: ModulePresentation,
@@ -290,7 +286,7 @@ def _differential_rank(
     for J in src_subsets:
         dm, dw = _subset_shift(degs, J, k)
         src_off[J] = total_src
-        total_src += _piece_dim_at(
+        total_src += graded_piece_dim(
             module, deg_add(n, dm), None if weight is None else weight + dw
         )
     tgt_off: Dict[Tuple[int, ...], int] = {}
@@ -298,7 +294,7 @@ def _differential_rank(
     for J in tgt_subsets:
         dm, dw = _subset_shift(degs, J, k)
         tgt_off[J] = total_tgt
-        total_tgt += _piece_dim_at(
+        total_tgt += graded_piece_dim(
             module, deg_add(n, dm), None if weight is None else weight + dw
         )
     if total_src == 0 or total_tgt == 0:
@@ -342,7 +338,7 @@ def _koszul_value(
     dim_ci = 0
     for J in itertools.combinations(range(s), i):
         dm, dw = _subset_shift(degs, J, k)
-        dim_ci += _piece_dim_at(
+        dim_ci += graded_piece_dim(
             module, deg_add(n, dm), None if weight is None else weight + dw
         )
     r_i = _differential_rank(module, gens, k, i, n, weight)
@@ -369,8 +365,8 @@ def _koszul_stable_dim(
     k0 = 1 + max([abs(x) for x in n] + ([abs(weight)] if weight else [0]))
     history: List[int] = []
     k = k0
+    degs = tuple(g.degree_pair() for g in gens)
     while k - k0 < KOSZUL_STEP_LIMIT:
-        degs = tuple(g.degree_pair() for g in gens)
         history.append(_koszul_value(module, degs, gens, k, i, n, weight))
         if len(history) >= need and len(set(history[-need:])) == 1:
             return history[-1], k - need + 1

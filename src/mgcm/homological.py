@@ -25,7 +25,6 @@ from .graded_poly import (
     Polynomial,
     deg_add,
     deg_neg,
-    deg_scale,
     deg_sub,
     deg_zero,
 )
@@ -389,6 +388,24 @@ def standard_monomials(
     involves one of them never divides such a monomial, and the
     multidegree-n layer is nonzero iff one of them is standard, so a caller
     may stop at the first hit.
+
+    The walk assigns the walked variables in order and cuts a branch as soon
+    as it is sure to yield nothing; both cuts are exact, so the output is
+    the same as filtering every exponent vector under the budget:
+
+    - Feasibility: an exponent is taken only if the variables after it can
+      still use up the remaining multidegree and weight exactly; a prefix
+      that fails this has no completion of degree n.  The answer depends on
+      (position, remaining multidegree, remaining weight) alone and is
+      memoised for the call.
+    - Prefix divisibility: a lead term is tested once its last walked
+      variable is assigned.  If it divides the prefix it divides every
+      completion, and every larger exponent of that variable, so the rest of
+      the loop is cut.  A lead term of support 0 divides everything and
+      empties its component.
+
+    Every leaf has degree n and has been tested against every lead term
+    outside the held variables, so it is yielded without a check.
     """
     ring = module.ring
     if len(n) != ring.rank:
@@ -396,38 +413,92 @@ def standard_monomials(
     leads = _relations_gb(module).lead_terms
     held = () if weight is not None else ring.base_variable_indices()
     walked = [v for v in range(ring.nvars) if v not in held]
-    degs, wts = ring.degrees, ring.weights
+    last = len(walked)
+    steps = [(ring.degrees[v], ring.weights[v]) for v in walked]
     exps = [0] * ring.nvars
+    feasible_memo: Dict[Tuple[int, Degree, Optional[int]], bool] = {}
 
-    def walk(pos: int, comp_leads, rem_m: Degree, rem_w: Optional[int]):
-        if pos == len(walked):
-            if any(rem_m) or rem_w:
-                return
-            mono = tuple(exps)
-            if not any(all(a <= b for a, b in zip(lt, mono)) for lt in comp_leads):
-                yield mono
-            return
-        v = walked[pos]
-        d, w = degs[v], wts[v]
+    def cap(pos: int, rem_m: Degree, rem_w: Optional[int]) -> int:
+        """Largest exponent of variable pos that fits the remaining degree."""
+        d, w = steps[pos]
         caps = [rem_m[c] // x for c, x in enumerate(d) if x > 0]
         if rem_w is not None:
             caps.append(rem_w // w if w > 0 else rem_w)  # w = 0 never in public rings
         if not caps:
             raise InputError("unbounded enumeration (zero-degree variable)")
-        for e in range(min(caps) + 1):
+        return min(caps)
+
+    def children(pos: int, rem_m: Degree, rem_w: Optional[int]):
+        """(exponent, remaining multidegree, remaining weight) after variable pos."""
+        d, w = steps[pos]
+        for e in range(cap(pos, rem_m, rem_w) + 1):
+            yield e, rem_m, rem_w
+            rem_m = tuple(a - x for a, x in zip(rem_m, d))
+            if rem_w is not None:
+                rem_w -= w
+
+    def feasible(pos: int, rem_m: Degree, rem_w: Optional[int]) -> bool:
+        if pos == last:
+            return not any(rem_m) and not rem_w
+        if pos == last - 1:
+            # the last variable fills an exact remainder only at its cap
+            e = cap(pos, rem_m, rem_w)
+            d, w = steps[pos]
+            return (all(a == e * x for a, x in zip(rem_m, d))
+                    and (rem_w is None or rem_w == e * w))
+        key = (pos, rem_m, rem_w)
+        hit = feasible_memo.get(key)
+        if hit is None:
+            hit = False
+            for _e, m, w in children(pos, rem_m, rem_w):
+                if feasible(pos + 1, m, w):
+                    hit = True
+                    break
+            feasible_memo[key] = hit
+        return hit
+
+    def walk(pos: int, buckets, rem_m: Degree, rem_w: Optional[int]):
+        if pos == last:
+            yield tuple(exps)
+            return
+        v = walked[pos]
+        ending = buckets[pos]
+        for e, m, w in children(pos, rem_m, rem_w):
             exps[v] = e
-            yield from walk(pos + 1, comp_leads, deg_sub(rem_m, deg_scale(d, e)),
-                            None if rem_w is None else rem_w - e * w)
+            if any(all(exps[u] >= k for u, k in lt) for lt in ending):
+                break
+            if feasible(pos + 1, m, w):
+                yield from walk(pos + 1, buckets, m, w)
         exps[v] = 0
+
+    slot = {v: pos for pos, v in enumerate(walked)}
+
+    def lead_buckets(comp: int):
+        """The component's lead terms as (variable, exponent) supports, listed
+        under the position of their last walked variable; None if one is 1."""
+        buckets: List[List[Tuple[Tuple[int, int], ...]]] = [[] for _ in walked]
+        for c, lt in leads:
+            if c != comp:
+                continue
+            support = tuple((v, k) for v, k in enumerate(lt) if k)
+            if any(v not in slot for v, _k in support):
+                continue
+            if not support:
+                return None
+            buckets[max(slot[v] for v, _k in support)].append(support)
+        return buckets
 
     for comp in range(module.rank):
         target_m = deg_sub(n, module.mdeg_shifts[comp])
         target_w = None if weight is None else weight - module.weight_shifts[comp]
         if any(x < 0 for x in target_m) or (target_w is not None and target_w < 0):
             continue
-        comp_leads = [e for c, e in leads if c == comp]
-        for mono in walk(0, comp_leads, target_m, target_w):
-            yield comp, mono
+        if not feasible(0, target_m, target_w):
+            continue
+        buckets = lead_buckets(comp)
+        if buckets is not None:
+            for mono in walk(0, buckets, target_m, target_w):
+                yield comp, mono
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ defined in this file or from exhaustive exact checks inside the engine.
 """
 
 import functools
+import json
 import math
 import os
 import random
@@ -233,10 +234,15 @@ def test_criterion_5_twist_cohomology_matches_kunneth_oracle():
 # criterion 6: duality route vs Koszul-colimit route on every corpus module
 
 
-def test_criterion_6_two_local_cohomology_routes_agree_on_corpus():
-    mods = _corpus_modules()
-    assert len(mods) >= 12
-    for label, mod in mods:
+CRITERION6_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "criterion6.json")
+
+
+def _criterion6_table():
+    """The dual-route reports over every corpus module and their check rows,
+    one JSON line per `CheckRecord`, as the bytes of tests/golden/criterion6.json."""
+    reports = []
+    lines = []
+    for label, mod in _corpus_modules():
         ring = mod.ring
         if ring.is_field_base():
             v = v_of(mod)
@@ -249,8 +255,23 @@ def test_criterion_6_two_local_cohomology_routes_agree_on_corpus():
             window = ((0,) * r, hi)
             weights = range(0, 3)
         rep = dual_route_report(mod, window=window, weights=weights, instance=label)
+        reports.append((label, rep))
+        for c in rep.checks:
+            row = [label, c.check, c.i, c.degree, c.value, c.expected, c.verdict, c.mode]
+            lines.append(json.dumps(row))
+    return reports, ("[\n" + ",\n".join(lines) + "\n]\n").encode("utf-8")
+
+
+def test_criterion_6_two_local_cohomology_routes_agree_on_corpus():
+    # every row is pinned in tests/golden/criterion6.json; a change that
+    # alters a value on purpose rewrites the file and says why
+    reports, table = _criterion6_table()
+    assert len(reports) >= 12
+    for label, rep in reports:
         assert rep.checks, label
         assert rep.verdict == "holds", (label, rep.failures)
+    with open(CRITERION6_GOLDEN, "rb") as fh:
+        assert table == fh.read()
 
 
 # ---------------------------------------------------------------------------

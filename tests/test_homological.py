@@ -1,10 +1,15 @@
 """Resolutions, Betti numbers, dimension, depth, duals, a-invariants, grade."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mgcm.cohomology import degree_box, mdeg_layer_nonzero
 from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
 from mgcm.groebner_engine import cyclic_presentation, presentation
 from mgcm.homological import (
+    _relations_gb,
     a_invariant,
     check_complex,
     depth_of,
@@ -21,6 +26,7 @@ from mgcm.homological import (
     projective_dimension,
     v_of,
 )
+from test_acceptance import _corpus_modules
 
 
 def std_ring(char=0, names=("x", "y")):
@@ -180,6 +186,109 @@ def test_piece_negative_weight_slice_empty():
     free = cyc(R)
     assert graded_piece_dim(free, (2,), weight=1) == 0
     assert graded_piece_dim(free, (2,), weight=2) == 3
+
+
+# ---------------------------------------------------------------------------
+# the standard-monomial enumerator against a brute-force oracle
+
+
+def _brute_standard(M, n, weight=None, held_cap=2):
+    """(component, exponents) of multidegree n (and the weight, if given) that
+    no lead term divides, filtered from a full box of exponent vectors.
+    Without a weight the multidegree-0 variables range over 0..held_cap."""
+    ring = M.ring
+    leads = _relations_gb(M).lead_terms
+    out = []
+    for comp in range(M.rank):
+        tm = [a - b for a, b in zip(n, M.mdeg_shifts[comp])]
+        tw = None if weight is None else weight - M.weight_shifts[comp]
+        if min(tm) < 0 or (tw is not None and tw < 0):
+            continue
+        ranges = []
+        for d, w in zip(ring.degrees, ring.weights):
+            if tw is not None:
+                ranges.append(range(tw // w + 1))
+            elif any(d):
+                ranges.append(range(min(t // x for t, x in zip(tm, d) if x) + 1))
+            else:
+                ranges.append(range(held_cap + 1))
+        for e in itertools.product(*ranges):
+            mdeg = [sum(k * d[c] for k, d in zip(e, ring.degrees)) for c in range(ring.rank)]
+            if mdeg != tm:
+                continue
+            if tw is not None and sum(k * w for k, w in zip(e, ring.weights)) != tw:
+                continue
+            if any(c == comp and all(a <= b for a, b in zip(lt, e)) for c, lt in leads):
+                continue
+            out.append((comp, e))
+    return out
+
+
+def _check_enumerator(M, degrees, weights):
+    ring = M.ring
+    slices = list(weights) + ([None] if ring.is_field_base() else [])
+    for n in degrees:
+        for w in slices:
+            want = sorted(_brute_standard(M, n, w), key=lambda t: (t[0], ring.term_sort_key(t[1])))
+            assert list(piece_basis(M, n, w)) == want, (M, n, w)
+        assert mdeg_layer_nonzero(M, n) == bool(_brute_standard(M, n)), (M, n)
+
+
+def test_standard_monomials_match_brute_force_on_corpus():
+    modules = [M for _label, M in _corpus_modules()]
+    modules += [ext_dual_module(M, i) for M in modules for i in range(M.ring.nvars + 1)]
+    checked = 0
+    for M in modules:
+        if M.rank == 0:
+            continue
+        r = M.ring.rank
+        lo = [min(d[i] for d in M.mdeg_shifts) - 1 for i in range(r)]
+        hi = [max(d[i] for d in M.mdeg_shifts) + (1 if M.ring.nvars >= 6 else 2) for i in range(r)]
+        weights = range(max(min(M.weight_shifts), 0), max(M.weight_shifts) + 3)
+        _check_enumerator(M, degree_box(lo, hi), weights)
+        checked += 1
+    assert checked >= 40
+
+
+@st.composite
+def _binomial_quotients(draw):
+    """k[x_0..x_{v-1}]/I for I generated by monomials and homogeneous
+    binomials, graded by Z or Z^2, possibly with one multidegree-0 variable."""
+    nvars = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, 2))
+    choices = [(1,)] if rank == 1 else [(1, 0), (0, 1), (1, 1)]
+    degrees = [draw(st.sampled_from(choices)) for _ in range(nvars)]
+    if draw(st.booleans()):
+        degrees[-1] = (0,) * rank
+    weights = [draw(st.integers(1, 2)) for _ in range(nvars)]
+    ring = GradedRing(field_for_char(32003), tuple(f"x{i}" for i in range(nvars)),
+                      tuple(degrees), tuple(weights))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(exps)
+        f = ring.monomial(e)
+        # a binomial moves one exponent block between two variables of the
+        # same degree and weight, so it stays homogeneous
+        same = [(i, j) for i in range(nvars) for j in range(nvars) if i != j and e[i]
+                and degrees[i] == degrees[j] and weights[i] == weights[j]]
+        if same and draw(st.booleans()):
+            i, j = draw(st.sampled_from(same))
+            k = draw(st.integers(1, e[i]))
+            e2 = list(e)
+            e2[i] -= k
+            e2[j] += k
+            f = f - ring.monomial(e2, draw(st.integers(1, 5)))
+        if not f.is_zero():
+            polys.append(f)
+    return cyclic_presentation(ring, polys)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_binomial_quotients())
+def test_standard_monomials_match_brute_force_on_binomial_ideals(M):
+    r = M.ring.rank
+    _check_enumerator(M, degree_box((0,) * r, (3,) * r), range(0, 5))
 
 
 # ---------------------------------------------------------------------------
