@@ -57,17 +57,19 @@ KOSZUL_STEP_LIMIT = 40
 def matrix_rank(field, rows: Sequence[Sequence]) -> int:
     """Rank of a dense matrix with entries in the coefficient field.
 
-    One exact kernel serves every field: entries are taken into the field
-    and all arithmetic goes through it, so ranks over F_p are exact for any
-    prime and ranks over Q are exact in Fractions.  Forward elimination
-    only; rows below the pivot are cleared from the pivot column on.
+    One exact kernel serves every field.  Entries must be field elements or
+    ints; a Fraction handed to a PrimeField is not supported.  Over F_p each
+    entry is reduced with x % p once and elimination runs on plain ints with
+    inline % p, so ranks are exact for any prime; over Q the entries stay
+    Fractions.  Forward elimination only; rows below the pivot are cleared
+    from the pivot column on.
     """
-    work = [[field.of(x) for x in r] for r in rows]
-    zero = field.zero
+    p = field.char
+    work = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     nrows = len(work)
     rank = 0
     for col in range(len(work[0]) if work else 0):
-        piv = next((r for r in range(rank, nrows) if work[r][col] != zero), None)
+        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
@@ -75,9 +77,13 @@ def matrix_rank(field, rows: Sequence[Sequence]) -> int:
         inv = field.inv(tail[0])
         for r in range(rank + 1, nrows):
             row = work[r]
-            if row[col] != zero:
-                f = field.mul(row[col], inv)
-                row[col:] = [field.sub(a, field.mul(f, b)) for a, b in zip(row[col:], tail)]
+            if row[col]:
+                if p:
+                    f = row[col] * inv % p
+                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+                else:
+                    f = row[col] * inv
+                    row[col:] = [a - f * b for a, b in zip(row[col:], tail)]
         rank += 1
         if rank == nrows:
             break
@@ -222,26 +228,41 @@ def custom_support(gens: Sequence[Polynomial]) -> SupportSpec:
 def _mult_matrix(
     module: ModulePresentation, g: Polynomial, n: Degree, weight: Optional[int]
 ):
-    """Matrix (rows = target basis) of multiplication by g on the (n, weight)
-    piece; returns (rows, source dim, target dim)."""
+    """Multiplication by g from the (n, weight) piece to the piece it lands in.
+
+    Returns (columns, source dim, target dim): one sparse column
+    ((target index, coeff), ...) per source basis monomial, in basis order.
+    The target basis is every standard monomial of its piece, and a standard
+    monomial is its own normal form; so when g = c*x^b is a single term and
+    x^b * x^a * e_s is in the target basis, the column is ((index, c),) as
+    it stands.  Every other product is reduced against the relations basis,
+    which is fetched only if such a product comes up."""
     ring = module.ring
     src = piece_basis(module, n, weight)
     gm, gw = g.degree_pair()
-    tgt_n = deg_add(n, gm)
-    tgt_w = None if weight is None else weight + gw
-    tgt = piece_basis(module, tgt_n, tgt_w)
+    tgt = piece_basis(module, deg_add(n, gm), None if weight is None else weight + gw)
     index = {t: i for i, t in enumerate(tgt)}
-    gb = _relations_gb(module)
-    field_zero = ring.field.zero
-    rows = [[field_zero] * len(src) for _ in range(len(tgt))]
-    for ci, (comp, exps) in enumerate(src):
+    single = len(g.terms) == 1
+    g_exps, g_coeff = g.terms[0]
+    gb = None
+    cols = []
+    for comp, exps in src:
+        if single:
+            ti = index.get((comp, tuple(a + b for a, b in zip(exps, g_exps))))
+            if ti is not None:
+                cols.append(((ti, g_coeff),))
+                continue
+        if gb is None:
+            gb = _relations_gb(module)
         col = [ring.zero()] * module.rank
         col[comp] = g * ring.monomial(exps)
         red = normal_form_column(gb, tuple(col))
-        for comp2, entry in enumerate(red):
-            for e2, c2 in entry.terms:
-                rows[index[(comp2, e2)]][ci] = c2
-    return tuple(tuple(r) for r in rows), len(src), len(tgt)
+        cols.append(tuple(
+            (index[(comp2, e2)], c2)
+            for comp2, entry in enumerate(red)
+            for e2, c2 in entry.terms
+        ))
+    return tuple(cols), len(src), len(tgt)
 
 
 @lru_cache(maxsize=None)
@@ -311,17 +332,11 @@ def _differential_rank(
                 continue
             J2 = tuple(sorted(J + (j,)))
             sign = (-1) ** sum(1 for x in J if x < j)
-            block, src_len, tgt_len = _mult_matrix(module, powers[j], src_n, src_w)
-            if src_len == 0 or tgt_len == 0:
-                continue
+            cols = _mult_matrix(module, powers[j], src_n, src_w)[0]
             ro, co = tgt_off[J2], src_off[J]
-            for bi in range(tgt_len):
-                brow = block[bi]
-                out = rows[ro + bi]
-                for bj in range(src_len):
-                    v = brow[bj]
-                    if v:
-                        out[co + bj] = v if sign > 0 else field.neg(v)
+            for ci, col in enumerate(cols, co):
+                for ti, v in col:
+                    rows[ro + ti][ci] = v if sign > 0 else field.neg(v)
     return sparse_rank(field, rows)
 
 

@@ -4,6 +4,9 @@ import itertools
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 from mgcm.graded_poly import (
     GradedRing,
@@ -12,10 +15,11 @@ from mgcm.graded_poly import (
     RationalField,
     field_for_char,
 )
-from mgcm.groebner_engine import cyclic_presentation, presentation
-from mgcm.homological import ext_dual_module, graded_piece_dim
+from mgcm.groebner_engine import cyclic_presentation, normal_form_column, presentation
+from mgcm.homological import _relations_gb, ext_dual_module, graded_piece_dim, piece_basis
 from mgcm.cohomology import (
     CohomologyValue,
+    _mult_matrix,
     cohomology_table,
     custom_support,
     default_window,
@@ -28,6 +32,7 @@ from mgcm.cohomology import (
     mdeg_layer_nonzero,
     sections_natural_iso,
     sheaf_cohomology_dim,
+    sparse_rank,
     support_E_dim,
 )
 from test_acceptance import _corpus_modules
@@ -71,6 +76,47 @@ def test_rank_mod_p():
         assert matrix_rank(PrimeField(p), [[ui * vj % p for vj in v] for ui in u]) == 1
 
 
+@st.composite
+def _rank_cases(draw):
+    """(field, rows): a low-rank dense product, so a dense core is left after
+    singleton peeling, plus a few rows with one or two nonzero entries, in
+    random order.  Over F_p the entries are unreduced ints (some of them
+    multiples of p); over Q they are Fractions."""
+    p = draw(st.sampled_from((0, 7, 32003, 4294967311, 2**61 - 1)))
+    if p:
+        scalar = st.one_of(st.integers(-3, 3), st.integers(0, 2 * p), st.just(p))
+    else:
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    nrows, ncols, k = draw(st.integers(0, 6)), draw(st.integers(1, 7)), draw(st.integers(0, 3))
+    left = [[draw(scalar) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(scalar) for _ in range(ncols)] for _ in range(k)]
+    rows = [[sum(lr[t] * right[t][j] for t in range(k)) for j in range(ncols)] for lr in left]
+    for _ in range(draw(st.integers(0, 3))):
+        row = [0] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=2)):
+            row[c] = draw(scalar)
+        rows.append(row)
+    return field_for_char(p), draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_cases())
+def test_rank_kernels_match_sympy(case):
+    field, rows = case
+    ncols = len(rows[0]) if rows else 0
+    if field.char:
+        K = GF(field.char)
+        entries = [[K(x % field.char) for x in r] for r in rows]
+    else:
+        K = QQ
+        entries = [[QQ(x.numerator, x.denominator) for x in map(Fraction, r)] for r in rows]
+    expected = DomainMatrix(entries, (len(rows), ncols), K).rank()
+    assert matrix_rank(field, rows) == expected
+    elements = [{c: field.of(x) for c, x in enumerate(r) if field.of(x)} for r in rows]
+    assert sparse_rank(field, elements) == expected
+    assert matrix_rank(field, [[field.of(x) for x in r] for r in rows]) == expected
+
+
 # ---------------------------------------------------------------------------
 # support specs
 
@@ -98,6 +144,51 @@ def test_custom_support_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
+# multiplication matrices
+
+
+def _multipliers(ring):
+    """Each variable, 3 * (first variable)^3, and, when two quadratic
+    monomials share a degree, a binomial in them."""
+    gens = ring.gens()
+    quads = {}
+    for a, b in itertools.combinations_with_replacement(gens, 2):
+        quads.setdefault((a * b).degree_pair(), []).append(a * b)
+    binomial = next((ms[0] + ms[1] * 2 for ms in quads.values() if len(ms) > 1), None)
+    return gens + (3 * gens[0] ** 3,) + ((binomial,) if binomial is not None else ())
+
+
+def test_mult_matrix_columns_are_normal_forms_on_corpus():
+    checked = 0
+    for _label, M in _corpus_modules():
+        ring = M.ring
+        gb = _relations_gb(M)
+        r = ring.rank
+        lo = [min(d[i] for d in M.mdeg_shifts) for i in range(r)]
+        weights = (None,) if ring.is_field_base() else (0, 1, 2)
+        for g in _multipliers(ring):
+            gm, gw = g.degree_pair()
+            for n in degree_box(lo, [x + 1 for x in lo]):
+                for w in weights:
+                    cols, src_len, tgt_len = _mult_matrix(M, g, n, w)
+                    src = piece_basis(M, n, w)
+                    tgt = piece_basis(M, tuple(a + b for a, b in zip(n, gm)),
+                                      None if w is None else w + gw)
+                    assert (src_len, tgt_len) == (len(src), len(tgt))
+                    assert len(cols) == len(src)
+                    index = {t: i for i, t in enumerate(tgt)}
+                    for col, (comp, exps) in zip(cols, src):
+                        vec = [ring.zero()] * M.rank
+                        vec[comp] = g * ring.monomial(exps)
+                        red = normal_form_column(gb, tuple(vec))
+                        expected = {index[(c2, e2)]: v for c2, entry in enumerate(red)
+                                    for e2, v in entry.terms}
+                        assert dict(col) == expected, (M, g, n, w, comp, exps)
+                        checked += 1
+    assert checked > 1000
+
+
+# ---------------------------------------------------------------------------
 # local cohomology, both routes
 
 
@@ -114,15 +205,18 @@ def test_top_local_cohomology_of_plane():
 
 def test_duality_equals_colimit_small_window():
     R = p1_ring()
+    x, y = R.gens()
     S = cyclic_presentation(R, ())
     ms = maximal_support(R)
-    cs = custom_support(R.gens())
-    for n in range(-4, 2):
-        for i in range(3):
-            a = local_cohomology_dim(S, ms, i, (n,))
-            b = local_cohomology_dim(S, cs, i, (n,))
-            assert a.value == b.value
-            assert a.mode == "duality" and b.mode == "koszul-colimit"
+    # (x + y, x - y) has the same radical as (x, y); its powers are not
+    # monomials, so every Koszul block goes through normal forms
+    for cs in (custom_support(R.gens()), custom_support((x + y, x - y))):
+        for n in range(-4, 2):
+            for i in range(3):
+                a = local_cohomology_dim(S, ms, i, (n,))
+                b = local_cohomology_dim(S, cs, i, (n,))
+                assert a.value == b.value, (cs, i, n)
+                assert a.mode == "duality" and b.mode == "koszul-colimit"
 
 
 def test_bigraded_corner_piece():
