@@ -4,7 +4,8 @@ Everything here runs over a polynomial ring P; a module over a quotient
 S = P/J is presented over P with J folded into its relation columns.  The
 weight grading does the graded-local work: minimal generators via Nakayama,
 depth via Auslander-Buchsbaum (depth = #vars - pd), Krull dimension as the
-pole order of the weight Hilbert series at t = 1.
+pole order of the weight Hilbert series at t = 1, and the grade of an ideal
+on P as its height (#vars - dim P/I).
 
 Duality: ext_dual_module(M, i) presents Ext^i(M, P(-w_total)) where w_total
 is the sum of all variable degrees.  Its graded pieces are the k-duals of
@@ -15,7 +16,7 @@ and the duality route of the cohomology layer are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graded_poly import (
@@ -24,6 +25,7 @@ from .graded_poly import (
     InputError,
     Polynomial,
     deg_add,
+    deg_min,
     deg_neg,
     deg_sub,
     deg_zero,
@@ -290,10 +292,7 @@ def v_of(module: ModulePresentation) -> Degree:
     m = minimalize_presentation(module)
     if m.rank == 0:
         raise InputError("v is undefined for the zero module")
-    mins = list(m.mdeg_shifts[0])
-    for d in m.mdeg_shifts[1:]:
-        mins = [min(a, b) for a, b in zip(mins, d)]
-    return tuple(mins)
+    return reduce(deg_min, m.mdeg_shifts)
 
 
 def hilbert_numerator(module: ModulePresentation) -> Dict[int, int]:
@@ -337,20 +336,6 @@ def krull_dim(module: ModulePresentation) -> int:
     if not num:
         return -1
     return module.ring.nvars - _order_of_root_at_one(num)
-
-
-def projective_dimension(module: ModulePresentation) -> int:
-    res = minimal_free_resolution(module)
-    if res.rank(0) == 0:
-        return -1
-    return res.length
-
-
-def depth_of(module: ModulePresentation) -> int:
-    pd = projective_dimension(module)
-    if pd < 0:
-        return -1
-    return module.ring.nvars - pd
 
 
 def is_cohen_macaulay(module: ModulePresentation) -> InvariantRecord:
@@ -611,109 +596,27 @@ def a_invariant(module: ModulePresentation) -> Degree:
     ext_min = minimalize_presentation(ext)
     if ext_min.rank == 0:
         raise AssertionError("top local cohomology cannot vanish")
-    mins = list(ext_min.mdeg_shifts[0])
-    for d in ext_min.mdeg_shifts[1:]:
-        mins = [min(a, b) for a, b in zip(mins, d)]
-    return deg_neg(tuple(mins))
+    return deg_neg(reduce(deg_min, ext_min.mdeg_shifts))
 
 
 # ---------------------------------------------------------------------------
 # grade
 
 
-def _hom_into_module(
-    res: Resolution, j: int, target: ModulePresentation
-) -> Tuple[ModulePresentation, FreeModule]:
-    """Hom(F_j, N) as a presentation: rank = rank F_j * rank N, block relations."""
-    ring = target.ring
-    mdF, wF = res.shifts[j]
-    shifts = []
-    for a in range(len(mdF)):
-        for g in range(target.rank):
-            shifts.append(
-                (
-                    deg_sub(target.mdeg_shifts[g], mdF[a]),
-                    target.weight_shifts[g] - wF[a],
-                )
-            )
-    zero = ring.zero()
-    rels: List[Column] = []
-    for a in range(len(mdF)):
-        for col in target.relations:
-            big = [zero] * (len(mdF) * target.rank)
-            for g in range(target.rank):
-                big[a * target.rank + g] = col[g]
-            rels.append(tuple(big))
-    pres = ModulePresentation(
-        ring,
-        tuple(d for d, _ in shifts),
-        tuple(w for _, w in shifts),
-        tuple(rels),
-    )
-    return pres, pres.free()
+def grade_of(ideal_gens: Sequence[Polynomial]) -> Optional[int]:
+    """grade(I, P) of I = (ideal_gens) on its polynomial ring P; None when I = P.
 
-
-def _hom_transpose_map(
-    res: Resolution, j: int, target: ModulePresentation
-) -> Tuple[Column, ...]:
-    """Columns of Hom(F_j, N) -> Hom(F_{j+1}, N), precomposition with d_{j+1}."""
-    ring = target.ring
-    zero = ring.zero()
-    d = res.differentials[j]  # d_{j+1}: columns in F_j coordinates
-    rank_j = res.rank(j)
-    rank_j1 = res.rank(j + 1)
-    p = target.rank
-    cols: List[Column] = []
-    for a in range(rank_j):
-        for g in range(p):
-            big = [zero] * (rank_j1 * p)
-            for b in range(rank_j1):
-                entry = d[b][a]
-                if not entry.is_zero():
-                    big[b * p + g] = entry
-            cols.append(tuple(big))
-    return tuple(cols)
-
-
-def grade_of(ideal_gens: Sequence[Polynomial], target: ModulePresentation) -> Optional[int]:
-    """grade(I, N) = least i with Ext^i(P/I, N) != 0; None when I N = N."""
-    gens = [g for g in ideal_gens if not g.is_zero()]
+    P is Cohen-Macaulay, so grade(I, P) = ht I = nvars - dim P/I
+    (Bruns-Herzog, Cohen-Macaulay Rings, Cor. 2.1.4), and krull_dim reads
+    dim P/I off the weight Hilbert series.  Both steps hold only over the
+    positively weighted polynomial rings that the public constructors build;
+    this is not the grade on a module or over a quotient ring.
+    """
+    gens = tuple(g for g in ideal_gens if not g.is_zero())
     if not gens:
         raise InputError("grade of the zero ideal")
-    ring = target.ring
-    for g in gens:
-        if g.ring != ring:
-            raise InputError("ideal and module over different rings")
-    if is_zero_module(target):
-        raise InputError("grade against the zero module")
-    # I N = N detection: every generator of N inside I*N + relations
-    free = target.free()
-    in_gens = tuple(target.relations)
-    for f in gens:
-        in_gens += basis_multiples(f, target.rank)
-    units = basis_multiples(ring.one(), target.rank)
-    if all(submodule_contains(free, in_gens, c) for c in units):
-        return None
-
-    quot = cyclic_presentation(ring, tuple(gens))
-    res = minimal_free_resolution(quot)
-    for i in range(res.length + 1):
-        hom_i, free_i = _hom_into_module(res, i, target)
-        if i < res.length:
-            delta = _hom_transpose_map(res, i, target)
-            hom_next, _ = _hom_into_module(res, i + 1, target)
-            kernel = module_kernel(free_i, delta, hom_next)
-        else:
-            kernel = basis_multiples(ring.one(), hom_i.rank)
-        # image of Hom(F_{i-1}, N) -> Hom(F_i, N)
-        prev = _hom_transpose_map(res, i - 1, target) if i >= 1 else ()
-        span = tuple(prev) + tuple(hom_i.relations)
-        span = tuple(c for c in span if not _column_is_zero(c))
-        for col in kernel:
-            if _column_is_zero(col):
-                continue
-            if not span:
-                return i
-            if not submodule_contains(free_i, span, col):
-                return i
-    return None
+    ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
+        raise InputError("ideal and module over different rings")
+    dim = krull_dim(cyclic_presentation(ring, gens))
+    return None if dim < 0 else ring.nvars - dim

@@ -72,14 +72,15 @@ def _check_blocks(base: GradedRing, ideals) -> Tuple[Tuple[Polynomial, ...], ...
     return tuple(blocks)
 
 
-def _grade_gate(base: GradedRing, blocks):
-    target = free_presentation(base, ((deg_zero(base.rank), 0),))
+def _grade_gate(blocks, unit: str = "unit ideal cannot be blown up",
+                zero: str = "ideal has grade zero on the base"):
+    """Refuse to blow up an ideal that is the unit ideal or has grade zero."""
     for gens in blocks:
-        g = grade_of(gens, target)
+        g = grade_of(gens)
         if g is None:
-            raise InputError("unit ideal cannot be blown up")
+            raise InputError(unit)
         if g < 1:
-            raise InputError("ideal has grade zero on the base")
+            raise InputError(zero)
 
 
 def _fresh(taken, stem: str) -> str:
@@ -184,7 +185,7 @@ def _unit_vector(j: int, r: int) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _rees_plan(base: GradedRing, blocks) -> Tuple[ReesPresentation, _Graph]:
     _check_base(base)
-    _grade_gate(base, blocks)
+    _grade_gate(blocks)
     r = len(blocks)
     taken = set(base.names)
     tnames = _tvar_names(taken, blocks)
@@ -349,10 +350,8 @@ class IrrelevantReesModule:
 def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     S = M.ring
     gens = irrelevant_support(S).generators
-    target = free_presentation(S, ((deg_zero(S.rank), 0),))
-    g = grade_of(gens, target)
-    if g is None or g < 1:
-        raise InputError("irrelevant ideal must have positive grade")
+    refusal = "irrelevant ideal must have positive grade"
+    _grade_gate((gens,), unit=refusal, zero=refusal)
     r = S.rank
     taken = set(S.names)
     tnames = _tvar_names(taken, (gens,))[0]

@@ -20,7 +20,6 @@ from .graded_poly import (
 from .groebner_engine import (
     ModulePresentation,
     basis_multiples,
-    free_presentation,
     ideal_power_product,
     submodules_equal,
     colon_in_quotient,
@@ -178,16 +177,17 @@ def _window_box(module, window):
     return degree_box(lo, hi), lo, hi
 
 
-def _grade_hypotheses(base, blocks) -> List[HypothesisCheck]:
-    target = free_presentation(base, ((deg_zero(base.rank), 0),))
+def _grade_hypotheses(ring, blocks, labels=None) -> List[HypothesisCheck]:
+    """One positive-grade-<label> row per ideal of ring; labels default to 1, 2, ..."""
     out = []
-    for j, gens in enumerate(blocks):
-        g = grade_of(tuple(gens), target)
-        ok = g is not None and g >= 1
+    for label, gens in zip(labels or itertools.count(1), blocks):
+        if any(f.ring != ring for f in gens if not f.is_zero()):
+            raise InputError("ideal and module over different rings")
+        g = grade_of(tuple(gens))
         out.append(
             HypothesisCheck(
-                f"positive-grade-{j + 1}",
-                ok,
+                f"positive-grade-{label}",
+                g is not None and g >= 1,
                 f"grade {g}" if g is not None else "unit ideal",
             )
         )
@@ -221,16 +221,7 @@ def verify_cm_biconditional(
     modes: List[str] = []
     checks: List[CheckRecord] = []
 
-    gens = irrelevant_support(ring).generators
-    gtarget = free_presentation(ring, ((deg_zero(r), 0),))
-    g = grade_of(gens, gtarget)
-    hyps = [
-        HypothesisCheck(
-            "positive-grade-irrelevant",
-            g is not None and g >= 1,
-            f"grade {g}" if g is not None else "unit ideal",
-        )
-    ]
+    hyps = _grade_hypotheses(ring, (irrelevant_support(ring).generators,), ("irrelevant",))
 
     inv = is_cohen_macaulay(M)
     a = a_invariant(M)
@@ -292,6 +283,8 @@ def verify_regraded_vanishing(
     """All local-cohomology layers of the blow-up of the irrelevant ideal
     with M as coefficients vanish at degrees below the generator degrees of
     M, for every nonnegative blow-up exponent in range."""
+    if any(k < 0 for k in k_range):
+        raise InputError("blow-up exponents must be nonnegative")
     planned = M.ring.nvars + len(irrelevant_support(M.ring).generators)
     if planned > REGRADED_VAR_LIMIT:
         raise ResourceLimit("instance too large for the regraded vanishing check")
@@ -306,8 +299,6 @@ def verify_regraded_vanishing(
         if not compare_degrees(v, n).gt:
             continue
         for k in k_range:
-            if k < 0:
-                raise InputError("blow-up exponents must be nonnegative")
             layer = n + (k,)
             for i in range(0, max(dim_t, 0) + 1):
                 ok = local_cohomology_layer_vanishes(T, i, layer)

@@ -376,6 +376,22 @@ def test_empty_range_is_input_error(tmp_path, capsys):
     assert data["entries"][0]["verdict"] == "input-error"
 
 
+def test_negative_blowup_exponent_is_input_error_in_any_window(tmp_path, capsys):
+    # no degree of window (0)..(2) lies below v = (0): unless the exponents are
+    # refused before the loop over those degrees, the verdict is a vacuous holds
+    f = tmp_path / "s.mgcm"
+    for window in ("(0)..(2)", "(-2)..(2)"):
+        f.write_text(
+            "ring S = poly(char=default; x0,x1 : deg=(1), weight=1);\n"
+            "module M = free(S);\n"
+            f"verify lem-vanish M window={window} k=-3..-1;\n"
+        )
+        assert main(["run", str(f), "--no-cache"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["entries"][0]["verdict"] == "input-error"
+        assert data["entries"][0]["checks"][0]["value"] == "blow-up exponents must be nonnegative"
+
+
 def test_corpus_files_expected_mismatch(tmp_path):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL)

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from mgcm.cohomology import degree_box, mdeg_layer_nonzero
 from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
-from mgcm.groebner_engine import cyclic_presentation, presentation
+from mgcm.groebner_engine import cyclic_presentation, groebner_basis, presentation
 from mgcm.homological import (
     _relations_gb,
     a_invariant,
     check_complex,
-    depth_of,
     ext_dual_module,
     grade_of,
     graded_piece_dim,
@@ -23,7 +22,6 @@ from mgcm.homological import (
     minimal_free_resolution,
     minimalize_presentation,
     piece_basis,
-    projective_dimension,
     v_of,
 )
 from test_acceptance import _corpus_modules
@@ -97,8 +95,7 @@ def test_invariants_of_hypersurface():
 def test_invariants_of_non_cm_module():
     R = std_ring()
     rec = is_cohen_macaulay(cyc(R, "x^2", "x*y"))
-    assert (rec.dim, rec.depth, rec.cm) == (1, 0, False)
-    assert projective_dimension(cyc(R, "x^2", "x*y")) == 2
+    assert (rec.dim, rec.depth, rec.pd, rec.cm) == (1, 0, 2, False)
 
 
 def test_zero_module_sentinel():
@@ -106,8 +103,8 @@ def test_zero_module_sentinel():
     z = cyc(R, "1")
     assert is_zero_module(z)
     rec = is_cohen_macaulay(z)
-    assert (rec.dim, rec.depth, rec.cm, rec.is_zero) == (-1, -1, True, True)
-    assert krull_dim(z) == -1 and depth_of(z) == -1
+    assert (rec.dim, rec.depth, rec.pd, rec.cm, rec.is_zero) == (-1, -1, -1, True, True)
+    assert krull_dim(z) == -1
 
 
 def test_hilbert_numerator_koszul():
@@ -251,7 +248,7 @@ def test_standard_monomials_match_brute_force_on_corpus():
 
 
 @st.composite
-def _binomial_quotients(draw):
+def _binomial_quotients(draw, exponents=st.integers(0, 3), max_gens=4):
     """k[x_0..x_{v-1}]/I for I generated by monomials and homogeneous
     binomials, graded by Z or Z^2, possibly with one multidegree-0 variable."""
     nvars = draw(st.integers(2, 4))
@@ -263,9 +260,9 @@ def _binomial_quotients(draw):
     weights = [draw(st.integers(1, 2)) for _ in range(nvars)]
     ring = GradedRing(field_for_char(32003), tuple(f"x{i}" for i in range(nvars)),
                       tuple(degrees), tuple(weights))
-    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    exps = st.lists(exponents, min_size=nvars, max_size=nvars)
     polys = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_gens))):
         e = draw(exps)
         f = ring.monomial(e)
         # a binomial moves one exponent block between two variables of the
@@ -324,17 +321,43 @@ def test_a_invariants():
 def test_grade_values():
     R = std_ring()
     x, y = R.gens()
-    free = cyc(R)
-    assert grade_of((x, y), free) == 2
-    assert grade_of((x,), free) == 1
-    assert grade_of((x, y), cyc(R, "x")) == 1
-    assert grade_of((R.one(),), free) is None
+    assert grade_of((x, y)) == 2
+    assert grade_of((x,)) == 1
+    assert grade_of((x * y, x * x)) == 1
+    assert grade_of((R.zero(), y)) == 1
+    assert grade_of((R.one(),)) is None
 
 
-def test_grade_rejects_zero_ideal_and_module():
+def test_grade_rejects_zero_ideal_and_mixed_rings():
     R = std_ring()
     x, _ = R.gens()
-    with pytest.raises(InputError):
-        grade_of((), cyc(R))
-    with pytest.raises(InputError):
-        grade_of((x,), cyc(R, "1"))
+    with pytest.raises(InputError, match="grade of the zero ideal"):
+        grade_of(())
+    with pytest.raises(InputError, match="grade of the zero ideal"):
+        grade_of((R.zero(),))
+    other = std_ring(names=("u", "v"))
+    with pytest.raises(InputError, match="different rings"):
+        grade_of((x, other.gens()[0]))
+
+
+def _min_vertex_cover(supports, nvars):
+    """Fewest variables meeting every support; None if a support is empty."""
+    if any(not s for s in supports):
+        return None
+    for size in range(nvars + 1):
+        for cover in itertools.combinations(range(nvars), size):
+            if all(s & set(cover) for s in supports):
+                return size
+    raise AssertionError("the set of every variable is a cover")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_binomial_quotients(st.sampled_from((0, 0, 1, 1, 2)), max_gens=6))
+def test_grade_is_min_vertex_cover_of_initial_ideal(M):
+    # dim P/I = dim P/in(I), and the height of a monomial ideal is the least
+    # number of variables that meet the support of every generator; sparse
+    # exponents and up to six generators draw grades 1 to 3 and unit ideals
+    gens = tuple(col[0] for col in M.relations)
+    leads = groebner_basis(M.ring, gens).lead_terms
+    supports = [{v for v, k in enumerate(exps) if k} for _comp, exps in leads]
+    assert grade_of(gens) == _min_vertex_cover(supports, M.ring.nvars)

@@ -190,6 +190,10 @@ def test_rees_a_invariant_unit_ideal_gate():
     rep = verify_rees_a_invariant(N, ((p(A, "a"), A.one()),))
     assert rep.verdict == "hypothesis-not-met"
     assert rep.hypotheses[0].passed is False
+    # an ideal of another ring is an input error, not a failed hypothesis
+    B = line_ring()
+    with pytest.raises(InputError, match="ideal and module over different rings"):
+        verify_rees_a_invariant(N, ((B.one(),),))
 
 
 # ---------------------------------------------------------------------------
