@@ -683,7 +683,7 @@ def _run_check(obj, kind, instance) -> VerificationReport:
     return _info_report("check", instance, mod.ring.field.char, rows)
 
 
-def _run_table(obj, args: Dict[str, str], margin: bool, instance) -> VerificationReport:
+def _run_table(obj, args: Dict[str, str], instance) -> VerificationReport:
     i_range = _parse_range_arg(args["i"]) if "i" in args else range(0, 3)
     if "window" in args:
         lo, hi = _parse_window_arg(args["window"])
@@ -693,7 +693,7 @@ def _run_table(obj, args: Dict[str, str], margin: bool, instance) -> Verificatio
 
         window = default_window(obj)
         lo, hi = window[0], window[-1]
-    table = cohomology_table(obj, i_range, window, margin)
+    table = cohomology_table(obj, i_range, window)
     rows = [
         CheckRecord("sheaf-dim", i, n, str(dim), "", "info", table.mode)
         for (i, n, dim, _stab) in table.entries
@@ -708,7 +708,7 @@ def _run_verify(theorem, kind, obj, args: Dict[str, str], flags, instance) -> Ve
     elif flags.window is not None:
         window = flags.window
     if theorem == "thm31":
-        return verify_cm_biconditional(obj, window, flags.margin, instance)
+        return verify_cm_biconditional(obj, window, instance)
     if theorem == "lem-vanish":
         k_range = _parse_range_arg(args["k"]) if "k" in args else (0, 1, 2)
         return verify_regraded_vanishing(obj, window, k_range, instance)
@@ -720,7 +720,7 @@ def _run_verify(theorem, kind, obj, args: Dict[str, str], flags, instance) -> Ve
         if len(obj.ideals) != 1:
             raise InputError("lem44 needs a rees object with exactly one ideal")
         weights = _parse_range_arg(args["weights"]) if "weights" in args else range(-3, 4)
-        return verify_spread_vanishing(obj.source, obj.ideals[0], weights, flags.margin, instance)
+        return verify_spread_vanishing(obj.source, obj.ideals[0], weights, instance)
     if theorem in ("lem45", "thm46"):
         r = len(obj.ideals)
         if "bound" in args:
@@ -730,7 +730,7 @@ def _run_verify(theorem, kind, obj, args: Dict[str, str], flags, instance) -> Ve
         else:
             bound = (2,) * r
         which = "pushforward-colon" if theorem == "lem45" else "subset-colon"
-        return verify_colon_identities(obj.source, obj.ideals, bound, which, instance, theorem)
+        return verify_colon_identities(obj.source, obj.ideals, bound, which, instance)
     raise InputError(f"unknown verification id '{theorem}'")
 
 
@@ -738,11 +738,10 @@ def _run_verify(theorem, kind, obj, args: Dict[str, str], flags, instance) -> Ve
 class RunFlags:
     char: Optional[int] = None
     window: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-    margin: bool = True
 
     def key_material(self) -> str:
         return json.dumps(
-            {"char": self.char, "margin": self.margin, "window": self.window},
+            {"char": self.char, "window": self.window},
             sort_keys=True,
         )
 
@@ -778,7 +777,7 @@ def execute_session(
             if t.verb == "check":
                 return _run_check(obj, kind, instance)
             if t.verb == "table":
-                return _run_table(_module_target(kind, obj), args, flags.margin, instance)
+                return _run_table(_module_target(kind, obj), args, instance)
             return _run_verify(t.theorem, kind, obj, args, flags, instance)
 
         entries.append((instance, thunk))
@@ -1093,16 +1092,11 @@ def _add_common(sub):
     sub.add_argument("--window", type=str, default=None,
                      help="degree window '(a,..)..(b,..)' for verify directives")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-    sub.add_argument("--cache-dir", type=str, default=None,
-                     help=f"cache directory (default ${CACHE_ENV_VAR} or .mgcm-cache)")
-    sub.add_argument("--no-cache", action="store_true", help="bypass the result cache")
-    sub.add_argument("--margin", type=int, choices=(0, 1), default=1,
-                     help="1 = require one extra stable step in colimits")
 
 
 def _flags_from(ns) -> RunFlags:
     window = _parse_window_arg(ns.window) if ns.window else None
-    return RunFlags(char=ns.char, window=window, margin=bool(ns.margin))
+    return RunFlags(char=ns.char, window=window)
 
 
 def _emit(shaped, fmt: str) -> int:
@@ -1135,6 +1129,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_corpus = sp.add_parser("corpus", help="run the shipped (or given) corpus manifest")
     p_corpus.add_argument("--manifest", type=str, default=None)
+    p_corpus.add_argument("--cache-dir", type=str, default=None,
+                          help=f"cache directory (default ${CACHE_ENV_VAR} or .mgcm-cache)")
+    p_corpus.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     _add_common(p_corpus)
 
     ns = ap.parse_args(argv)

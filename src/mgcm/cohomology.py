@@ -493,12 +493,11 @@ def sections_natural_iso(
     module: ModulePresentation,
     n: Sequence[int],
     weight: Optional[int] = None,
-    margin: bool = True,
 ) -> bool:
     """Does the natural map module_n -> global sections hit an isomorphism?"""
     support = irrelevant_support(module.ring)
-    h0 = local_cohomology_dim(module, support, 0, n, weight, margin).value
-    h1 = local_cohomology_dim(module, support, 1, n, weight, margin).value
+    h0 = local_cohomology_dim(module, support, 0, n, weight).value
+    h1 = local_cohomology_dim(module, support, 1, n, weight).value
     return h0 == 0 and h1 == 0
 
 
@@ -507,7 +506,6 @@ def support_E_dim(
     i: int,
     n: Sequence[int],
     weight: Optional[int] = None,
-    margin: bool = True,
 ) -> Tuple[int, str]:
     """Cohomology supported on the closed fiber of Proj -> Spec(base).
 
@@ -518,12 +516,10 @@ def support_E_dim(
         raise InputError("negative cohomological index")
     ring = module.ring
     if ring.is_field_base():
-        return sheaf_cohomology_dim(module, i, n, weight, margin), "direct"
+        return sheaf_cohomology_dim(module, i, n, weight), "direct"
     _check_below_v(module, n)
     r = ring.rank
-    val = local_cohomology_dim(
-        module, maximal_support(ring), i + r, n, weight, margin
-    ).value
+    val = local_cohomology_dim(module, maximal_support(ring), i + r, n, weight).value
     return val, "fiber-identity"
 
 
@@ -568,7 +564,6 @@ def cohomology_table(
     module: ModulePresentation,
     i_range: Sequence[int],
     window: Sequence[Sequence[int]],
-    margin: bool = True,
 ) -> CohomologyTable:
     window = tuple(tuple(int(x) for x in n) for n in window)
     if not window:
@@ -581,11 +576,11 @@ def cohomology_table(
     for i in i_list:
         for n in sorted(window):
             if i >= 1:
-                cv = local_cohomology_dim(module, support, i + 1, n, None, margin)
+                cv = local_cohomology_dim(module, support, i + 1, n)
                 rows.append((i, n, cv.value, cv.stab_k))
             else:
-                h0 = local_cohomology_dim(module, support, 0, n, None, margin)
-                h1 = local_cohomology_dim(module, support, 1, n, None, margin)
+                h0 = local_cohomology_dim(module, support, 0, n)
+                h1 = local_cohomology_dim(module, support, 1, n)
                 dim = graded_piece_dim(module, n) - h0.value + h1.value
                 stab = max(x for x in (h0.stab_k, h1.stab_k, 0) if x is not None)
                 rows.append((i, n, dim, stab))

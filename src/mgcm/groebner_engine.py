@@ -9,9 +9,11 @@ Design points, fixed once for the whole package:
     weight 0;
   * pair queue ordered by (S-pair weight degree, creation index): fully
     deterministic, sugar = true degree because all inputs are homogeneous;
-  * syzygies/kernels/intersections/colons all run through one code path: a
-    Groebner basis of the elimination embedding F (+) A^s with the F block
-    dominant;
+  * syzygies, kernels and colons all run through one code path: a Groebner
+    basis of the elimination embedding F (+) A^s with the F block dominant.
+    A colon (U :_F (f_1..f_s)) is the kernel of F -> (+)_k F(-deg f_k)/U,
+    e_j |-> (f_k e_j)_k, whose block k lowers F's shifts by deg f_k so the
+    map has degree 0; no exact division is involved;
   * a basis carries its own lead terms: its (lead, vec) reducers are built
     once, on first use, and every normal form and standard-monomial
     enumeration reads them from the basis.
@@ -367,11 +369,10 @@ def groebner_module(
     return GroebnerBasis(free, cols, elim, split)
 
 
-def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial],
-                   elim_names: Tuple[str, ...] = ()) -> GroebnerBasis:
+def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial]) -> GroebnerBasis:
     """Reduced GB of an ideal (rank-1 module at shift 0)."""
     fm = FreeModule(ring, ((0,) * ring.rank,), (0,))
-    return groebner_module(fm, tuple((p,) for p in polys if not p.is_zero()), elim_names)
+    return groebner_module(fm, tuple((p,) for p in polys if not p.is_zero()))
 
 
 def normal_form_column(gb: GroebnerBasis, col: Column) -> Column:
@@ -512,78 +513,32 @@ def module_kernel(
     return tuple(out)
 
 
-def intersect_submodules(free: FreeModule, gens_a: Sequence[Column], gens_b: Sequence[Column]) -> Tuple[Column, ...]:
-    """U cap V as the kernel of the diagonal map F -> F/U (+) F/V."""
-    ring = free.ring
-    p = free.rank
-    zero = ring.zero()
-    tshifts = tuple(zip(free.mdeg_shifts, free.weight_shifts))
-    target = presentation(
-        ring,
-        tshifts + tshifts,
-        tuple(tuple(col) + (zero,) * p for col in gens_a)
-        + tuple((zero,) * p + tuple(col) for col in gens_b),
-    )
-    images = tuple(unit + unit for unit in basis_multiples(ring.one(), p))
-    return module_kernel(free, images, target)
-
-
-def poly_div_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g for f a multiple of g (single-divisor division, remainder 0)."""
-    ring = f.ring
-    field = ring.field
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    work = dict(f.terms)
-    quot: Dict[Tuple[int, ...], object] = {}
-    ge, gc = g.lead_exps(), g.lead_coeff()
-    ginv = field.inv(gc)
-    while work:
-        e = max(work, key=ring.term_sort_key)
-        c = work[e]
-        if not _divides(ge, e):
-            raise InputError("exact division failed")
-        mono = tuple(a - b for a, b in zip(e, ge))
-        q = field.mul(c, ginv)
-        quot[mono] = field.add(quot.get(mono, field.zero), q)
-        for e2, c2 in g.terms:
-            k = tuple(a + b for a, b in zip(mono, e2))
-            nv = field.sub(work.get(k, field.zero), field.mul(q, c2))
-            if nv == field.zero:
-                work.pop(k, None)
-            else:
-                work[k] = nv
-    return ring.from_dict(quot)
-
-
-def colon_module(free: FreeModule, gens: Sequence[Column], ideal: Sequence[Polynomial]) -> Tuple[Column, ...]:
-    """(U :_F I) = {x in F : I x <= U}, computed per generator and intersected."""
-    ideal = [f for f in ideal if not f.is_zero()]
-    if not ideal:
-        raise InputError("colon by the zero ideal")
-    current: Optional[Tuple[Column, ...]] = None
-    for f in ideal:
-        # (U : f) = (1/f) (U cap fF)
-        meet = intersect_submodules(free, tuple(gens), basis_multiples(f, free.rank))
-        part = tuple(tuple(poly_div_exact(e, f) if not e.is_zero() else e for e in col) for col in meet)
-        if current is None:
-            current = part
-        else:
-            current = intersect_submodules(free, current, part)
-    assert current is not None
-    gb = groebner_module(free, tuple(c for c in current if any(not e.is_zero() for e in c)))
-    return gb.elements
-
-
 def colon_in_quotient(
     module: ModulePresentation, sub_gens: Sequence[Column], ideal: Sequence[Polynomial]
 ) -> Tuple[Column, ...]:
-    """(U :_M I) for U <= M given by generators in M's free cover: the colon
-    of U + relations upstairs, returned as cover columns."""
+    """(U :_M I) for U <= M = F/R given by generators in M's free cover F,
+    returned as the reduced basis of (U + R :_F I) in F.
+
+    With I = (f_1, ..., f_s), the colon is the kernel of the degree-0 map
+    F -> (+)_k F(-deg f_k)/(U + R) sending e_j to (f_1 e_j, ..., f_s e_j):
+    block k repeats F's shifts lowered by deg f_k and carries a copy of the
+    columns of U + R.  One syzygy computation, no exact division.
+    """
+    ideal = [f for f in ideal if not f.is_zero()]
+    if not ideal:
+        raise InputError("colon by the zero ideal")
     free = module.free()
-    gens = tuple(sub_gens) + tuple(module.relations)
-    gens = tuple(c for c in gens if any(not e.is_zero() for e in c))
-    return colon_module(free, gens, ideal)
+    gens = tuple(sub_gens) + module.relations
+    s, p = len(ideal), free.rank
+    zero = free.ring.zero()
+    shifts = [(deg_sub(m, d), v - w)
+              for d, w in (f.degree_pair() for f in ideal)
+              for m, v in zip(free.mdeg_shifts, free.weight_shifts)]
+    rels = [(zero,) * (p * k) + tuple(col) + (zero,) * (p * (s - 1 - k))
+            for k in range(s) for col in gens]
+    images = tuple(tuple(f if i == j else zero for f in ideal for i in range(p)) for j in range(p))
+    kernel = module_kernel(free, images, presentation(free.ring, shifts, rels))
+    return groebner_module(free, kernel).elements
 
 
 def ideal_power_product(
@@ -676,14 +631,9 @@ def _project_poly(sub: GradedRing, keep: Tuple[int, ...], f: Polynomial) -> Poly
 
 def eliminate(ring: GradedRing, gens: Sequence[Polynomial], drop: Sequence[str]) -> Tuple[GradedRing, Tuple[Polynomial, ...]]:
     """Generators of (gens) intersected with the subring omitting `drop`."""
-    gb = groebner_basis(ring, tuple(gens), tuple(drop))
-    drop_idx = [ring.var_index(nm) for nm in drop]
-    sub, keep = subring_without(ring, drop)
-    out = []
-    for (g,) in gb.elements:
-        if all(all(e[i] == 0 for i in drop_idx) for e, _ in g.terms):
-            out.append(_project_poly(sub, keep, g))
-    return sub, tuple(out)
+    free = FreeModule(ring, ((0,) * ring.rank,), (0,))
+    subfree, cols = eliminate_module(free, tuple((g,) for g in gens if not g.is_zero()), drop)
+    return subfree.ring, tuple(g for (g,) in cols)
 
 
 def eliminate_module(

@@ -205,7 +205,6 @@ def _normalize_blocks(ideals) -> Tuple[Tuple, ...]:
 def verify_cm_biconditional(
     M: ModulePresentation,
     window: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-    margin: bool = True,
     instance: str = "",
 ) -> VerificationReport:
     """Left side: Cohen-Macaulay with top degrees strictly below generator
@@ -253,12 +252,12 @@ def verify_cm_biconditional(
         below = compare_degrees(v, n).gt
         if above:
             for w in weights:
-                iso = sections_natural_iso(M, n, w, margin)
+                iso = sections_natural_iso(M, n, w)
                 checks.append(_bool_row("sections-match", 0, n, iso))
                 right = right and iso
             for i in range(1, imax_sheaf + 1):
                 for w in weights:
-                    val = sheaf_cohomology_dim(M, i, n, w, margin)
+                    val = sheaf_cohomology_dim(M, i, n, w)
                     checks.append(_row("sheaf-vanishing", i, n, val, 0))
                     right = right and val == 0
         elif below:
@@ -387,7 +386,6 @@ def verify_colon_identities(
     bound: Sequence[int] = (2, 2),
     which: str = "both",
     instance: str = "",
-    theorem: Optional[str] = None,
 ) -> VerificationReport:
     """Exact generator-membership colon checks over the base.
 
@@ -402,8 +400,7 @@ def verify_colon_identities(
     hyps = _grade_hypotheses(base, blocks)
     char = base.field.char
     r = len(blocks)
-    if theorem is None:
-        theorem = "lem45" if which == "pushforward-colon" else "thm46"
+    theorem = "lem45" if which == "pushforward-colon" else "thm46"
     if not all(h.passed for h in hyps):
         return _finish(theorem, instance, hyps, None, None, None, char, [], [])
     bound = tuple(int(x) for x in bound)
@@ -479,7 +476,6 @@ def verify_spread_vanishing(
     N: ModulePresentation,
     ideal_gens,
     weight_range: Sequence[int] = range(-3, 4),
-    margin: bool = True,
     instance: str = "",
 ) -> VerificationReport:
     """For a Cohen-Macaulay blow-up module L of one ideal with analytic
@@ -517,7 +513,7 @@ def verify_spread_vanishing(
     for i in range(1, imax + 1):
         n = (ell - 1 - i,)
         for w in weight_range:
-            val = sheaf_cohomology_dim(L, i, n, w, margin)
+            val = sheaf_cohomology_dim(L, i, n, w)
             checks.append(_row("twist-vanishing", i, n, val, 0))
             right = right and val == 0
     if L.ring.is_field_base():
@@ -541,7 +537,6 @@ def dual_route_report(
     window: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
     i_range: Optional[Sequence[int]] = None,
     weights: Optional[Sequence[Optional[int]]] = None,
-    margin: bool = True,
     instance: str = "",
 ) -> VerificationReport:
     """Local cohomology at the full variable ideal computed twice: once by
@@ -559,8 +554,8 @@ def dual_route_report(
     for n in box:
         for i in i_range:
             for w in weights:
-                dv = local_cohomology_dim(module, dual, i, n, w, margin)
-                kv = local_cohomology_dim(module, kozs, i, n, w, margin)
+                dv = local_cohomology_dim(module, dual, i, n, w)
+                kv = local_cohomology_dim(module, kozs, i, n, w)
                 ok = dv.value == kv.value
                 checks.append(
                     CheckRecord(
@@ -581,7 +576,6 @@ def fiber_identity_report(
     M: ModulePresentation,
     window: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
     i_range: Optional[Sequence[int]] = None,
-    margin: bool = True,
     instance: str = "",
 ) -> VerificationReport:
     """On a field base, the degree-n layer of the i-th local cohomology at
@@ -602,8 +596,8 @@ def fiber_identity_report(
         if not compare_degrees(v, n).gt:
             continue
         for i in i_range:
-            dv = local_cohomology_dim(M, dual, i, n, None, margin).value
-            sv = sheaf_cohomology_dim(M, i - r, n, None, margin) if i >= r else 0
+            dv = local_cohomology_dim(M, dual, i, n).value
+            sv = sheaf_cohomology_dim(M, i - r, n) if i >= r else 0
             ok = dv == sv
             checks.append(
                 CheckRecord(

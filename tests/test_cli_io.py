@@ -386,7 +386,7 @@ def test_negative_blowup_exponent_is_input_error_in_any_window(tmp_path, capsys)
             "module M = free(S);\n"
             f"verify lem-vanish M window={window} k=-3..-1;\n"
         )
-        assert main(["run", str(f), "--no-cache"]) == 2
+        assert main(["run", str(f)]) == 2
         data = json.loads(capsys.readouterr().out)
         assert data["entries"][0]["verdict"] == "input-error"
         assert data["entries"][0]["checks"][0]["value"] == "blow-up exponents must be nonnegative"
@@ -433,10 +433,21 @@ def test_main_corpus_with_manifest(tmp_path, capsys):
     assert data["summary"] == {"pass": 1, "fail": 0}
 
 
+def test_cache_flags_belong_to_corpus_only(tmp_path, capsys):
+    # only corpus entries are cached, so run and verify refuse the cache flags
+    path = os.path.join(os.path.dirname(shipped_manifest_path()), "cox-p1-free.mgcm")
+    for argv in (["run", path], ["verify", "thm31", path]):
+        for flag in (["--cache-dir", str(tmp_path)], ["--no-cache"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_main_run_large_prime(capsys):
     # p^2 exceeds 2^63: ranks must stay exact past machine-word products
     path = os.path.join(os.path.dirname(shipped_manifest_path()), "cox-p1p1-shift.mgcm")
-    assert main(["run", path, "--char", "4294967311", "--no-cache"]) == 0
+    assert main(["run", path, "--char", "4294967311"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["entries"][0]["verdict"] == "holds"
 

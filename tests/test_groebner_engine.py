@@ -1,11 +1,13 @@
-"""Groebner bases, syzygies, kernels, intersections, colons, elimination."""
+"""Groebner bases, syzygies, kernels, colons, elimination."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
 from mgcm.groebner_engine import (
     FreeModule,
     _col_to_vec,
+    colon_in_quotient,
     cyclic_presentation,
     eliminate,
     eliminate_module,
@@ -14,13 +16,10 @@ from mgcm.groebner_engine import (
     groebner_basis,
     groebner_module,
     ideal_power_product,
-    intersect_submodules,
-    colon_module,
     lift_through,
     module_kernel,
     normal_form,
     normal_form_column,
-    poly_div_exact,
     submodule_contains,
     submodules_equal,
     syzygy_basis,
@@ -139,7 +138,7 @@ def test_lift_through_fails_outside():
 
 
 # ---------------------------------------------------------------------------
-# kernels, intersections, colons
+# kernels and colons
 
 
 def test_module_kernel_koszul():
@@ -170,37 +169,78 @@ def test_kernel_into_quotient():
     assert submodules_equal(source, ker, ((x * x,), (x * y,)))
 
 
-def test_intersection_of_principal_ideals():
-    R = std_ring()
-    x, y = R.gens()
-    free = free_module(R, (((0,), 0),))
-    got = intersect_submodules(free, ((x,),), ((y,),))
-    assert submodules_equal(free, got, ((x * y,),))
-
-
 def test_colon_ideal():
     R = std_ring()
     x, y = R.gens()
-    free = free_module(R, (((0,), 0),))
-    got = colon_module(free, ((x * x,), (x * y,)), (x,))
-    assert submodules_equal(free, got, ((x,), (y,)))
+    module = free_presentation(R, (((0,), 0),))
+    got = colon_in_quotient(module, ((x * x,), (x * y,)), (x,))
+    assert submodules_equal(module.free(), got, ((x,), (y,)))
 
 
 def test_colon_by_two_elements():
     # ((x^2) : (x, y)) = (x^2) : x  intersect  (x^2) : y = (x) cap (x^2) = (x^2)
     R = std_ring()
     x, y = R.gens()
-    free = free_module(R, (((0,), 0),))
-    got = colon_module(free, ((x * x,),), (x, y))
-    assert submodules_equal(free, got, ((x * x,),))
+    module = free_presentation(R, (((0,), 0),))
+    got = colon_in_quotient(module, ((x * x,),), (x, y))
+    assert submodules_equal(module.free(), got, ((x * x,),))
 
 
-def test_poly_div_exact():
-    R = std_ring()
-    x, y = R.gens()
-    assert poly_div_exact(x * x * y + x * y * y, x * y) == x + y
-    with pytest.raises(InputError):
-        poly_div_exact(x * x, y)
+def _minimal_monomials(monos):
+    monos = set(monos)
+    return {m for m in monos
+            if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in monos)}
+
+
+def _monomial_colon(gens, ideal):
+    """Minimal generators of (gens : ideal) for monomial ideals given by
+    exponent vectors: (gens : x^a) = (x^max(b - a, 0) : b in gens), and an
+    intersection of monomial ideals is generated by lcms of generator pairs."""
+    meet = None
+    for a in ideal:
+        part = {tuple(max(x - y, 0) for x, y in zip(b, a)) for b in gens}
+        if meet is not None:
+            part = {tuple(map(max, m, q)) for m in meet for q in part}
+        meet = _minimal_monomials(part)
+    return meet
+
+
+@st.composite
+def _monomial_colon_cases(draw):
+    """U = (+)_c U_c e_c with monomial U_c over a free module of rank 1-2 with
+    nonzero shifts, split between relations and sub_gens, and a monomial I."""
+    nvars = draw(st.integers(2, 4))
+    ring = GradedRing(field_for_char(32003), tuple(f"x{i}" for i in range(nvars)),
+                      tuple((1,) for _ in range(nvars)),
+                      tuple(draw(st.integers(1, 2)) for _ in range(nvars)))
+    rank = draw(st.integers(1, 2))
+    nonzero = st.integers(-2, 2).filter(bool)
+    shifts = tuple(((draw(nonzero),), draw(nonzero)) for _ in range(rank))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    comps = [draw(st.lists(exps, max_size=3)) for _ in range(rank)]
+    rels, sub = [], []
+    for c, monos in enumerate(comps):
+        for e in monos:
+            col = tuple(ring.monomial(e) if i == c else ring.zero() for i in range(rank))
+            (rels if draw(st.booleans()) else sub).append(col)
+    ideal = draw(st.lists(st.tuples(*[st.integers(0, 2)] * nvars), min_size=1, max_size=3))
+    return presentation(ring, shifts, rels), tuple(sub), comps, ideal
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_monomial_colon_cases())
+def test_colon_matches_monomial_oracle(case):
+    module, sub, comps, ideal = case
+    ring = module.ring
+    got = colon_in_quotient(module, sub, tuple(ring.monomial(a) for a in ideal))
+    terms = set()
+    for col in got:
+        ((c, entry),) = [(c, e) for c, e in enumerate(col) if not e.is_zero()]
+        ((e, coeff),) = entry.terms
+        assert coeff == 1
+        terms.add((c, e))
+    want = {(c, m) for c, monos in enumerate(comps) for m in _monomial_colon(monos, ideal)}
+    assert len(terms) == len(got) and terms == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import pytest
 
+import mgcm.homological as hom
 import mgcm.theorem_harness as th
+from mgcm import cli_io
 from mgcm.graded_poly import (
     GradedRing,
     InputError,
@@ -92,6 +94,20 @@ def test_biconditional_shifted_free_product():
     rep = verify_cm_biconditional(M, window=((-2, -2), (2, 2)), instance="shift")
     assert rep.verdict == "holds"
     assert rep.left is True and rep.right is True
+
+
+def test_biconditional_violated_by_nonzero_sheaf_cohomology(monkeypatch):
+    # the shipped Cohen-Macaulay line: with every sheaf dimension off by one
+    # the right side fails while the left side still holds
+    path = cli_io.shipped_manifest_path().replace("manifest.json", "cox-p1-free.mgcm")
+    with open(path, encoding="utf-8") as fh:
+        session = cli_io.parse_session(fh.read())
+    real = th.sheaf_cohomology_dim
+    monkeypatch.setattr(th, "sheaf_cohomology_dim", lambda *a: real(*a) + 1)
+    (rep,) = cli_io.execute_session(session, stem="cox-p1-free", only=("thm31", None)).entries
+    assert rep.verdict == "violated"
+    assert rep.left is True and rep.right is False
+    assert {c.check for c in rep.failures} == {"sheaf-vanishing"}
 
 
 def test_biconditional_zero_module_rejected():
@@ -303,6 +319,19 @@ def test_colon_identities_single_family_selection():
     assert len(rep.checks) == 4
 
 
+@pytest.mark.parametrize("which", ["pushforward-colon", "subset-colon"])
+def test_colon_identities_violated_by_a_colon_that_returns_its_submodule(monkeypatch, which):
+    monkeypatch.setattr(th, "colon_in_quotient", lambda module, sub_gens, ideal: tuple(sub_gens))
+    A = local_plane(rank=2)
+    N = free_presentation(A, (((0, 0), 0),))
+    rep = verify_colon_identities(N, ((p(A, "a"),), (p(A, "b"),)), bound=(1, 1), which=which)
+    assert rep.verdict == "violated"
+    # (U : 1) = U still holds; every proper colon fails
+    for c in rep.checks:
+        unit = which == "pushforward-colon" and c.degree[2:] == (0, 0)
+        assert c.verdict == ("pass" if unit else "fail"), c
+
+
 def test_colon_identities_bad_family_rejected():
     A = local_plane(rank=2)
     N = free_presentation(A, (((0, 0), 0),))
@@ -358,6 +387,26 @@ def test_dual_route_agreement_on_graded_local_base():
     N = cyclic_presentation(A, (p(A, "a"),))
     rep = dual_route_report(N, window=((0,), (0,)), weights=range(0, 3))
     assert rep.verdict == "holds"
+
+
+@pytest.fixture
+def fresh_ext_cache():
+    hom.ext_dual_module.cache_clear()
+    yield
+    hom.ext_dual_module.cache_clear()
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_dual_route_violated_by_a_wrong_dual_twist(monkeypatch, fresh_ext_cache, shift):
+    # H^1 of A/(a) at (a, b) lives in weights -1, -2, ...; a dual twist off
+    # by one weight moves its edge into or out of the window
+    real = hom._dual_twist
+    monkeypatch.setattr(hom, "_dual_twist", lambda ring: (real(ring)[0], real(ring)[1] + shift))
+    A = local_plane()
+    N = cyclic_presentation(A, (p(A, "a"),))
+    rep = dual_route_report(N, window=((0,), (0,)), weights=range(-3, 1))
+    assert rep.verdict == "violated"
+    assert len(rep.failures) == 1
 
 
 def test_fiber_identity_on_field_base():
