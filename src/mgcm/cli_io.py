@@ -919,14 +919,15 @@ def _cache_path(directory: str, material: str) -> str:
 
 def cache_fetch(directory: str, material: str) -> Optional[dict]:
     """Stored result for this exact key material; a hash collision (different
-    material, same digest) reads as a miss so the caller recomputes."""
+    material, same digest) or a corrupt entry reads as a miss so the caller
+    recomputes."""
     path = _cache_path(directory, material)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if data.get("key") != material:
+    if not isinstance(data, dict) or data.get("key") != material:
         return None
     return data.get("result")
 
@@ -986,6 +987,16 @@ def _file_key_material(text: str, flags: RunFlags, scope: str) -> str:
 # corpus
 
 
+def _read_text(path: str) -> str:
+    """A session or manifest file's text; a file that cannot be opened is an
+    input error, not a crash."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read '{path}': {e.strerror or e}") from e
+
+
 _VERDICT_ORDER = {"violated": 0, "input-error": 1, "resource-limit": 2,
                   "hypothesis-not-met": 3, "holds": 4}
 
@@ -998,8 +1009,7 @@ def _worst(verdicts: Sequence[str]) -> str:
 
 def run_manifest_entry(path: str, flags: RunFlags, cache_dir: Optional[str]) -> dict:
     stem = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     material = _file_key_material(text, flags, "corpus-entry")
     if cache_dir is not None:
         cached = cache_fetch(cache_dir, material)
@@ -1069,8 +1079,7 @@ def run_corpus_files(
 
 
 def load_manifest(path: str) -> List[Tuple[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = json.loads(_read_text(path))
     base = os.path.dirname(os.path.abspath(path))
     items = []
     for row in raw:
@@ -1150,8 +1159,7 @@ def _dispatch(ns) -> int:
     if ns.cmd == "parse":
         bad = False
         for path in ns.files:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = _read_text(path)
             try:
                 parse_session(text)
                 print(f"ok {path}")
@@ -1164,8 +1172,7 @@ def _dispatch(ns) -> int:
     flags = _flags_from(ns)
 
     if ns.cmd in ("run", "verify"):
-        with open(ns.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(ns.file)
         try:
             session = parse_session(text)
         except SessionDiagnostics as e:
@@ -1174,11 +1181,7 @@ def _dispatch(ns) -> int:
             return 2
         stem = os.path.splitext(os.path.basename(ns.file))[0]
         only = (ns.id, ns.target) if ns.cmd == "verify" else None
-        try:
-            agg = execute_session(session, flags, stem, only)
-        except InputError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        agg = execute_session(session, flags, stem, only)
         _emit(aggregate_to_dict(agg), ns.fmt)
         return agg.exit_code()
 

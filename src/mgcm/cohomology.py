@@ -501,28 +501,6 @@ def sections_natural_iso(
     return h0 == 0 and h1 == 0
 
 
-def support_E_dim(
-    module: ModulePresentation,
-    i: int,
-    n: Sequence[int],
-    weight: Optional[int] = None,
-) -> Tuple[int, str]:
-    """Cohomology supported on the closed fiber of Proj -> Spec(base).
-
-    Field base: the fiber is all of Proj, mode "direct".  Otherwise the
-    dimension is read through the identity with local cohomology at the
-    maximal ideal in index i + rank, valid only strictly below v(module)."""
-    if i < 0:
-        raise InputError("negative cohomological index")
-    ring = module.ring
-    if ring.is_field_base():
-        return sheaf_cohomology_dim(module, i, n, weight), "direct"
-    _check_below_v(module, n)
-    r = ring.rank
-    val = local_cohomology_dim(module, maximal_support(ring), i + r, n, weight).value
-    return val, "fiber-identity"
-
-
 def support_E_vanishes(module: ModulePresentation, i: int, n: Sequence[int]) -> Tuple[bool, str]:
     """Exact all-weights vanishing of fiber-supported cohomology in index i."""
     ring = module.ring

@@ -426,7 +426,6 @@ def syzygy_basis(free: FreeModule, gens: Sequence[Column]) -> Tuple[FreeModule, 
         return FreeModule(free.ring, (), ()), ()
     big, gb = _syzygy_data(free, gens)
     p = free.rank
-    s = len(gens)
     degs = list(zip(big.mdeg_shifts[p:], big.weight_shifts[p:]))
     syzfree = FreeModule(free.ring, tuple(d for d, _ in degs), tuple(w for _, w in degs))
     out: List[Column] = []
@@ -491,7 +490,6 @@ def module_kernel(
             if (d, w) != (source.mdeg_shifts[j], source.weight_shifts[j]):
                 raise InputError("map is not degree 0")
     rels = tuple(c for c in target.relations if any(not e.is_zero() for e in c))
-    combined = tuple(image_cols) + rels
     # syzygy coordinates on zero columns are meaningless; replace them by
     # explicit unit kernel elements instead
     zero_idx = [j for j, col in enumerate(image_cols) if all(e.is_zero() for e in col)]
@@ -500,10 +498,9 @@ def module_kernel(
     zero = ring.zero()
     units = basis_multiples(ring.one(), source.rank)
     out: List[Column] = [units[j] for j in zero_idx]
-    live = tuple(combined[j] for j in nonzero_idx) + rels
+    live = tuple(image_cols[j] for j in nonzero_idx) + rels
     if nonzero_idx:
         _, syz = syzygy_basis(tfree, live)
-        q = len(nonzero_idx)
         for col in syz:
             full = [zero] * source.rank
             for pos, j in enumerate(nonzero_idx):

@@ -1,11 +1,13 @@
-"""Minimal free resolutions and the invariants read off from them.
+"""Minimal free resolutions, initial modules and the invariants read off them.
 
-Everything here runs over a polynomial ring P; a module over a quotient
-S = P/J is presented over P with J folded into its relation columns.  The
-weight grading does the graded-local work: minimal generators via Nakayama,
-depth via Auslander-Buchsbaum (depth = #vars - pd), Krull dimension as the
-pole order of the weight Hilbert series at t = 1, and the grade of an ideal
-on P as its height (#vars - dim P/I).
+Everything here runs over a polynomial ring P; a module M = F/U over a
+quotient S = P/J is presented over P with J folded into its relation
+columns.  The weight grading does the graded-local work.  Depth comes from
+the minimal resolution via Auslander-Buchsbaum (depth = #vars - pd).
+Vanishing, minimal generator degrees and Krull dimension come from the
+initial module F/in(U) of the relations' Groebner basis, which has the same
+Hilbert function as M; dim is the largest dim P/J_c over its monomial
+components.  The grade of an ideal on P is its height (#vars - dim P/I).
 
 Duality: ext_dual_module(M, i) presents Ext^i(M, P(-w_total)) where w_total
 is the sum of all variable degrees.  Its graded pieces are the k-duals of
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .graded_poly import (
     Degree,
@@ -61,7 +63,6 @@ class Resolution:
     module: ModulePresentation
     shifts: Tuple[Tuple[Tuple[Degree, ...], Tuple[int, ...]], ...]
     differentials: Tuple[Tuple[Column, ...], ...]
-    complete: bool
 
     @property
     def length(self) -> int:
@@ -71,10 +72,6 @@ class Resolution:
         if i < 0 or i > self.length:
             return 0
         return len(self.shifts[i][0])
-
-    def free(self, i: int) -> FreeModule:
-        md, w = self.shifts[i]
-        return FreeModule(self.module.ring, md, w)
 
     def betti(self) -> Dict[int, int]:
         return {i: self.rank(i) for i in range(self.length + 1) if self.rank(i)}
@@ -182,7 +179,12 @@ def _minimal_generators(free: FreeModule, cols: Sequence[Column]) -> Tuple[Colum
 
 
 @lru_cache(maxsize=None)
-def _minimal_free_resolution_cached(module: ModulePresentation, bound: int) -> Resolution:
+def minimal_free_resolution(module: ModulePresentation) -> Resolution:
+    """Minimal graded free resolution.
+
+    Iterated minimal syzygies stop within #vars + 1 steps (Hilbert syzygy
+    theorem + Nakayama at every step), so running past that is a bug.
+    """
     shifts: List[Tuple[List[Degree], List[int]]] = [
         (list(module.mdeg_shifts), list(module.weight_shifts))
     ]
@@ -191,11 +193,9 @@ def _minimal_free_resolution_cached(module: ModulePresentation, bound: int) -> R
     current = tuple(c for c in module.relations if not _column_is_zero(c))
     current_free = module.free()
     step = 0
-    complete = True
     while current:
-        if step >= bound:
-            complete = False
-            break
+        if step > module.ring.nvars:
+            raise AssertionError("resolution longer than the syzygy theorem allows")
         degs = [current_free.column_degree(c) for c in current]
         shifts.append(([d for d, _ in degs], [w for _, w in degs]))
         diffs.append([list(c) for c in current])
@@ -216,23 +216,7 @@ def _minimal_free_resolution_cached(module: ModulePresentation, bound: int) -> R
             break
     out_shifts = tuple((tuple(md), tuple(w)) for md, w in shifts)
     out_diffs = tuple(tuple(tuple(col) for col in mat) for mat in diffs)
-    return Resolution(module, out_shifts, out_diffs, complete)
-
-
-def minimal_free_resolution(module: ModulePresentation, bound: Optional[int] = None) -> Resolution:
-    """Minimal graded free resolution, computed to length <= bound.
-
-    Default bound is #vars, which suffices: iterated minimal syzygies
-    terminate by then (Hilbert syzygy theorem + Nakayama at every step).
-    """
-    if bound is None:
-        bound = module.ring.nvars + 1
-    if bound < 0:
-        raise InputError("negative resolution bound")
-    res = _minimal_free_resolution_cached(module, bound)
-    if not res.complete:
-        raise InputError(f"resolution did not terminate within bound {bound}")
-    return res
+    return Resolution(module, out_shifts, out_diffs)
 
 
 def check_complex(res: Resolution) -> bool:
@@ -248,7 +232,76 @@ def check_complex(res: Resolution) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numerical invariants
+# invariants of the initial module
+#
+# F/U and F/in(U) have the same Hilbert function (Macaulay; Eisenbud,
+# Commutative Algebra, Thm 15.3), and in(U) is the direct sum over the
+# components c of J_c e_c, J_c the monomial ideal of c's lead terms.
+
+
+@lru_cache(maxsize=None)
+def _relations_gb(module: ModulePresentation) -> GroebnerBasis:
+    rels = tuple(c for c in module.relations if not _column_is_zero(c))
+    return groebner_module(module.free(), rels)
+
+
+def _unit_lead_components(module: ModulePresentation) -> FrozenSet[int]:
+    """Components c with e_c itself a lead term, i.e. J_c = P."""
+    return frozenset(c for c, exps in _relations_gb(module).lead_terms if not any(exps))
+
+
+def is_zero_module(module: ModulePresentation) -> bool:
+    return len(_unit_lead_components(module)) == module.rank
+
+
+def v_of(module: ModulePresentation) -> Degree:
+    """Coordinatewise min of the minimal generator multidegrees.
+
+    The e_c without a unit lead term form a minimal generating set.  This
+    needs every variable weight positive: then, at equal weight, degrevlex
+    puts a zero-exponent term above every term with a positive exponent, so
+    the constant part of any homogeneous element of U leads it, and the unit
+    lead terms span the image of U in F/mF, m the ideal of the variables.
+    """
+    units = _unit_lead_components(module)
+    gens = [d for c, d in enumerate(module.mdeg_shifts) if c not in units]
+    if not gens:
+        raise InputError("v is undefined for the zero module")
+    return reduce(deg_min, gens)
+
+
+def _free_vars(supports: Sequence[int], nvars: int) -> int:
+    """dim P/J for a monomial ideal J given by its generators' variable
+    supports (bitmasks): the most variables that contain no support, -1 when
+    J = P.  Branches on a support inside the allowed set; the answer depends
+    on that set alone, so it is memoised and there are at most 2^nvars states.
+    """
+    supports = sorted(set(supports), key=lambda s: bin(s).count("1"))
+    memo: Dict[int, int] = {}
+
+    def most(allowed: int) -> int:
+        hit = memo.get(allowed)
+        if hit is None:
+            inside = next((s for s in supports if s & allowed == s), None)
+            if inside is None:
+                hit = bin(allowed).count("1")
+            else:
+                hit = max(
+                    (most(allowed & ~(1 << v)) for v in range(nvars) if inside >> v & 1),
+                    default=-1,
+                )
+            memo[allowed] = hit
+        return hit
+
+    return most((1 << nvars) - 1)
+
+
+def krull_dim(module: ModulePresentation) -> int:
+    """max over the components c of dim P/J_c; -1 for the zero module."""
+    supports: List[List[int]] = [[] for _ in range(module.rank)]
+    for c, exps in _relations_gb(module).lead_terms:
+        supports[c].append(sum(1 << v for v, k in enumerate(exps) if k))
+    return max((_free_vars(s, module.ring.nvars) for s in supports), default=-1)
 
 
 @dataclass(frozen=True)
@@ -256,110 +309,24 @@ class InvariantRecord:
     dim: int
     depth: int
     pd: int
-    nvars: int
     cm: bool
     is_zero: bool
-    betti: Tuple[Tuple[int, int], ...]
-
-
-@lru_cache(maxsize=None)
-def minimalize_presentation(module: ModulePresentation) -> ModulePresentation:
-    """Prune constant entries of the relation matrix: minimal generators."""
-    shifts: List[Tuple[List[Degree], List[int]]] = [
-        (list(module.mdeg_shifts), list(module.weight_shifts))
-    ]
-    rels = [c for c in module.relations if not _column_is_zero(c)]
-    diffs: List[List[List[Polynomial]]] = []
-    if rels:
-        free = module.free()
-        degs = [free.column_degree(c) for c in rels]
-        shifts.append(([d for d, _ in degs], [w for _, w in degs]))
-        diffs.append([list(c) for c in rels])
-    _prune_complex(shifts, diffs)
-    md, w = shifts[0]
-    new_rels: Tuple[Column, ...] = ()
-    if diffs:
-        new_rels = tuple(tuple(col) for col in diffs[0] if not _column_is_zero(tuple(col)))
-    return ModulePresentation(module.ring, tuple(md), tuple(w), new_rels)
-
-
-def is_zero_module(module: ModulePresentation) -> bool:
-    return minimalize_presentation(module).rank == 0
-
-
-def v_of(module: ModulePresentation) -> Degree:
-    """Coordinatewise min of the minimal generator multidegrees."""
-    m = minimalize_presentation(module)
-    if m.rank == 0:
-        raise InputError("v is undefined for the zero module")
-    return reduce(deg_min, m.mdeg_shifts)
-
-
-def hilbert_numerator(module: ModulePresentation) -> Dict[int, int]:
-    """Signed sum of t^(weight shift) over the minimal resolution."""
-    res = minimal_free_resolution(module)
-    out: Dict[int, int] = {}
-    for i in range(res.length + 1):
-        sign = -1 if i % 2 else 1
-        for w in res.shifts[i][1]:
-            out[w] = out.get(w, 0) + sign
-            if out[w] == 0:
-                del out[w]
-    return out
-
-
-def _order_of_root_at_one(coeffs: Dict[int, int]) -> int:
-    """Multiplicity of t = 1 as a root of a Laurent polynomial."""
-    if not coeffs:
-        raise ValueError("zero polynomial")
-    lo = min(coeffs)
-    hi = max(coeffs)
-    vec = [coeffs.get(k, 0) for k in range(lo, hi + 1)]
-    mult = 0
-    while sum(vec) == 0:
-        # divide by (1 - t): q_0 = n_0, q_k = n_k + q_{k-1}
-        q = []
-        acc = 0
-        for c in vec[:-1]:
-            acc += c
-            q.append(acc)
-        vec = q if q else [0]
-        mult += 1
-        if not any(vec):
-            raise ValueError("numerator vanished identically")
-    return mult
-
-
-def krull_dim(module: ModulePresentation) -> int:
-    """Pole order of the weight Hilbert series at t = 1; -1 for the zero module."""
-    num = hilbert_numerator(module)
-    if not num:
-        return -1
-    return module.ring.nvars - _order_of_root_at_one(num)
 
 
 def is_cohen_macaulay(module: ModulePresentation) -> InvariantRecord:
-    res = minimal_free_resolution(module)
+    if is_zero_module(module):
+        return InvariantRecord(-1, -1, -1, True, True)
     nvars = module.ring.nvars
-    if res.rank(0) == 0:
-        return InvariantRecord(-1, -1, -1, nvars, True, True, ())
-    pd = res.length
+    pd = minimal_free_resolution(module).length
     depth = nvars - pd
     dim = krull_dim(module)
     if not (0 <= depth <= dim <= nvars):
         raise AssertionError(f"invariant violation: depth={depth} dim={dim} nvars={nvars}")
-    betti = tuple((i, res.rank(i)) for i in range(res.length + 1))
-    return InvariantRecord(dim, depth, pd, nvars, dim == depth, False, betti)
+    return InvariantRecord(dim, depth, pd, dim == depth, False)
 
 
 # ---------------------------------------------------------------------------
 # graded pieces
-
-
-@lru_cache(maxsize=None)
-def _relations_gb(module: ModulePresentation) -> GroebnerBasis:
-    rels = tuple(c for c in module.relations if not _column_is_zero(c))
-    return groebner_module(module.free(), rels)
 
 
 def standard_monomials(
@@ -592,11 +559,7 @@ def a_invariant(module: ModulePresentation) -> Degree:
     rec = is_cohen_macaulay(module)
     if rec.is_zero:
         raise InputError("a-invariant of the zero module")
-    ext = ext_dual_module(module, module.ring.nvars - rec.dim)
-    ext_min = minimalize_presentation(ext)
-    if ext_min.rank == 0:
-        raise AssertionError("top local cohomology cannot vanish")
-    return deg_neg(reduce(deg_min, ext_min.mdeg_shifts))
+    return deg_neg(v_of(ext_dual_module(module, module.ring.nvars - rec.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +571,10 @@ def grade_of(ideal_gens: Sequence[Polynomial]) -> Optional[int]:
 
     P is Cohen-Macaulay, so grade(I, P) = ht I = nvars - dim P/I
     (Bruns-Herzog, Cohen-Macaulay Rings, Cor. 2.1.4), and krull_dim reads
-    dim P/I off the weight Hilbert series.  Both steps hold only over the
-    positively weighted polynomial rings that the public constructors build;
-    this is not the grade on a module or over a quotient ring.
+    dim P/I off the initial ideal, which has the same Hilbert function.  Both
+    steps hold only over the positively weighted polynomial rings that the
+    public constructors build; this is not the grade on a module or over a
+    quotient ring.
     """
     gens = tuple(g for g in ideal_gens if not g.is_zero())
     if not gens:

@@ -396,16 +396,16 @@ def verify_colon_identities(
     if which not in ("pushforward-colon", "subset-colon", "both"):
         raise InputError(f"unknown colon family {which!r}")
     blocks = _normalize_blocks(ideals)
-    base = N.ring
-    hyps = _grade_hypotheses(base, blocks)
-    char = base.field.char
     r = len(blocks)
-    theorem = "lem45" if which == "pushforward-colon" else "thm46"
-    if not all(h.passed for h in hyps):
-        return _finish(theorem, instance, hyps, None, None, None, char, [], [])
     bound = tuple(int(x) for x in bound)
     if len(bound) != r or any(x < 0 for x in bound):
         raise InputError("bound must be a nonnegative exponent per ideal")
+    base = N.ring
+    hyps = _grade_hypotheses(base, blocks)
+    char = base.field.char
+    theorem = "lem45" if which == "pushforward-colon" else "thm46"
+    if not all(h.passed for h in hyps):
+        return _finish(theorem, instance, hyps, None, None, None, char, [], [])
 
     mod = rees_module_presentation(N, blocks)
     inv = is_cohen_macaulay(mod)

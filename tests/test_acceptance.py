@@ -320,10 +320,10 @@ def test_criterion_8_structural_invariants_hold():
         # computed through the dual modules rather than the resolution length
         nonzero = [
             j
-            for j in range(0, inv.nvars + 1)
-            if not is_zero_module(ext_dual_module(M, inv.nvars - j))
+            for j in range(0, ring.nvars + 1)
+            if not is_zero_module(ext_dual_module(M, ring.nvars - j))
         ]
-        assert min(nonzero) + inv.pd == inv.nvars, sorted(gens)
+        assert min(nonzero) + inv.pd == ring.nvars, sorted(gens)
         assert max(nonzero) == inv.dim, sorted(gens)
     for stem, _session, _ in _corpus():
         for name, (kind, obj) in sorted(_built(stem).items()):

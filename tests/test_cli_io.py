@@ -283,6 +283,24 @@ def test_cache_corrupt_file_is_miss(tmp_path):
     assert cache_fetch(d, "key1") is None
 
 
+def test_cache_non_object_entry_is_miss(tmp_path, capsys):
+    # valid JSON that is not an object is as corrupt as invalid JSON: the
+    # corpus run recomputes the entry and overwrites it
+    f = tmp_path / "s.mgcm"
+    f.write_text(SMALL)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"path": "s.mgcm", "expected": "holds"}]))
+    d = str(tmp_path / "c")
+    os.makedirs(d)
+    material = cli_io._file_key_material(SMALL, RunFlags(), "corpus-entry")
+    with open(_cache_path(d, material), "w", encoding="utf-8") as fh:
+        fh.write("[]")
+    assert cache_fetch(d, material) is None
+    assert main(["corpus", "--manifest", str(manifest), "--cache-dir", d]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 1, "fail": 0}
+    assert cache_fetch(d, material)["verdict"] == "holds"
+
+
 def test_cache_keyed_on_source_digest(monkeypatch, tmp_path):
     d = str(tmp_path)
     flags = RunFlags()
@@ -348,6 +366,15 @@ def test_main_verify_missing_directive(tmp_path, capsys):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL)
     assert main(["verify", "thm42", str(f)]) == 2
+
+
+def test_main_missing_file_is_input_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.mgcm")
+    for argv in (["parse", missing], ["run", missing], ["verify", "thm42", missing],
+                 ["corpus", "--manifest", str(tmp_path / "nope.json")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "nope" in err, argv
 
 
 def test_main_bad_window_flag(tmp_path, capsys):

@@ -33,7 +33,7 @@ from mgcm.cohomology import (
     sections_natural_iso,
     sheaf_cohomology_dim,
     sparse_rank,
-    support_E_dim,
+    support_E_vanishes,
 )
 from test_acceptance import _corpus_modules
 
@@ -287,8 +287,8 @@ def test_natural_sections_map():
 
 def test_support_E_direct_mode_on_field_base():
     S = cyclic_presentation(p1_ring(), ())
-    val, mode = support_E_dim(S, 1, (-2,))
-    assert (val, mode) == (1, "direct")
+    assert support_E_vanishes(S, 1, (-2,)) == (False, "direct")
+    assert support_E_vanishes(S, 1, (-1,)) == (True, "direct")
 
 
 def test_support_E_identity_gate():
@@ -296,10 +296,9 @@ def test_support_E_identity_gate():
     R = GradedRing(field_for_char(0), ("a", "T"), ((0,), (1,)), (1, 1))
     M = cyclic_presentation(R, ())
     with pytest.raises(InputError):
-        support_E_dim(M, 0, (0,))  # not strictly below v = 0
-    val, mode = support_E_dim(M, 0, (-1,), weight=0)
-    assert mode == "fiber-identity"
-    assert val == 0
+        support_E_vanishes(M, 0, (0,))  # not strictly below v = 0
+    assert support_E_vanishes(M, 0, (-1,)) == (True, "fiber-identity")
+    assert support_E_vanishes(M, 1, (-1,)) == (False, "fiber-identity")
 
 
 def test_layer_vanishing_graded_local():

@@ -1,12 +1,13 @@
 """Resolutions, Betti numbers, dimension, depth, duals, a-invariants, grade."""
 
 import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgcm.cohomology import degree_box, mdeg_layer_nonzero
-from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
+from mgcm.graded_poly import GradedRing, InputError, deg_min, field_for_char, parse_polynomial
 from mgcm.groebner_engine import cyclic_presentation, groebner_basis, presentation
 from mgcm.homological import (
     _relations_gb,
@@ -15,12 +16,10 @@ from mgcm.homological import (
     ext_dual_module,
     grade_of,
     graded_piece_dim,
-    hilbert_numerator,
     is_cohen_macaulay,
     is_zero_module,
     krull_dim,
     minimal_free_resolution,
-    minimalize_presentation,
     piece_basis,
     v_of,
 )
@@ -107,9 +106,35 @@ def test_zero_module_sentinel():
     assert krull_dim(z) == -1
 
 
+def _hilbert_numerator(M):
+    """Signed sum of t^(weight shift) over the minimal resolution."""
+    res = minimal_free_resolution(M)
+    out = {}
+    for i in range(res.length + 1):
+        for w in res.shifts[i][1]:
+            out[w] = out.get(w, 0) + (-1) ** i
+    return {w: c for w, c in out.items() if c}
+
+
+def _pole_order_dim(M):
+    """Reference Krull dimension: the pole order at t = 1 of the weight
+    Hilbert series N(t) / prod(1 - t^w_v), i.e. nvars minus the multiplicity
+    of t = 1 as a root of N; -1 for the zero module."""
+    num = _hilbert_numerator(M)
+    if not num:
+        return -1
+    coeffs = [num.get(k, 0) for k in range(min(num), max(num) + 1)]
+    order = 0
+    while sum(coeffs) == 0:
+        coeffs = list(itertools.accumulate(coeffs))[:-1]  # divide by 1 - t
+        order += 1
+    return M.ring.nvars - order
+
+
 def test_hilbert_numerator_koszul():
     R = std_ring()
-    assert hilbert_numerator(cyc(R, "x", "y")) == {0: 1, 1: -2, 2: 1}
+    assert _hilbert_numerator(cyc(R, "x", "y")) == {0: 1, 1: -2, 2: 1}
+    assert _pole_order_dim(cyc(R, "x", "y")) == 0
 
 
 def test_dimension_of_coordinate_subspace():
@@ -289,15 +314,50 @@ def test_standard_monomials_match_brute_force_on_binomial_ideals(M):
 
 
 # ---------------------------------------------------------------------------
+# dimension, vanishing and v from the initial module against the resolution
+
+
+def _check_initial_module_routes(M):
+    res = minimal_free_resolution(M)
+    assert krull_dim(M) == _pole_order_dim(M), M
+    assert is_zero_module(M) == (res.rank(0) == 0), M
+    if res.rank(0):
+        assert v_of(M) == reduce(deg_min, res.shifts[0][0]), M
+    else:
+        with pytest.raises(InputError):
+            v_of(M)
+
+
+def _with_ext_duals(M):
+    return [M] + [ext_dual_module(M, i) for i in range(M.ring.nvars + 1)]
+
+
+def test_initial_module_routes_match_resolution_on_corpus():
+    checked = 0
+    for _label, M in _corpus_modules():
+        for N in _with_ext_duals(M):
+            _check_initial_module_routes(N)
+            checked += 1
+    assert checked >= 100
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_binomial_quotients())
+def test_initial_module_routes_match_resolution_on_binomial_ideals(M):
+    for N in _with_ext_duals(M):
+        _check_initial_module_routes(N)
+
+
+# ---------------------------------------------------------------------------
 # duals, a-invariants, grade
 
 
 def test_ext_top_of_residue_field():
     R = std_ring()
     k = cyc(R, "x", "y")
-    top = minimalize_presentation(ext_dual_module(k, 2))
-    assert top.rank == 1
-    assert top.mdeg_shifts == ((0,),) and top.weight_shifts == (0,)
+    top = ext_dual_module(k, 2)
+    assert minimal_free_resolution(top).shifts[0] == (((0,),), (0,))
+    assert v_of(top) == (0,)
     assert is_zero_module(ext_dual_module(k, 0))
     assert is_zero_module(ext_dual_module(k, 1))
 
@@ -305,8 +365,9 @@ def test_ext_top_of_residue_field():
 def test_ext_of_free_is_twisted_free():
     R = std_ring()
     free = cyc(R)
-    e0 = minimalize_presentation(ext_dual_module(free, 0))
-    assert e0.rank == 1 and e0.mdeg_shifts == ((2,),)
+    e0 = ext_dual_module(free, 0)
+    assert minimal_free_resolution(e0).shifts[0][0] == ((2,),)
+    assert v_of(e0) == (2,)
 
 
 def test_a_invariants():

@@ -339,6 +339,18 @@ def test_colon_identities_bad_family_rejected():
         verify_colon_identities(N, ((p(A, "a"),), (p(A, "b"),)), which="nope")
 
 
+def test_colon_identities_bad_bound_rejected_before_the_grade_gate():
+    # a bound of the wrong length is an input error whether or not the
+    # ideals pass the grade hypotheses; the unit ideal fails them
+    A = local_plane()
+    N = free_presentation(A, (((0,), 0),))
+    for ideal in ((p(A, "a"),), (A.one(),)):
+        for bound in ((1, 2, 3), (-1,)):
+            with pytest.raises(InputError, match="bound must be"):
+                verify_colon_identities(N, (ideal,), bound=bound)
+    assert verify_colon_identities(N, ((A.one(),),), bound=(1,)).verdict == "hypothesis-not-met"
+
+
 # ---------------------------------------------------------------------------
 # spread vanishing
 
