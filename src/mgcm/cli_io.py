@@ -1079,10 +1079,22 @@ def run_corpus_files(
 
 
 def load_manifest(path: str) -> List[Tuple[str, str]]:
-    raw = json.loads(_read_text(path))
+    """(session path, expected verdict) per row of a JSON manifest: a list of
+    objects with string "path" and "expected"; anything else is an input error."""
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise InputError(f"manifest '{path}' is not JSON: {e}") from e
+    if not isinstance(raw, list):
+        raise InputError(f"manifest '{path}' must be a JSON list of entries")
     base = os.path.dirname(os.path.abspath(path))
     items = []
-    for row in raw:
+    for i, row in enumerate(raw):
+        if not (isinstance(row, dict) and isinstance(row.get("path"), str)
+                and isinstance(row.get("expected"), str)):
+            raise InputError(
+                f"manifest '{path}' entry {i} needs string \"path\" and \"expected\""
+            )
         items.append((os.path.join(base, row["path"]), row["expected"]))
     return items
 

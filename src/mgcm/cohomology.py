@@ -292,7 +292,10 @@ def _differential_rank(
     n: Degree,
     weight: Optional[int],
 ) -> int:
-    """Rank of d^p: C^p -> C^{p+1} on the (n, weight) piece at power level k."""
+    """Rank of d^p: C^p -> C^{p+1} on the (n, weight) piece at power level k.
+
+    Pieces here are sized by `piece_basis`: `_mult_matrix` lists their bases
+    anyway, so a separate count would only add work."""
     s = len(gens)
     if p < 0 or p >= s:
         return 0
@@ -307,17 +310,17 @@ def _differential_rank(
     for J in src_subsets:
         dm, dw = _subset_shift(degs, J, k)
         src_off[J] = total_src
-        total_src += graded_piece_dim(
+        total_src += len(piece_basis(
             module, deg_add(n, dm), None if weight is None else weight + dw
-        )
+        ))
     tgt_off: Dict[Tuple[int, ...], int] = {}
     total_tgt = 0
     for J in tgt_subsets:
         dm, dw = _subset_shift(degs, J, k)
         tgt_off[J] = total_tgt
-        total_tgt += graded_piece_dim(
+        total_tgt += len(piece_basis(
             module, deg_add(n, dm), None if weight is None else weight + dw
-        )
+        ))
     if total_src == 0 or total_tgt == 0:
         return 0
 
@@ -350,12 +353,12 @@ def _koszul_value(
     weight: Optional[int],
 ) -> int:
     s = len(gens)
-    dim_ci = 0
+    dim_ci = 0  # sized by basis, as in _differential_rank
     for J in itertools.combinations(range(s), i):
         dm, dw = _subset_shift(degs, J, k)
-        dim_ci += graded_piece_dim(
+        dim_ci += len(piece_basis(
             module, deg_add(n, dm), None if weight is None else weight + dw
-        )
+        ))
     r_i = _differential_rank(module, gens, k, i, n, weight)
     r_prev = _differential_rank(module, gens, k, i - 1, n, weight)
     value = dim_ci - r_i - r_prev

@@ -19,9 +19,11 @@ degree-reverse-lexicographic on the weight grading refined by variable index.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from math import comb
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 class InputError(ValueError):
@@ -257,6 +259,8 @@ class GradedRing:
         "_name_index",
         "_key",
         "_hash",
+        "_counts",
+        "_blocks",
     )
 
     def __init__(
@@ -299,6 +303,9 @@ class GradedRing:
         self._name_index = {nm: i for i, nm in enumerate(names)}
         self._key = (field, names, degrees, weights, self._allow_zero_weight)
         self._hash = hash(self._key)
+        self._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
+        sizes = Counter(zip(degrees, weights))
+        self._blocks = sorted(sizes.items(), key=lambda b: not any(b[0][0]))
 
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self._key == other._key
@@ -335,6 +342,45 @@ class GradedRing:
 
     def monomial_weight(self, exps: Tuple[int, ...]) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
+
+    def monomial_count(self, mdeg: Degree, weight: Optional[int] = None) -> int:
+        """Number of monomials of multidegree mdeg (and the weight, if given).
+
+        Variables of equal degree form a block: k of them have C(s+k-1, k-1)
+        monomials of total exponent s.  A dynamic program over the blocks,
+        memoised on the ring across calls, picks each block's total; the last
+        block's total is forced, and multidegree-0 blocks come last.  A total
+        is capped by each coordinate where the block's multidegree is positive
+        and, with a weight, by the weight; without a weight, a block with no
+        positive coordinate is refused.
+        """
+        return self._count(0, tuple(mdeg), weight)
+
+    def _count(self, i: int, m: Degree, w: Optional[int]) -> int:
+        """Monomials of degree (m, w) in the variables of blocks i, i+1, ..."""
+        key = (i, m, w)
+        hit = self._counts.get(key)
+        if hit is not None:
+            return hit
+        (d, wt), k = self._blocks[i]
+        caps = [a // x for a, x in zip(m, d) if x > 0]
+        if w is not None:
+            caps.append(w // wt if wt > 0 else w)  # wt = 0 never in public rings
+        if not caps:
+            raise InputError("unbounded enumeration (zero-degree variable)")
+        top = min(caps)
+        if i == len(self._blocks) - 1:
+            exact = (top >= 0 and all(a == top * x for a, x in zip(m, d))
+                     and (w is None or w == top * wt))
+            return comb(top + k - 1, k - 1) if exact else 0
+        hit = 0
+        for s in range(top + 1):
+            hit += comb(s + k - 1, k - 1) * self._count(i + 1, m, w)
+            m = tuple(a - x for a, x in zip(m, d))
+            if w is not None:
+                w -= wt
+        self._counts[key] = hit
+        return hit
 
     def term_sort_key(self, exps: Tuple[int, ...]):
         """Degrevlex on the weight grading refined by variable index.

@@ -14,9 +14,10 @@ Design points, fixed once for the whole package:
     A colon (U :_F (f_1..f_s)) is the kernel of F -> (+)_k F(-deg f_k)/U,
     e_j |-> (f_k e_j)_k, whose block k lowers F's shifts by deg f_k so the
     map has degree 0; no exact division is involved;
-  * a basis carries its own lead terms: its (lead, vec) reducers are built
-    once, on first use, and every normal form and standard-monomial
-    enumeration reads them from the basis.
+  * a basis carries its own lead terms: its (lead, vec) reducers and the
+    K-polynomials of its initial module are built once, on first use, and
+    every normal form, standard-monomial enumeration and piece count reads
+    them from the basis.
 
 Inhomogeneous generators are rejected.  Every public result is canonically
 sorted, so identical inputs give byte-identical outputs.
@@ -156,27 +157,40 @@ def basis_multiples(f: Polynomial, rank: int) -> Tuple[Column, ...]:
 # term orders on module monomials
 
 
+class _TermKeys(dict):
+    """Term -> key tuple of one order, built on first lookup and kept."""
+
+    __slots__ = ("weights", "wshift", "elimset", "split")
+
+    def __init__(self, free: FreeModule, elim: Tuple[int, ...], split: Optional[int]):
+        super().__init__()
+        self.weights = free.ring.weights
+        self.wshift = free.weight_shifts
+        self.elimset = tuple(sorted(elim))
+        self.split = split
+
+    def __missing__(self, term: Term):
+        c, e = term
+        split, elimset = self.split, self.elimset
+        blockflag = 1 if (split is None or c < split) else 0
+        tagdeg = sum(e[i] for i in elimset) if elimset else 0
+        w = sum(ee * ww for ee, ww in zip(e, self.weights)) + self.wshift[c]
+        k = self[term] = (blockflag, tagdeg, w, tuple(-x for x in reversed(e)), -c)
+        return k
+
+
 class ModOrder:
     """Key object: bigger key tuple = bigger term.
 
     split: first `split` components dominate the rest (syzygy embedding);
     elim: variable indices whose block total degree is compared first.
+    Keys are memoised per order object, so one Buchberger run builds each
+    term's key once.
     """
 
     def __init__(self, free: FreeModule, elim: Tuple[int, ...] = (), split: Optional[int] = None):
         self.split = split
-        weights = free.ring.weights
-        wshift = free.weight_shifts
-        elimset = tuple(sorted(elim))
-
-        def key(term: Term):
-            c, e = term
-            blockflag = 1 if (split is None or c < split) else 0
-            tagdeg = sum(e[i] for i in elimset) if elimset else 0
-            w = sum(ee * ww for ee, ww in zip(e, weights)) + wshift[c]
-            return (blockflag, tagdeg, w, tuple(-x for x in reversed(e)), -c)
-
-        self.key = key
+        self.key = _TermKeys(free, elim, split).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +287,82 @@ class GroebnerBasis:
     def lead_terms(self) -> Tuple[Term, ...]:
         return tuple(lt for lt, _ in self.reducers)
 
+    @cached_property
+    def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
+        """Per component c, the K-polynomial of P/J_c, J_c the monomial ideal
+        of c's lead terms, in the (multidegree, weight) grading: a tuple of
+        (multidegree, weight, coefficient) terms.  Built on first use and
+        cached off the dataclass fields like `reducers`."""
+        ring = self.free.ring
+        degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
+        gens: List[List[Tuple[int, ...]]] = [[] for _ in range(self.free.rank)]
+        for c, exps in self.lead_terms:
+            gens[c].append(exps)
+        return tuple(
+            tuple((a[:-1], a[-1], k) for a, k in sorted(_k_polynomial(g, degs).items()))
+            for g in gens
+        )
+
+
+def _minimal_monomials(gens) -> Tuple[Tuple[int, ...], ...]:
+    """The minimal generators of the monomial ideal (x^g : g in gens), sorted."""
+    out: List[Tuple[int, ...]] = []
+    for g in sorted(set(gens), key=lambda g: (sum(g), g)):
+        if not any(_divides(h, g) for h in out):
+            out.append(g)
+    return tuple(sorted(out))
+
+
+def _k_polynomial(gens, degs) -> Dict[Tuple[int, ...], int]:
+    """Numerator K of the Hilbert series of P/J, J = (x^g : g in gens), with
+    x_v of degree degs[v]: HS(P/J) = K / prod_v (1 - t^deg x_v), as {degree:
+    coefficient}.
+
+    Bigatti's pivot recursion (Bigatti 1997, Computation of Hilbert-Poincare
+    series): with x a variable in the most generators and x^e its least power
+    among them, 0 -> P/(J : x^e)(-e deg x) -> P/J -> P/(J + (x^e)) -> 0 gives
+    K(J) = K(J + (x^e)) + t^(e deg x) K(J : x^e).  Generators coprime to all
+    the others split off as factors 1 - t^deg g, which ends the recursion
+    when they are pairwise coprime; a generator of degree 0 gives K = 0.
+    """
+    nvars, zero = len(degs), (0,) * len(degs[0])
+    memo: Dict[Tuple[Tuple[int, ...], ...], Dict[Tuple[int, ...], int]] = {}
+
+    def add_shifted(out, poly, shift, sign):
+        """out += sign * t^shift * poly, in place; returns out."""
+        for k, c in poly.items():
+            k2 = tuple(x + y for x, y in zip(k, shift))
+            c2 = out.get(k2, 0) + sign * c
+            if c2:
+                out[k2] = c2
+            else:
+                out.pop(k2, None)
+        return out
+
+    def k_of(gs: Tuple[Tuple[int, ...], ...]) -> Dict[Tuple[int, ...], int]:
+        hit = memo.get(gs)
+        if hit is not None:
+            return hit
+        uses = [sum(1 for g in gs if g[v]) for v in range(nvars)]
+        rest = [g for g in gs if any(e and uses[v] > 1 for v, e in enumerate(g))]
+        poly = {zero: 1}
+        if rest:
+            x = max(range(nvars), key=lambda v: (uses[v], -v))
+            e = min(g[x] for g in rest if g[x])
+            pivot = tuple(e if v == x else 0 for v in range(nvars))
+            colon = (tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest)
+            poly = add_shifted(dict(k_of(_minimal_monomials(rest + [pivot]))),
+                               k_of(_minimal_monomials(colon)),
+                               tuple(e * y for y in degs[x]), 1)
+        for g in gs:
+            if g not in rest:
+                shift = tuple(sum(a * d[j] for a, d in zip(g, degs)) for j in range(len(zero)))
+                poly = add_shifted(dict(poly), poly, shift, -1)
+        memo[gs] = poly
+        return poly
+
+    return k_of(_minimal_monomials(gens))
+
 
 def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) -> List[Vec]:
     field = free.ring.field
@@ -342,15 +432,14 @@ def _reduced_basis(free: FreeModule, vecs: List[Vec], order: ModOrder) -> List[V
                     break
         if not redundant:
             keep.append(i)
-    kept = [vecs[i] for i in keep]
-    out: List[Vec] = []
-    for i, v in enumerate(kept):
-        others = [(max(w, key=keyf), w) for j, w in enumerate(kept) if j != i]
-        h = _reduce_vec(field, v, others, keyf)
-        if h:
-            out.append(_vec_monic(field, h, max(h, key=keyf)))
-    out.sort(key=lambda w: keyf(max(w, key=keyf)))
-    return out
+    kept = [(leads[i], vecs[i]) for i in keep]
+    out: List[Tuple[Term, Vec]] = []
+    for i, (lt, v) in enumerate(kept):
+        # no other kept lead divides lt, so lt stays the lead of the remainder
+        h = _reduce_vec(field, v, kept[:i] + kept[i + 1:], keyf)
+        out.append((lt, _vec_monic(field, h, lt)))
+    out.sort(key=lambda t: keyf(t[0]))
+    return [v for _, v in out]
 
 
 @lru_cache(maxsize=None)

@@ -4,10 +4,13 @@ Everything here runs over a polynomial ring P; a module M = F/U over a
 quotient S = P/J is presented over P with J folded into its relation
 columns.  The weight grading does the graded-local work.  Depth comes from
 the minimal resolution via Auslander-Buchsbaum (depth = #vars - pd).
-Vanishing, minimal generator degrees and Krull dimension come from the
-initial module F/in(U) of the relations' Groebner basis, which has the same
-Hilbert function as M; dim is the largest dim P/J_c over its monomial
-components.  The grade of an ideal on P is its height (#vars - dim P/I).
+Vanishing, minimal generator degrees, Krull dimension and graded piece
+dimensions come from the initial module F/in(U) of the relations' Groebner
+basis, which has the same Hilbert function as M; dim is the largest
+dim P/J_c over its monomial components.  A piece dimension is counted from
+the K-polynomials of the P/J_c and the ring's monomial counts, without
+listing the piece; `piece_basis` lists standard monomials for callers that
+need a basis.  The grade of an ideal on P is its height (#vars - dim P/I).
 
 Duality: ext_dual_module(M, i) presents Ext^i(M, P(-w_total)) where w_total
 is the sum of all variable degrees.  Its graded pieces are the k-duals of
@@ -453,6 +456,13 @@ def standard_monomials(
                 yield comp, mono
 
 
+def _refuse_weightless_base(ring: GradedRing, weight: Optional[int]) -> None:
+    if weight is None and not ring.is_field_base():
+        raise InputError(
+            "piece is an infinite-dimensional base-module; pass a weight slice"
+        )
+
+
 @lru_cache(maxsize=None)
 def piece_basis(
     module: ModulePresentation, n: Degree, weight: Optional[int] = None
@@ -463,18 +473,32 @@ def piece_basis(
     the piece is not finite-dimensional and we refuse to sum over weights.
     """
     ring = module.ring
-    if weight is None and not ring.is_field_base():
-        raise InputError(
-            "piece is an infinite-dimensional base-module; pass a weight slice"
-        )
+    _refuse_weightless_base(ring, weight)
     out = list(standard_monomials(module, n, weight))
     out.sort(key=lambda t: (t[0], ring.term_sort_key(t[1])))
     return tuple(out)
 
 
 def graded_piece_dim(module: ModulePresentation, n: Sequence[int], weight: Optional[int] = None) -> int:
-    """Exact k-dimension of the degree-n (optionally weight-sliced) piece."""
-    return len(piece_basis(module, tuple(int(x) for x in n), weight))
+    """Exact k-dimension of the degree-n (optionally weight-sliced) piece,
+    counted without listing it: the piece of F/in(U) = (+)_c P/J_c e_c has
+    dimension sum_c sum_a k_a * #monomials of degree (n - shift_c - a), over
+    the terms k_a t^a of the K-polynomial of P/J_c.  Same refusals as
+    `piece_basis`."""
+    ring = module.ring
+    _refuse_weightless_base(ring, weight)
+    n = tuple(int(x) for x in n)
+    if len(n) != ring.rank:
+        raise InputError("degree rank mismatch")
+    count = ring.monomial_count
+    total = 0
+    for terms, m, w in zip(_relations_gb(module).hilbert_numerators,
+                           module.mdeg_shifts, module.weight_shifts):
+        m = deg_sub(n, m)
+        w = None if weight is None else weight - w
+        for a, aw, k in terms:
+            total += k * count(deg_sub(m, a), None if w is None else w - aw)
+    return total
 
 
 # ---------------------------------------------------------------------------

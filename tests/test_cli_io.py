@@ -377,6 +377,16 @@ def test_main_missing_file_is_input_error(tmp_path, capsys):
         assert err.startswith("error: cannot read") and "nope" in err, argv
 
 
+@pytest.mark.parametrize("text", ["not json", '{"a": 1}', '[{"path": "s.mgcm"}]'],
+                         ids=["not-json", "not-a-list", "row-without-expected"])
+def test_main_malformed_manifest_is_input_error(tmp_path, capsys, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert main(["corpus", "--manifest", str(manifest), "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest") and "manifest.json" in err
+
+
 def test_main_bad_window_flag(tmp_path, capsys):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL)

@@ -167,6 +167,15 @@ def test_v_of_drops_redundant_generator():
     assert v_of(m) == (0,)
 
 
+def test_v_of_drops_redundant_generator_of_least_degree():
+    R = std_ring()
+    # e_0 in degree 0 is a relation itself, so M = P(-1) and v = 1, not 0:
+    # its unit lead term is what leaves it out of the minimal generators
+    m = presentation(R, (((0,), 0), ((1,), 1)), ((R.one(), R.zero()),))
+    assert not is_zero_module(m)
+    assert v_of(m) == (1,)
+
+
 def test_v_of_zero_module_rejected():
     R = std_ring()
     with pytest.raises(InputError):
@@ -256,10 +265,11 @@ def _check_enumerator(M, degrees, weights):
         assert mdeg_layer_nonzero(M, n) == bool(_brute_standard(M, n)), (M, n)
 
 
-def test_standard_monomials_match_brute_force_on_corpus():
+def _corpus_boxes():
+    """(module, degree box, weights) for every nonzero corpus module and each
+    of its ext duals: a box one below and one or two above its shifts."""
     modules = [M for _label, M in _corpus_modules()]
     modules += [ext_dual_module(M, i) for M in modules for i in range(M.ring.nvars + 1)]
-    checked = 0
     for M in modules:
         if M.rank == 0:
             continue
@@ -267,7 +277,13 @@ def test_standard_monomials_match_brute_force_on_corpus():
         lo = [min(d[i] for d in M.mdeg_shifts) - 1 for i in range(r)]
         hi = [max(d[i] for d in M.mdeg_shifts) + (1 if M.ring.nvars >= 6 else 2) for i in range(r)]
         weights = range(max(min(M.weight_shifts), 0), max(M.weight_shifts) + 3)
-        _check_enumerator(M, degree_box(lo, hi), weights)
+        yield M, degree_box(lo, hi), weights
+
+
+def test_standard_monomials_match_brute_force_on_corpus():
+    checked = 0
+    for M, degrees, weights in _corpus_boxes():
+        _check_enumerator(M, degrees, weights)
         checked += 1
     assert checked >= 40
 
@@ -311,6 +327,64 @@ def _binomial_quotients(draw, exponents=st.integers(0, 3), max_gens=4):
 def test_standard_monomials_match_brute_force_on_binomial_ideals(M):
     r = M.ring.rank
     _check_enumerator(M, degree_box((0,) * r, (3,) * r), range(0, 5))
+
+
+# ---------------------------------------------------------------------------
+# the piece counter against the basis it no longer lists
+
+
+def _check_counter(M, degrees, weights):
+    slices = list(weights) + ([None] if M.ring.is_field_base() else [])
+    for n in degrees:
+        for w in slices:
+            assert graded_piece_dim(M, n, w) == len(piece_basis(M, n, w)), (M, n, w)
+
+
+def test_piece_counter_matches_basis_on_corpus():
+    checked = 0
+    for M, degrees, weights in _corpus_boxes():
+        _check_counter(M, degrees, weights)
+        checked += 1
+    assert checked >= 40
+
+
+@st.composite
+def _binomial_modules(draw):
+    """A _binomial_quotients draw P/I, or (P/I)^2 with the second generator
+    shifted by deg x_i and, optionally, glued to the first by x_j (x_i e_0 - e_1)."""
+    M = draw(_binomial_quotients())
+    if draw(st.booleans()):
+        return M
+    ring = M.ring
+    i, j = (draw(st.integers(0, ring.nvars - 1)) for _ in range(2))
+    x_i, x_j = ring.gens()[i], ring.gens()[j]
+    zero = ring.zero()
+    cols = [(f, zero) for (f,) in M.relations] + [(zero, f) for (f,) in M.relations]
+    if draw(st.booleans()):
+        cols.append((x_i * x_j, -x_j))
+    shifts = (((0,) * ring.rank, 0), (ring.degrees[i], ring.weights[i]))
+    return presentation(ring, shifts, tuple(cols))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_binomial_modules())
+def test_piece_counter_matches_basis_on_binomial_modules(M):
+    r = M.ring.rank
+    _check_counter(M, degree_box((-1,) * r, (3,) * r), range(-1, 6))
+
+
+def test_piece_dim_refuses_infinite_pieces():
+    F = field_for_char(7)
+    # no weight over a base with a multidegree-0 variable
+    local = presentation(GradedRing(F, ("x", "a"), ((1,), (0,)), (1, 1)), (((0,), 0),), ())
+    # without a weight, a variable with no positive degree bounds nothing
+    bare = presentation(GradedRing(F, ("x", "t"), ((1,), (-1,)), (1, 0), _allow_zero_weight=True),
+                        (((0,), 0),), ())
+    for M, match in ((local, "infinite-dimensional"), (bare, "unbounded enumeration")):
+        for size in (graded_piece_dim, piece_basis):
+            with pytest.raises(InputError, match=match):
+                size(M, (1,))
+    assert graded_piece_dim(local, (1,), 2) == len(piece_basis(local, (1,), 2)) == 1
 
 
 # ---------------------------------------------------------------------------
