@@ -94,8 +94,14 @@ def sparse_rank(field, rows: List[Dict[int, object]]) -> int:
     """Rank of a matrix given as row dicts (column -> nonzero entry).
 
     Singleton rows and columns are valid pivots that cause no fill-in, so
-    they are peeled off first; the leftover dense core (tiny for the
-    monomial-heavy matrices this engine produces) is eliminated directly.
+    they are peeled off first.  The rows left are split into strands, the
+    connected components of the graph that joins two rows sharing a column
+    (union-find on the columns); strands share no column, so the rank is
+    the sum of their ranks, and each strand's dense core goes to
+    `matrix_rank` on its own.  This is the block-diagonal part of the
+    Dulmage-Mendelsohn decomposition (Pothen-Fan 1990).  A Koszul
+    differential of a monomial module is a direct sum over fine degrees,
+    so its strands are tiny.
     """
     work: Dict[int, Dict[int, object]] = {
         i: dict(r) for i, r in enumerate(rows) if r
@@ -149,19 +155,29 @@ def sparse_rank(field, rows: List[Dict[int, object]]) -> int:
         del work[ri][c]
         drop_row(ri)
 
-    work = {ri: r for ri, r in work.items() if r}
-    if not work:
-        return rank
-    cols = sorted({c for r in work.values() for c in r})
-    cmap = {c: i for i, c in enumerate(cols)}
-    dense = []
+    # rows joined by a column, directly or through other rows, form a
+    # strand: union-find on the columns
+    root: Dict[int, int] = {}
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    rest = [r for r in work.values() if r]
+    for r in rest:
+        heads = [find(root.setdefault(c, c)) for c in r]
+        for h in heads:
+            root[h] = heads[0]
+    strands: Dict[int, List[Dict[int, object]]] = {}
+    for r in rest:
+        strands.setdefault(find(next(iter(r))), []).append(r)
     zero = field.zero
-    for r in work.values():
-        row = [zero] * len(cols)
-        for c, v in r.items():
-            row[cmap[c]] = v
-        dense.append(row)
-    return rank + matrix_rank(field, dense)
+    for group in strands.values():
+        cols = list(dict.fromkeys(c for r in group for c in r))
+        dense = [[r.get(c, zero) for c in cols] for r in group]
+        rank += matrix_rank(field, dense)
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +299,30 @@ def _subset_shift(degs: Sequence[Tuple[Degree, int]], J: Tuple[int, ...], k: int
     return m, w
 
 
+def _piece_offsets(
+    module: ModulePresentation,
+    degs: Sequence[Tuple[Degree, int]],
+    subsets,
+    k: int,
+    n: Degree,
+    weight: Optional[int],
+) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """Offsets of the pieces (n, weight) + k*deg(J), one per subset J, laid
+    end to end, and their total size.
+
+    Pieces here are sized by `piece_basis`: `_mult_matrix` lists their bases
+    anyway, so a separate count would only add work."""
+    offsets: Dict[Tuple[int, ...], int] = {}
+    total = 0
+    for J in subsets:
+        dm, dw = _subset_shift(degs, J, k)
+        offsets[J] = total
+        total += len(piece_basis(
+            module, deg_add(n, dm), None if weight is None else weight + dw
+        ))
+    return offsets, total
+
+
 @lru_cache(maxsize=None)
 def _differential_rank(
     module: ModulePresentation,
@@ -292,10 +332,7 @@ def _differential_rank(
     n: Degree,
     weight: Optional[int],
 ) -> int:
-    """Rank of d^p: C^p -> C^{p+1} on the (n, weight) piece at power level k.
-
-    Pieces here are sized by `piece_basis`: `_mult_matrix` lists their bases
-    anyway, so a separate count would only add work."""
+    """Rank of d^p: C^p -> C^{p+1} on the (n, weight) piece at power level k."""
     s = len(gens)
     if p < 0 or p >= s:
         return 0
@@ -305,22 +342,8 @@ def _differential_rank(
     tgt_subsets = list(itertools.combinations(range(s), p + 1))
     ring = module.ring
 
-    src_off: Dict[Tuple[int, ...], int] = {}
-    total_src = 0
-    for J in src_subsets:
-        dm, dw = _subset_shift(degs, J, k)
-        src_off[J] = total_src
-        total_src += len(piece_basis(
-            module, deg_add(n, dm), None if weight is None else weight + dw
-        ))
-    tgt_off: Dict[Tuple[int, ...], int] = {}
-    total_tgt = 0
-    for J in tgt_subsets:
-        dm, dw = _subset_shift(degs, J, k)
-        tgt_off[J] = total_tgt
-        total_tgt += len(piece_basis(
-            module, deg_add(n, dm), None if weight is None else weight + dw
-        ))
+    src_off, total_src = _piece_offsets(module, degs, src_subsets, k, n, weight)
+    tgt_off, total_tgt = _piece_offsets(module, degs, tgt_subsets, k, n, weight)
     if total_src == 0 or total_tgt == 0:
         return 0
 
@@ -352,13 +375,8 @@ def _koszul_value(
     n: Degree,
     weight: Optional[int],
 ) -> int:
-    s = len(gens)
-    dim_ci = 0  # sized by basis, as in _differential_rank
-    for J in itertools.combinations(range(s), i):
-        dm, dw = _subset_shift(degs, J, k)
-        dim_ci += len(piece_basis(
-            module, deg_add(n, dm), None if weight is None else weight + dw
-        ))
+    subsets = itertools.combinations(range(len(gens)), i)
+    dim_ci = _piece_offsets(module, degs, subsets, k, n, weight)[1]
     r_i = _differential_rank(module, gens, k, i, n, weight)
     r_prev = _differential_rank(module, gens, k, i - 1, n, weight)
     value = dim_ci - r_i - r_prev

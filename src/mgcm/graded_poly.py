@@ -19,7 +19,6 @@ degree-reverse-lexicographic on the weight grading refined by variable index.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -241,6 +240,21 @@ def compare_degrees(a: Sequence[int], b: Sequence[int]) -> DegreeRelation:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+def _block_cap(d: Degree, wt: int, m: Degree, w: Optional[int]) -> int:
+    """The largest total of a block (d, wt) of variables in degree (m, w):
+    the least m_c // d_c where d_c > 0 and, with a weight, w // wt.  Without
+    a weight a multidegree-0 block is held at 0, and a block with no
+    positive coordinate is refused."""
+    caps = [a // x for a, x in zip(m, d) if x > 0]
+    if w is not None:
+        caps.append(w // wt if wt > 0 else w)  # wt = 0 never in public rings
+    elif not any(d):
+        caps.append(0)
+    if not caps:
+        raise InputError("unbounded enumeration (zero-degree variable)")
+    return min(caps)
+
+
 class GradedRing:
     """Immutable multigraded polynomial ring P = k[x_1..x_n].
 
@@ -304,8 +318,7 @@ class GradedRing:
         self._key = (field, names, degrees, weights, self._allow_zero_weight)
         self._hash = hash(self._key)
         self._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
-        sizes = Counter(zip(degrees, weights))
-        self._blocks = sorted(sizes.items(), key=lambda b: not any(b[0][0]))
+        self._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
 
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self._key == other._key
@@ -343,44 +356,82 @@ class GradedRing:
     def monomial_weight(self, exps: Tuple[int, ...]) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
 
+    @property
+    def blocks(self) -> Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]:
+        """The variables grouped by equal (multidegree, weight), as
+        ((degree, weight), variable indices), multidegree-0 blocks last: the
+        order in which monomials are counted and listed.  Built on first
+        use, since most rings never count."""
+        if self._blocks is None:
+            groups: Dict[Tuple[Degree, int], List[int]] = {}
+            for v, dw in enumerate(zip(self.degrees, self.weights)):
+                groups.setdefault(dw, []).append(v)
+            self._blocks = tuple(sorted(
+                ((dw, tuple(vs)) for dw, vs in groups.items()), key=lambda b: not any(b[0][0])
+            ))
+        return self._blocks
+
     def monomial_count(self, mdeg: Degree, weight: Optional[int] = None) -> int:
         """Number of monomials of multidegree mdeg (and the weight, if given).
 
-        Variables of equal degree form a block: k of them have C(s+k-1, k-1)
-        monomials of total exponent s.  A dynamic program over the blocks,
-        memoised on the ring across calls, picks each block's total; the last
-        block's total is forced, and multidegree-0 blocks come last.  A total
-        is capped by each coordinate where the block's multidegree is positive
-        and, with a weight, by the weight; without a weight, a block with no
-        positive coordinate is refused.
+        A dynamic program over `blocks`, memoised on the ring across calls
+        (`count_from`): k variables of one block have C(s+k-1, k-1)
+        monomials of total exponent s.  Without a weight the multidegree-0
+        blocks are held at 0, so this counts the monomials in the other
+        variables; with such variables the piece itself is infinite, and
+        `graded_piece_dim` refuses it before counting.
         """
-        return self._count(0, tuple(mdeg), weight)
+        return self.count_from(0, tuple(mdeg), weight)
 
-    def _count(self, i: int, m: Degree, w: Optional[int]) -> int:
-        """Monomials of degree (m, w) in the variables of blocks i, i+1, ..."""
+    def count_from(self, i: int, m: Degree, w: Optional[int]) -> int:
+        """Monomials of degree (m, w) in the variables of blocks i, i+1, ...;
+        past the last block, 1 if (m, w) is zero and 0 otherwise."""
         key = (i, m, w)
         hit = self._counts.get(key)
         if hit is not None:
             return hit
-        (d, wt), k = self._blocks[i]
-        caps = [a // x for a, x in zip(m, d) if x > 0]
-        if w is not None:
-            caps.append(w // wt if wt > 0 else w)  # wt = 0 never in public rings
-        if not caps:
-            raise InputError("unbounded enumeration (zero-degree variable)")
-        top = min(caps)
-        if i == len(self._blocks) - 1:
+        blocks = self.blocks
+        if i == len(blocks):
+            return int(not any(m) and not w)
+        (d, wt), vs = blocks[i]
+        k = len(vs)
+        top = _block_cap(d, wt, m, w)
+        if i == len(blocks) - 1:
             exact = (top >= 0 and all(a == top * x for a, x in zip(m, d))
                      and (w is None or w == top * wt))
             return comb(top + k - 1, k - 1) if exact else 0
         hit = 0
         for s in range(top + 1):
-            hit += comb(s + k - 1, k - 1) * self._count(i + 1, m, w)
+            hit += comb(s + k - 1, k - 1) * self.count_from(i + 1, m, w)
             m = tuple(a - x for a, x in zip(m, d))
             if w is not None:
                 w -= wt
         self._counts[key] = hit
         return hit
+
+    def block_totals(
+        self, i: int, m: Degree, w: Optional[int]
+    ) -> Iterator[Tuple[int, Degree, Optional[int]]]:
+        """(s, m - s*d, w - s*wt) for each total exponent s that block
+        i = (d, wt) takes in some monomial of degree (m, w) in blocks i,
+        i+1, ...: those after which `count_from` says the later blocks can
+        fill the rest.  The last block's total is forced to its cap."""
+        blocks = self.blocks
+        (d, wt), _vs = blocks[i]
+        top = _block_cap(d, wt, m, w)
+        s = 0
+        if i == len(blocks) - 1 and top > 0:
+            s = top
+            m = tuple(a - top * x for a, x in zip(m, d))
+            if w is not None:
+                w -= top * wt
+        while s <= top:
+            if self.count_from(i + 1, m, w):
+                yield s, m, w
+            s += 1
+            m = tuple(a - x for a, x in zip(m, d))
+            if w is not None:
+                w -= wt
 
     def term_sort_key(self, exps: Tuple[int, ...]):
         """Degrevlex on the weight grading refined by variable index.

@@ -344,94 +344,72 @@ def standard_monomials(
     multidegree-n layer is nonzero iff one of them is standard, so a caller
     may stop at the first hit.
 
-    The walk assigns the walked variables in order and cuts a branch as soon
-    as it is sure to yield nothing; both cuts are exact, so the output is
-    the same as filtering every exponent vector under the budget:
+    The walk goes through the ring's `blocks` of variables of equal degree
+    and weight.  The held variables form the last blocks; they are not
+    walked, and without a weight the ring's count table holds them at 0
+    too, so the held case needs no table of its own.  At each block the walk
+    takes only the totals that `GradedRing.block_totals` allows, those after
+    which the count table says the later blocks can still be filled
+    exactly, and it lists the compositions of that total over the block's
+    variables, the last variable taking what is left.  So no branch runs
+    dry for want of degree, and one cut remains; it is exact, so the output
+    is the same as filtering every exponent vector of degree n:
 
-    - Feasibility: an exponent is taken only if the variables after it can
-      still use up the remaining multidegree and weight exactly; a prefix
-      that fails this has no completion of degree n.  The answer depends on
-      (position, remaining multidegree, remaining weight) alone and is
-      memoised for the call.
     - Prefix divisibility: a lead term is tested once its last walked
-      variable is assigned.  If it divides the prefix it divides every
-      completion, and every larger exponent of that variable, so the rest of
-      the loop is cut.  A lead term of support 0 divides everything and
-      empties its component.
+      variable, in block order, is assigned, including a block's forced
+      last variable.  If it divides the prefix it divides every completion,
+      and every larger exponent of that variable, so the rest of the loop is
+      cut.  A lead term of support 0 divides everything and empties its
+      component.
 
     Every leaf has degree n and has been tested against every lead term
-    outside the held variables, so it is yielded without a check.
+    outside the held variables, so it is yielded without a check.  The
+    order of the output is not the term order; `piece_basis` sorts.
     """
     ring = module.ring
     if len(n) != ring.rank:
         raise InputError("degree rank mismatch")
     leads = _relations_gb(module).lead_terms
-    held = () if weight is not None else ring.base_variable_indices()
-    walked = [v for v in range(ring.nvars) if v not in held]
-    last = len(walked)
-    steps = [(ring.degrees[v], ring.weights[v]) for v in walked]
+    blocks = ring.blocks
+    if weight is None:
+        # the held blocks come last, so the walked ones keep their indices
+        blocks = tuple(b for b in blocks if any(b[0][0]))
+    order = [v for _dw, vs in blocks for v in vs]
+    slot = {v: pos for pos, v in enumerate(order)}
+    # the block of each walked position, and whether it is the block's last
+    block_of = [i for i, (_dw, vs) in enumerate(blocks) for _v in vs]
+    closes = [j == len(vs) - 1 for _dw, vs in blocks for j in range(len(vs))]
+    end = len(order)
     exps = [0] * ring.nvars
-    feasible_memo: Dict[Tuple[int, Degree, Optional[int]], bool] = {}
 
-    def cap(pos: int, rem_m: Degree, rem_w: Optional[int]) -> int:
-        """Largest exponent of variable pos that fits the remaining degree."""
-        d, w = steps[pos]
-        caps = [rem_m[c] // x for c, x in enumerate(d) if x > 0]
-        if rem_w is not None:
-            caps.append(rem_w // w if w > 0 else rem_w)  # w = 0 never in public rings
-        if not caps:
-            raise InputError("unbounded enumeration (zero-degree variable)")
-        return min(caps)
-
-    def children(pos: int, rem_m: Degree, rem_w: Optional[int]):
-        """(exponent, remaining multidegree, remaining weight) after variable pos."""
-        d, w = steps[pos]
-        for e in range(cap(pos, rem_m, rem_w) + 1):
-            yield e, rem_m, rem_w
-            rem_m = tuple(a - x for a, x in zip(rem_m, d))
-            if rem_w is not None:
-                rem_w -= w
-
-    def feasible(pos: int, rem_m: Degree, rem_w: Optional[int]) -> bool:
-        if pos == last:
-            return not any(rem_m) and not rem_w
-        if pos == last - 1:
-            # the last variable fills an exact remainder only at its cap
-            e = cap(pos, rem_m, rem_w)
-            d, w = steps[pos]
-            return (all(a == e * x for a, x in zip(rem_m, d))
-                    and (rem_w is None or rem_w == e * w))
-        key = (pos, rem_m, rem_w)
-        hit = feasible_memo.get(key)
-        if hit is None:
-            hit = False
-            for _e, m, w in children(pos, rem_m, rem_w):
-                if feasible(pos + 1, m, w):
-                    hit = True
-                    break
-            feasible_memo[key] = hit
-        return hit
-
-    def walk(pos: int, buckets, rem_m: Degree, rem_w: Optional[int]):
-        if pos == last:
+    def walk(pos: int, left: int, rem_m: Degree, rem_w: Optional[int], buckets):
+        """Assign order[pos] from the `left` of its block's total; at a block
+        start (left < 0), pick the block's total first."""
+        if pos == end:
             yield tuple(exps)
             return
-        v = walked[pos]
+        if left < 0:
+            for s, m, w in ring.block_totals(block_of[pos], rem_m, rem_w):
+                yield from walk(pos, s, m, w, buckets)
+            return
+        v = order[pos]
         ending = buckets[pos]
-        for e, m, w in children(pos, rem_m, rem_w):
-            exps[v] = e
-            if any(all(exps[u] >= k for u, k in lt) for lt in ending):
-                break
-            if feasible(pos + 1, m, w):
-                yield from walk(pos + 1, buckets, m, w)
+        if closes[pos]:
+            exps[v] = left
+            if not any(all(exps[u] >= k for u, k in lt) for lt in ending):
+                yield from walk(pos + 1, -1, rem_m, rem_w, buckets)
+        else:
+            for e in range(left + 1):
+                exps[v] = e
+                if any(all(exps[u] >= k for u, k in lt) for lt in ending):
+                    break
+                yield from walk(pos + 1, left - e, rem_m, rem_w, buckets)
         exps[v] = 0
-
-    slot = {v: pos for pos, v in enumerate(walked)}
 
     def lead_buckets(comp: int):
         """The component's lead terms as (variable, exponent) supports, listed
         under the position of their last walked variable; None if one is 1."""
-        buckets: List[List[Tuple[Tuple[int, int], ...]]] = [[] for _ in walked]
+        buckets: List[List[Tuple[Tuple[int, int], ...]]] = [[] for _ in order]
         for c, lt in leads:
             if c != comp:
                 continue
@@ -448,11 +426,11 @@ def standard_monomials(
         target_w = None if weight is None else weight - module.weight_shifts[comp]
         if any(x < 0 for x in target_m) or (target_w is not None and target_w < 0):
             continue
-        if not feasible(0, target_m, target_w):
+        if not ring.count_from(0, target_m, target_w):
             continue
         buckets = lead_buckets(comp)
         if buckets is not None:
-            for mono in walk(0, buckets, target_m, target_w):
+            for mono in walk(0, -1, target_m, target_w, buckets):
                 yield comp, mono
 
 

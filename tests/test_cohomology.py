@@ -76,17 +76,21 @@ def test_rank_mod_p():
         assert matrix_rank(PrimeField(p), [[ui * vj % p for vj in v] for ui in u]) == 1
 
 
+def _char_and_scalars(draw):
+    """Q or one of four primes p, and a strategy for matrix entries: over F_p
+    unreduced ints (some of them multiples of p), over Q Fractions."""
+    p = draw(st.sampled_from((0, 7, 32003, 4294967311, 2**61 - 1)))
+    if p:
+        return p, st.one_of(st.integers(-3, 3), st.integers(0, 2 * p), st.just(p))
+    return p, st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
 @st.composite
 def _rank_cases(draw):
     """(field, rows): a low-rank dense product, so a dense core is left after
     singleton peeling, plus a few rows with one or two nonzero entries, in
-    random order.  Over F_p the entries are unreduced ints (some of them
-    multiples of p); over Q they are Fractions."""
-    p = draw(st.sampled_from((0, 7, 32003, 4294967311, 2**61 - 1)))
-    if p:
-        scalar = st.one_of(st.integers(-3, 3), st.integers(0, 2 * p), st.just(p))
-    else:
-        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    random order."""
+    p, scalar = _char_and_scalars(draw)
     nrows, ncols, k = draw(st.integers(0, 6)), draw(st.integers(1, 7)), draw(st.integers(0, 3))
     left = [[draw(scalar) for _ in range(k)] for _ in range(nrows)]
     right = [[draw(scalar) for _ in range(ncols)] for _ in range(k)]
@@ -99,10 +103,7 @@ def _rank_cases(draw):
     return field_for_char(p), draw(st.permutations(rows))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_rank_cases())
-def test_rank_kernels_match_sympy(case):
-    field, rows = case
+def _check_rank_kernels(field, rows):
     ncols = len(rows[0]) if rows else 0
     if field.char:
         K = GF(field.char)
@@ -115,6 +116,44 @@ def test_rank_kernels_match_sympy(case):
     elements = [{c: field.of(x) for c, x in enumerate(r) if field.of(x)} for r in rows]
     assert sparse_rank(field, elements) == expected
     assert matrix_rank(field, [[field.of(x) for x in r] for r in rows]) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rank_cases())
+def test_rank_kernels_match_sympy(case):
+    _check_rank_kernels(*case)
+
+
+@st.composite
+def _block_diagonal_cases(draw):
+    """(field, rows): two to four dense low-rank blocks on disjoint columns,
+    so several strands are left after singleton peeling, with the rows and
+    the columns of the whole matrix shuffled."""
+    p, scalar = _char_and_scalars(draw)
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        nrows, ncols, k = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 3))
+        left = [[draw(scalar) for _ in range(k)] for _ in range(nrows)]
+        right = [[draw(scalar) for _ in range(ncols)] for _ in range(k)]
+        blocks.append([[sum(lr[t] * right[t][j] for t in range(k)) for j in range(ncols)]
+                       for lr in left])
+    width = sum(len(b[0]) for b in blocks)
+    perm = draw(st.permutations(range(width)))
+    rows, start = [], 0
+    for b in blocks:
+        for r in b:
+            row = [0] * width
+            for j, x in enumerate(r):
+                row[perm[start + j]] = x
+            rows.append(row)
+        start += len(b[0])
+    return field_for_char(p), draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_block_diagonal_cases())
+def test_rank_kernels_match_sympy_on_permuted_block_diagonals(case):
+    _check_rank_kernels(*case)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,13 @@ def _binomial_quotients(draw, exponents=st.integers(0, 3), max_gens=4):
     if draw(st.booleans()):
         degrees[-1] = (0,) * rank
     weights = [draw(st.integers(1, 2)) for _ in range(nvars)]
+    return _binomial_quotient(draw, degrees, weights, exponents, max_gens)
+
+
+def _binomial_quotient(draw, degrees, weights, exponents, max_gens):
+    """k[x_0..x_{v-1}]/I with the given degrees and weights, for I drawn as
+    in `_binomial_quotients`."""
+    nvars = len(degrees)
     ring = GradedRing(field_for_char(32003), tuple(f"x{i}" for i in range(nvars)),
                       tuple(degrees), tuple(weights))
     exps = st.lists(exponents, min_size=nvars, max_size=nvars)
@@ -327,6 +334,32 @@ def _binomial_quotients(draw, exponents=st.integers(0, 3), max_gens=4):
 def test_standard_monomials_match_brute_force_on_binomial_ideals(M):
     r = M.ring.rank
     _check_enumerator(M, degree_box((0,) * r, (3,) * r), range(0, 5))
+
+
+@st.composite
+def _interleaved_quotients(draw):
+    """Quotients drawn as in `_binomial_quotients` over rings whose blocks of
+    equal (degree, weight) interleave in variable-index order, and whose
+    variable 0 has multidegree 0: it is first by index and, held or walked
+    last, last by block."""
+    rank = draw(st.integers(1, 2))
+    kinds = [((1,), 1), ((1,), 2)] if rank == 1 else [((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]
+    a, b = draw(st.permutations(kinds))[:2]
+    pattern = draw(st.sampled_from(("aba", "abab", "abba")))
+    kinds = [((0,) * rank, draw(st.integers(1, 2)))] + [a if c == "a" else b for c in pattern]
+    degrees, weights = zip(*kinds)
+    # sparse exponents keep lead terms inside the degree box of the test
+    return _binomial_quotient(draw, degrees, weights, st.sampled_from((0, 0, 0, 1, 1, 2)), 4)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_interleaved_quotients())
+def test_standard_monomials_match_brute_force_on_interleaved_blocks(M):
+    # the ring has a multidegree-0 variable, so the weightless slice is
+    # checked through mdeg_layer_nonzero, the held-variable path
+    assert not M.ring.is_field_base()
+    r = M.ring.rank
+    _check_enumerator(M, degree_box((0,) * r, (4 - r,) * r), range(0, 5))
 
 
 # ---------------------------------------------------------------------------
