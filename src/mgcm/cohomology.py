@@ -35,7 +35,7 @@ from .graded_poly import (
     deg_scale,
     deg_zero,
 )
-from .groebner_engine import ModulePresentation, normal_form_column
+from .groebner_engine import ModulePresentation
 from .homological import (
     _relations_gb,
     ext_dual_module,
@@ -253,7 +253,6 @@ def _mult_matrix(
     x^b * x^a * e_s is in the target basis, the column is ((index, c),) as
     it stands.  Every other product is reduced against the relations basis,
     which is fetched only if such a product comes up."""
-    ring = module.ring
     src = piece_basis(module, n, weight)
     gm, gw = g.degree_pair()
     tgt = piece_basis(module, deg_add(n, gm), None if weight is None else weight + gw)
@@ -270,14 +269,8 @@ def _mult_matrix(
                 continue
         if gb is None:
             gb = _relations_gb(module)
-        col = [ring.zero()] * module.rank
-        col[comp] = g * ring.monomial(exps)
-        red = normal_form_column(gb, tuple(col))
-        cols.append(tuple(
-            (index[(comp2, e2)], c2)
-            for comp2, entry in enumerate(red)
-            for e2, c2 in entry.terms
-        ))
+        red = gb.reduce({(comp, tuple(a + b for a, b in zip(exps, ge))): c for ge, c in g.terms})
+        cols.append(tuple((index[t], c) for t, c in red.items()))
     return tuple(cols), len(src), len(tgt)
 
 

@@ -262,6 +262,11 @@ class GradedRing:
     with J among its relations (`cyclic_presentation` gives S itself).  Depth,
     dimension and local cohomology at the irrelevant ideal are the same over
     S and over P, so every construction works over P alone.
+
+    Rings are interned: equal constructor arguments (field, names, degrees,
+    weights, _allow_zero_weight) return the same object, so rings compare by
+    identity and equal rings share their count tables.  The registry is
+    unbounded; it holds one entry per distinct ring built in the process.
     """
 
     __slots__ = (
@@ -271,14 +276,14 @@ class GradedRing:
         "weights",
         "_allow_zero_weight",
         "_name_index",
-        "_key",
-        "_hash",
         "_counts",
         "_blocks",
     )
 
-    def __init__(
-        self,
+    _registry: Dict[tuple, "GradedRing"] = {}
+
+    def __new__(
+        cls,
         field: Field,
         names: Sequence[str],
         degrees: Sequence[Sequence[int]],
@@ -288,6 +293,10 @@ class GradedRing:
         names = tuple(names)
         degrees = tuple(tuple(int(x) for x in d) for d in degrees)
         weights = tuple(int(w) for w in weights)
+        key = (field, names, degrees, weights, bool(_allow_zero_weight))
+        ring = cls._registry.get(key)
+        if ring is not None:
+            return ring
         if not names:
             raise InputError("ring needs at least one variable")
         if len(set(names)) != len(names):
@@ -309,22 +318,17 @@ class GradedRing:
         for w in weights:
             if w < floor:
                 raise InputError(f"variable weight {w} below {floor}")
-        self.field = field
-        self.names = names
-        self.degrees = degrees
-        self.weights = weights
-        self._allow_zero_weight = bool(_allow_zero_weight)
-        self._name_index = {nm: i for i, nm in enumerate(names)}
-        self._key = (field, names, degrees, weights, self._allow_zero_weight)
-        self._hash = hash(self._key)
-        self._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
-        self._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
-
-    def __eq__(self, other):
-        return isinstance(other, GradedRing) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
+        ring = super().__new__(cls)
+        ring.field = field
+        ring.names = names
+        ring.degrees = degrees
+        ring.weights = weights
+        ring._allow_zero_weight = key[-1]
+        ring._name_index = {nm: i for i, nm in enumerate(names)}
+        ring._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
+        ring._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
+        cls._registry[key] = ring
+        return ring
 
     def __repr__(self):
         return f"GradedRing(char={self.field.char}, vars={','.join(self.names)})"

@@ -14,10 +14,11 @@ Design points, fixed once for the whole package:
     A colon (U :_F (f_1..f_s)) is the kernel of F -> (+)_k F(-deg f_k)/U,
     e_j |-> (f_k e_j)_k, whose block k lowers F's shifts by deg f_k so the
     map has degree 0; no exact division is involved;
-  * a basis carries its own lead terms: its (lead, vec) reducers and the
-    K-polynomials of its initial module are built once, on first use, and
-    every normal form, standard-monomial enumeration and piece count reads
-    them from the basis.
+  * a basis keeps one form: the (lead term, vec) pairs Buchberger ends
+    with, sorted by lead.  Normal forms, standard-monomial enumeration and
+    piece counts read them as they are; syzygies and elimination pick their
+    elements by lead term alone, and columns of polynomials are built only
+    for what a public function returns.  Bases compare by identity.
 
 Inhomogeneous generators are rejected.  Every public result is canonically
 sorted, so identical inputs give byte-identical outputs.
@@ -263,36 +264,39 @@ def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf) -> Vec:
 # Buchberger
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
-    """Reduced, monic, canonically sorted basis with the data of its order."""
+    """Reduced, monic basis as (lead term, vec) pairs sorted by lead, with
+    the data of its order.  Compared by identity: equal inputs give equal
+    `elements`, not equal objects."""
 
     free: FreeModule
-    elements: Tuple[Column, ...]
+    reducers: Tuple[Tuple[Term, Vec], ...]
     elim: Tuple[int, ...] = ()
     split: Optional[int] = None
 
     def order(self) -> ModOrder:
         return ModOrder(self.free, self.elim, self.split)
 
-    @cached_property
-    def reducers(self) -> Tuple[Tuple[Term, Vec], ...]:
-        """(lead term, vec) per element in element order, built on first use;
-        cached off the dataclass fields, so equality and hashing ignore it."""
-        keyf = self.order().key
-        vecs = [_col_to_vec(col) for col in self.elements]
-        return tuple((max(v, key=keyf), v) for v in vecs)
-
     @property
     def lead_terms(self) -> Tuple[Term, ...]:
         return tuple(lt for lt, _ in self.reducers)
+
+    @property
+    def elements(self) -> Tuple[Column, ...]:
+        """The elements as columns, built on each access."""
+        ring, rank = self.free.ring, self.free.rank
+        return tuple(_vec_to_col(ring, rank, v) for _, v in self.reducers)
+
+    def reduce(self, v: Vec) -> Vec:
+        """Normal form of a vec of the free module."""
+        return _reduce_vec(self.free.ring.field, v, self.reducers, self.order().key)
 
     @cached_property
     def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
         """Per component c, the K-polynomial of P/J_c, J_c the monomial ideal
         of c's lead terms, in the (multidegree, weight) grading: a tuple of
-        (multidegree, weight, coefficient) terms.  Built on first use and
-        cached off the dataclass fields like `reducers`."""
+        (multidegree, weight, coefficient) terms.  Built on first use."""
         ring = self.free.ring
         degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
         gens: List[List[Tuple[int, ...]]] = [[] for _ in range(self.free.rank)]
@@ -413,7 +417,7 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
     return [v for _, v in basis]
 
 
-def _reduced_basis(free: FreeModule, vecs: List[Vec], order: ModOrder) -> List[Vec]:
+def _reduced_basis(free: FreeModule, vecs: List[Vec], order: ModOrder) -> List[Tuple[Term, Vec]]:
     field = free.ring.field
     keyf = order.key
     leads = [max(v, key=keyf) for v in vecs]
@@ -439,7 +443,7 @@ def _reduced_basis(free: FreeModule, vecs: List[Vec], order: ModOrder) -> List[V
         h = _reduce_vec(field, v, kept[:i] + kept[i + 1:], keyf)
         out.append((lt, _vec_monic(field, h, lt)))
     out.sort(key=lambda t: keyf(t[0]))
-    return [v for _, v in out]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -453,9 +457,7 @@ def groebner_module(
     elim = tuple(free.ring.var_index(nm) for nm in elim_names)
     order = ModOrder(free, elim, split)
     vecs = _buchberger_vecs(free, gens, order)
-    vecs = _reduced_basis(free, vecs, order)
-    cols = tuple(_vec_to_col(free.ring, free.rank, v) for v in vecs)
-    return GroebnerBasis(free, cols, elim, split)
+    return GroebnerBasis(free, tuple(_reduced_basis(free, vecs, order)), elim, split)
 
 
 def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial]) -> GroebnerBasis:
@@ -467,8 +469,7 @@ def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial]) -> GroebnerBas
 def normal_form_column(gb: GroebnerBasis, col: Column) -> Column:
     free = gb.free
     free.validate_column(col)
-    rem = _reduce_vec(free.ring.field, _col_to_vec(col), gb.reducers, gb.order().key)
-    return _vec_to_col(free.ring, free.rank, rem)
+    return _vec_to_col(free.ring, free.rank, gb.reduce(_col_to_vec(col)))
 
 
 def normal_form(gb: GroebnerBasis, f: Polynomial) -> Polynomial:
@@ -515,15 +516,13 @@ def syzygy_basis(free: FreeModule, gens: Sequence[Column]) -> Tuple[FreeModule, 
         return FreeModule(free.ring, (), ()), ()
     big, gb = _syzygy_data(free, gens)
     p = free.rank
-    degs = list(zip(big.mdeg_shifts[p:], big.weight_shifts[p:]))
-    syzfree = FreeModule(free.ring, tuple(d for d, _ in degs), tuple(w for _, w in degs))
-    out: List[Column] = []
-    for col in gb.elements:
-        if all(e.is_zero() for e in col[:p]):
-            tail = col[p:]
-            if any(not e.is_zero() for e in tail):
-                out.append(tail)
-    return syzfree, tuple(out)
+    syzfree = FreeModule(free.ring, big.mdeg_shifts[p:], big.weight_shifts[p:])
+    # F's components rank first, so a lead at or past p means no F part
+    out = tuple(
+        _vec_to_col(free.ring, len(gens), {(c - p, e): x for (c, e), x in v.items()})
+        for (lc, _), v in gb.reducers if lc >= p
+    )
+    return syzfree, out
 
 
 def lift_through(free: FreeModule, gens: Sequence[Column], target: Column) -> Optional[Column]:
@@ -710,11 +709,6 @@ def subring_without(ring: GradedRing, drop: Sequence[str]) -> Tuple[GradedRing, 
     return sub, keep
 
 
-def _project_poly(sub: GradedRing, keep: Tuple[int, ...], f: Polynomial) -> Polynomial:
-    terms = tuple((tuple(e[i] for i in keep), c) for e, c in f.terms)
-    return sub.from_dict(dict(terms))
-
-
 def eliminate(ring: GradedRing, gens: Sequence[Polynomial], drop: Sequence[str]) -> Tuple[GradedRing, Tuple[Polynomial, ...]]:
     """Generators of (gens) intersected with the subring omitting `drop`."""
     free = FreeModule(ring, ((0,) * ring.rank,), (0,))
@@ -726,18 +720,13 @@ def eliminate_module(
     free: FreeModule, gens: Sequence[Column], drop: Sequence[str]
 ) -> Tuple[FreeModule, Tuple[Column, ...]]:
     """Module elimination: basis elements of (gens) not involving `drop`."""
-    ring = free.ring
     gb = groebner_module(free, tuple(gens), tuple(drop))
-    drop_idx = [ring.var_index(nm) for nm in drop]
-    sub, keep = subring_without(ring, drop)
+    sub, keep = subring_without(free.ring, drop)
     subfree = FreeModule(sub, free.mdeg_shifts, free.weight_shifts)
-    out: List[Column] = []
-    for col in gb.elements:
-        clean = True
-        for entry in col:
-            if any(any(e[i] != 0 for i in drop_idx) for e, _ in entry.terms):
-                clean = False
-                break
-        if clean:
-            out.append(tuple(_project_poly(sub, keep, entry) for entry in col))
-    return subfree, tuple(out)
+    # tag degree is compared first, so a lead without `drop` means none at all
+    out = tuple(
+        _vec_to_col(sub, free.rank, {(c, tuple(e[i] for i in keep)): x
+                                     for (c, e), x in v.items()})
+        for (_, lead), v in gb.reducers if not any(lead[i] for i in gb.elim)
+    )
+    return subfree, out

@@ -34,7 +34,6 @@ from .groebner_engine import (
     free_presentation,
     groebner_module,
     ideal_power_product,
-    normal_form_column,
     presentation,
 )
 from .homological import grade_of, graded_piece_dim, krull_dim, piece_basis
@@ -346,7 +345,6 @@ class IrrelevantReesModule:
     module: ModulePresentation
 
 
-@lru_cache(maxsize=None)
 def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     S = M.ring
     gens = irrelevant_support(S).generators
@@ -402,11 +400,8 @@ def irrelevant_piece_oracle(
     ci = 0
     for comp, exps in src:
         for _, sexps in smonos:
-            col = [S.zero()] * M.rank
-            col[comp] = S.monomial(tuple(a + b for a, b in zip(exps, sexps)))
-            red = normal_form_column(gb, tuple(col))
-            for comp2, entry in enumerate(red):
-                for e2, c2 in entry.terms:
-                    rows[index[(comp2, e2)]][ci] = c2
+            red = gb.reduce({(comp, tuple(a + b for a, b in zip(exps, sexps))): S.field.one})
+            for t, c in red.items():
+                rows[index[t]][ci] = c
             ci += 1
     return matrix_rank(S.field, rows)

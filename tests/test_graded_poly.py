@@ -106,6 +106,21 @@ def test_ring_rejects_mixed_rank():
         GradedRing(field_for_char(0), ("x", "y"), ((1,), (0, 1)), (1, 1))
 
 
+def test_equal_ring_arguments_give_the_same_ring():
+    a = GradedRing(field_for_char(7), ("x", "y"), ((1,), (2,)), (1, 2))
+    b = GradedRing(PrimeField(7), ["x", "y"], [[1], [2]], [1, 2])
+    assert a is b
+
+
+def test_allow_zero_weight_gives_a_distinct_ring():
+    args = (field_for_char(0), ("x", "y"), ((1,), (1,)), (1, 1))
+    internal = GradedRing(*args, _allow_zero_weight=True)
+    assert internal is GradedRing(*args, _allow_zero_weight=1)
+    public = GradedRing(*args)
+    assert public is not internal and public != internal
+    assert public is GradedRing(*args, _allow_zero_weight=False)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
