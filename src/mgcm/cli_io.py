@@ -48,6 +48,16 @@ ENGINE_VERSION = "mgcm-" + __version__
 CACHE_ENV_VAR = "MGCM_CACHE_DIR"
 VERIFY_IDS = ("thm31", "lem-vanish", "lem41", "thm42", "lem44", "lem45", "thm46")
 
+
+def _target_kind_error(theorem: str, kind: str, target: str) -> Optional[str]:
+    """Why `verify theorem target` is refused, or None: thm31 and lem-vanish
+    take a module, the other statements a rees or multirees object."""
+    need = ("module",) if theorem in ("thm31", "lem-vanish") else ("rees", "multirees")
+    if kind in need:
+        return None
+    return f"'{theorem}' expects a {' or '.join(need)} target, got {kind} '{target}'"
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -516,13 +526,9 @@ class _Parser:
             self.err(toff, f"'{target}' ({self.kinds[target]}) cannot be used with {verb}")
             return
         if verb == "verify":
-            need = ("module",) if theorem in ("thm31", "lem-vanish") else ("rees", "multirees")
-            if self.kinds[target] not in need:
-                self.err(
-                    toff,
-                    f"'{theorem}' expects a {' or '.join(need)} target,"
-                    f" got {self.kinds[target]} '{target}'",
-                )
+            wrong = _target_kind_error(theorem, self.kinds[target], target)
+            if wrong:
+                self.err(toff, wrong)
                 return
         rest = body[body.index(target) + len(target):]
         roff = body_off + body.index(target) + len(target)
@@ -769,6 +775,10 @@ def execute_session(
         if t.target not in objects:
             raise InputError(f"unknown target '{t.target}'")
         kind, obj = objects[t.target]
+        if t.verb == "verify":
+            wrong = _target_kind_error(t.theorem, kind, t.target)
+            if wrong:
+                raise InputError(wrong)
         head = t.theorem if t.verb == "verify" else t.verb
         instance = f"{stem}:{idx}:{head}:{t.target}"
         args = dict(t.args)
@@ -1007,13 +1017,20 @@ def _worst(verdicts: Sequence[str]) -> str:
     return min(verdicts, key=lambda v: _VERDICT_ORDER.get(v, 0))
 
 
+def _is_corpus_entry(result) -> bool:
+    """Has a cached result the shape `run_manifest_entry` stores?  Any other
+    value under a matching key is corrupt and reads as a miss."""
+    shape = (("instance", str), ("verdict", str), ("detail", list))
+    return isinstance(result, dict) and all(isinstance(result.get(k), t) for k, t in shape)
+
+
 def run_manifest_entry(path: str, flags: RunFlags, cache_dir: Optional[str]) -> dict:
     stem = os.path.splitext(os.path.basename(path))[0]
     text = _read_text(path)
     material = _file_key_material(text, flags, "corpus-entry")
     if cache_dir is not None:
         cached = cache_fetch(cache_dir, material)
-        if cached is not None:
+        if _is_corpus_entry(cached):
             return cached
     try:
         session = parse_session(text)

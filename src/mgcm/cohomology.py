@@ -480,6 +480,22 @@ def mdeg_layer_nonzero(module: ModulePresentation, n: Degree) -> bool:
 # sheaf cohomology on Proj
 
 
+def _sheaf_value(module: ModulePresentation, i: int, n: Degree,
+                 weight: Optional[int], margin: bool) -> Tuple[int, int]:
+    """(dim_k H^i(Z, sheaf(module)(n)), stabilization level of the colimits
+    it read).  For i >= 1 this is the degree-n piece of H^{i+1} at the
+    irrelevant ideal; for i = 0 global sections have dimension
+    dim module_n - h^0 + h^1 (h^j at the irrelevant ideal)."""
+    support = irrelevant_support(module.ring)
+    if i >= 1:
+        cv = local_cohomology_dim(module, support, i + 1, n, weight, margin)
+        return cv.value, cv.stab_k
+    mn = graded_piece_dim(module, n, weight)
+    h0 = local_cohomology_dim(module, support, 0, n, weight, margin)
+    h1 = local_cohomology_dim(module, support, 1, n, weight, margin)
+    return mn - h0.value + h1.value, max(h0.stab_k, h1.stab_k)
+
+
 def sheaf_cohomology_dim(
     module: ModulePresentation,
     i: int,
@@ -487,20 +503,10 @@ def sheaf_cohomology_dim(
     weight: Optional[int] = None,
     margin: bool = True,
 ) -> int:
-    """dim_k H^i(Z, sheaf(module)(n)) on Z = Proj of the ambient ring.
-
-    For i >= 1 this is the degree-n piece of H^{i+1} at the irrelevant
-    ideal; for i = 0 global sections have dimension
-    dim module_n - h^0 + h^1 (h^j at the irrelevant ideal)."""
+    """dim_k H^i(Z, sheaf(module)(n)) on Z = Proj of the ambient ring."""
     if i < 0:
         raise InputError("negative cohomological index")
-    support = irrelevant_support(module.ring)
-    if i >= 1:
-        return local_cohomology_dim(module, support, i + 1, n, weight, margin).value
-    mn = graded_piece_dim(module, tuple(n), weight)
-    h0 = local_cohomology_dim(module, support, 0, n, weight, margin).value
-    h1 = local_cohomology_dim(module, support, 1, n, weight, margin).value
-    return mn - h0 + h1
+    return _sheaf_value(module, i, tuple(n), weight, margin)[0]
 
 
 def sections_natural_iso(
@@ -563,20 +569,10 @@ def cohomology_table(
     i_list = sorted(set(int(i) for i in i_range))
     if any(i < 0 for i in i_list):
         raise InputError("negative cohomological index")
-    support = irrelevant_support(module.ring)
-    rows = []
-    for i in i_list:
-        for n in sorted(window):
-            if i >= 1:
-                cv = local_cohomology_dim(module, support, i + 1, n)
-                rows.append((i, n, cv.value, cv.stab_k))
-            else:
-                h0 = local_cohomology_dim(module, support, 0, n)
-                h1 = local_cohomology_dim(module, support, 1, n)
-                dim = graded_piece_dim(module, n) - h0.value + h1.value
-                stab = max(x for x in (h0.stab_k, h1.stab_k, 0) if x is not None)
-                rows.append((i, n, dim, stab))
-    return CohomologyTable(tuple(rows), window, "koszul-colimit")
+    rows = tuple(
+        (i, n) + _sheaf_value(module, i, n, None, True) for i in i_list for n in sorted(window)
+    )
+    return CohomologyTable(rows, window, "koszul-colimit")
 
 
 def degree_box(lo: Sequence[int], hi: Sequence[int]) -> Tuple[Degree, ...]:

@@ -709,13 +709,6 @@ def subring_without(ring: GradedRing, drop: Sequence[str]) -> Tuple[GradedRing, 
     return sub, keep
 
 
-def eliminate(ring: GradedRing, gens: Sequence[Polynomial], drop: Sequence[str]) -> Tuple[GradedRing, Tuple[Polynomial, ...]]:
-    """Generators of (gens) intersected with the subring omitting `drop`."""
-    free = FreeModule(ring, ((0,) * ring.rank,), (0,))
-    subfree, cols = eliminate_module(free, tuple((g,) for g in gens if not g.is_zero()), drop)
-    return subfree.ring, tuple(g for (g,) in cols)
-
-
 def eliminate_module(
     free: FreeModule, gens: Sequence[Column], drop: Sequence[str]
 ) -> Tuple[FreeModule, Tuple[Column, ...]]:

@@ -2,19 +2,20 @@
 
 Blows up a list of ideals into a polynomial ambient (one new variable per
 ideal generator, multidegree e_j, weight inherited from the generator).
-One routine builds the graph T - image * t of the substitution in a ring
-with internal tag variables t and eliminates the tags: from the graph alone
-for the defining relations, and from the graph on every generator of a
-module plus that module's relations for its Rees module.  The multi-Rees
-construction and the regraded module of the irrelevant ideal used by the
-vanishing checks differ only in how they grade the tag ring.  Layered on
-top: the diagonal, taken from a module and its ideals as the Rees module
-of their product, and fiber cones with their analytic spread.
+One routine, `_blow_up`, builds the graph T - image * t of the substitution
+in a ring with internal tag variables t, places it on every generator of a
+module, and eliminates the tags once from it together with the module's
+relations; every column it returns is checked by substituting the images
+back.  The multi-Rees algebra is the Rees module of the cyclic free module,
+and the regraded module of the irrelevant ideal used by the vanishing
+checks differs from a Rees module only in how it grades the tag ring.
+Layered on top: the diagonal, taken from a module and its ideals as the
+Rees module of their product, and fiber cones with their analytic spread.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .graded_poly import (
     GradedRing,
@@ -28,13 +29,13 @@ from .groebner_engine import (
     ModulePresentation,
     basis_multiples,
     cyclic_presentation,
-    eliminate,
     eliminate_module,
     free_module,
     free_presentation,
     groebner_module,
     ideal_power_product,
     presentation,
+    submodule_contains,
 )
 from .homological import grade_of, graded_piece_dim, krull_dim, piece_basis
 from .cohomology import irrelevant_support, matrix_rank
@@ -42,14 +43,6 @@ from .cohomology import irrelevant_support, matrix_rank
 
 # ---------------------------------------------------------------------------
 # validation and naming
-
-
-def _check_base(base: GradedRing):
-    for d in base.degrees:
-        if any(x != 0 for x in d):
-            raise InputError(
-                "Rees base must be graded-local: variable multidegrees all zero"
-            )
 
 
 def _check_blocks(base: GradedRing, ideals) -> Tuple[Tuple[Polynomial, ...], ...]:
@@ -111,6 +104,50 @@ def _tvar_names(taken, blocks) -> Tuple[Tuple[str, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
+# the blow-up
+
+
+def _blow_up(
+    M: ModulePresentation, blocks, base_degrees, block_degrees, tag_degrees, shifts
+) -> ModulePresentation:
+    """Image of M under T -> g * t_j for the generators g of block j.
+
+    The tag ring holds M's variables in `base_degrees`, one new variable T
+    per generator in its block's degree (`block_degrees`, weight of g) and
+    one tag t_j per block in `tag_degrees` (weight 0).  The graph T - g * t_j
+    is placed on every generator of M and the tags are eliminated once from
+    it together with M's relations.  Every returned column is checked by
+    substituting the images back: it must lie in the span of M's relations
+    over the tag ring, so it must vanish when M is free."""
+    base = M.ring
+    taken = set(base.names)
+    tnames = _tvar_names(taken, blocks)
+    taken.update(nm for blk in tnames for nm in blk)
+    tags: List[str] = []
+    for j in range(len(blocks)):
+        tags.append(_fresh(taken, f"t{j + 1}"))
+        taken.add(tags[-1])
+    names = list(base.names) + [nm for blk in tnames for nm in blk] + tags
+    degrees = list(base_degrees) + [d for blk, d in zip(tnames, block_degrees) for _ in blk]
+    weights = list(base.weights) + [g.degree_pair()[1] for gens in blocks for g in gens]
+    tag_ring = GradedRing(base.field, names, degrees + list(tag_degrees),
+                          weights + [0] * len(tags), _allow_zero_weight=True)
+    images = {nm: substitute(g, tag_ring, {}) * tag_ring.var(tag)
+              for tag, gens, blk in zip(tags, blocks, tnames) for g, nm in zip(gens, blk)}
+    free = free_module(tag_ring, shifts)
+    rels = tuple(tuple(substitute(e, tag_ring, {}) for e in col) for col in M.relations)
+    cols = list(rels)
+    for nm, image in images.items():
+        cols.extend(basis_multiples(tag_ring.var(nm) - image, M.rank))
+    subfree, kernel = eliminate_module(free, cols, tags)
+    for col in kernel:
+        back = tuple(substitute(e, tag_ring, images) for e in col)
+        if not submodule_contains(free, rels, back):
+            raise AssertionError("Rees relation fails the tag substitution check")
+    return presentation(subfree.ring, shifts, kernel)
+
+
+# ---------------------------------------------------------------------------
 # multi-Rees algebras
 
 
@@ -134,90 +171,14 @@ class ReesPresentation:
         return cyclic_presentation(self.ambient, self.defining)
 
 
-@dataclass(frozen=True)
-class _Graph:
-    """Graph of T -> image * t in the tag ring, and its tag-free part.
-
-    `relations` holds T - image * t for every new variable T, with t the tag
-    of T's block; `ambient` and `defining` are what survives eliminating the
-    tags from those relations."""
-
-    tag_ring: GradedRing
-    tags: Tuple[str, ...]
-    relations: Tuple[Polynomial, ...]
-    ambient: GradedRing
-    defining: Tuple[Polynomial, ...]
-
-
-def _eliminate_tags(tag_ring: GradedRing, tags, blocks, tnames) -> _Graph:
-    """Graph of T -> g * t_j for the generators g of block j, named by
-    tnames[j], with the tags eliminated; every surviving relation is
-    checked by substituting the images back."""
-    images: Dict[str, Polynomial] = {}
-    for tag, gens, blk in zip(tags, blocks, tnames):
-        tpoly = tag_ring.var(tag)
-        for g, nm in zip(gens, blk):
-            images[nm] = substitute(g, tag_ring, {}) * tpoly
-    graph = tuple(tag_ring.var(nm) - image for nm, image in images.items())
-    ambient, defining = eliminate(tag_ring, graph, tuple(tags))
-    for h in defining:
-        if not substitute(h, tag_ring, images).is_zero():
-            raise AssertionError("Rees relation fails the tag substitution check")
-    return _Graph(tag_ring, tuple(tags), graph, ambient, defining)
-
-
-def _graph_module(graph: _Graph, M: ModulePresentation, shifts) -> ModulePresentation:
-    """Image of M under the blow-up: M's relations plus the graph placed on
-    every generator, with the tags eliminated, over the ambient."""
-    tag_ring = graph.tag_ring
-    cols = [tuple(substitute(e, tag_ring, {}) for e in col) for col in M.relations]
-    for g in graph.relations:
-        cols.extend(basis_multiples(g, M.rank))
-    _, kernel = eliminate_module(free_module(tag_ring, shifts), cols, graph.tags)
-    return presentation(graph.ambient, shifts, kernel)
-
-
-def _unit_vector(j: int, r: int) -> Tuple[int, ...]:
-    return tuple(1 if x == j else 0 for x in range(r))
-
-
-@lru_cache(maxsize=None)
-def _rees_plan(base: GradedRing, blocks) -> Tuple[ReesPresentation, _Graph]:
-    _check_base(base)
-    _grade_gate(blocks)
-    r = len(blocks)
-    taken = set(base.names)
-    tnames = _tvar_names(taken, blocks)
-    taken.update(nm for blk in tnames for nm in blk)
-    tags: List[str] = []
-    for j in range(r):
-        nm = _fresh(taken, f"t{j + 1}")
-        tags.append(nm)
-        taken.add(nm)
-
-    names = list(base.names)
-    degrees: List[Tuple[int, ...]] = [deg_zero(r) for _ in base.names]
-    weights = list(base.weights)
-    for j, (gens, blk) in enumerate(zip(blocks, tnames)):
-        ej = _unit_vector(j, r)
-        for g, nm in zip(gens, blk):
-            names.append(nm)
-            degrees.append(ej)
-            weights.append(g.degree_pair()[1])
-    for j, nm in enumerate(tags):
-        names.append(nm)
-        degrees.append(_unit_vector(j, r))
-        weights.append(0)
-    tag_ring = GradedRing(base.field, names, degrees, weights, _allow_zero_weight=True)
-    graph = _eliminate_tags(tag_ring, tags, blocks, tnames)
-    rees = ReesPresentation(base, blocks, graph.ambient, graph.defining, r)
-    return rees, graph
-
-
 def multi_rees_algebra_presentation(base: GradedRing, ideals) -> ReesPresentation:
-    """Presentation of the blow-up algebra of the given ideals of the base."""
+    """Presentation of the blow-up algebra of the given ideals of the base:
+    the Rees module of the cyclic free module."""
     blocks = _check_blocks(base, ideals)
-    return _rees_plan(base, blocks)[0]
+    mod = _rees_module(free_presentation(base, ((deg_zero(base.rank), 0),)), blocks)
+    return ReesPresentation(
+        base, blocks, mod.ring, tuple(c[0] for c in mod.relations), len(blocks)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +197,15 @@ def rees_module_presentation(N: ModulePresentation, ideals) -> ModulePresentatio
 
 @lru_cache(maxsize=None)
 def _rees_module(N: ModulePresentation, blocks) -> ModulePresentation:
-    rees, graph = _rees_plan(N.ring, blocks)
-    for d in N.mdeg_shifts:
-        if any(x != 0 for x in d):
-            raise InputError("module generators must sit in multidegree zero over the base")
-    shifts = tuple((deg_zero(rees.rank), w) for w in N.weight_shifts)
-    return _graph_module(graph, N, shifts)
+    if any(any(d) for d in N.ring.degrees):
+        raise InputError("Rees base must be graded-local: variable multidegrees all zero")
+    _grade_gate(blocks)
+    if any(any(d) for d in N.mdeg_shifts):
+        raise InputError("module generators must sit in multidegree zero over the base")
+    r = len(blocks)
+    units = [tuple(int(x == j) for x in range(r)) for j in range(r)]
+    shifts = tuple((deg_zero(r), w) for w in N.weight_shifts)
+    return _blow_up(N, blocks, [deg_zero(r)] * N.ring.nvars, units, units, shifts)
 
 
 def rees_piece_oracle(
@@ -333,15 +297,13 @@ def fiber_cone_spread(ideal_gens) -> int:
 class IrrelevantReesModule:
     """Blow-up of the irrelevant ideal with M as coefficients.
 
-    The ambient ring extends the source grading by one coordinate: old
+    The module's ring extends the source grading by one coordinate: old
     variables keep their multidegree with a zero appended, the new variables
     sit in degree (0, ..., 0, 1).  Graded pieces at (n; k) match the span of
     M_n times the degree-(k, ..., k) part of the source ring.
     """
 
     source: ModulePresentation
-    ambient: GradedRing
-    algebra_relations: Tuple[Polynomial, ...]
     module: ModulePresentation
 
 
@@ -351,25 +313,14 @@ def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     refusal = "irrelevant ideal must have positive grade"
     _grade_gate((gens,), unit=refusal, zero=refusal)
     r = S.rank
-    taken = set(S.names)
-    tnames = _tvar_names(taken, (gens,))[0]
-    taken.update(tnames)
-    tag = _fresh(taken, "t")
-
-    names = list(S.names) + list(tnames) + [tag]
-    degrees = [tuple(d) + (0,) for d in S.degrees]
-    tdeg = deg_zero(r) + (1,)
-    degrees.extend(tdeg for _ in tnames)
-    degrees.append(tuple(-1 for _ in range(r)) + (1,))
-    weights = list(S.weights) + [gp.degree_pair()[1] for gp in gens] + [0]
-    tag_ring = GradedRing(S.field, names, degrees, weights, _allow_zero_weight=True)
-    graph = _eliminate_tags(tag_ring, (tag,), (gens,), (tnames,))
-
     shifts = tuple(
         (tuple(d) + (0,), w) for d, w in zip(M.mdeg_shifts, M.weight_shifts)
     )
-    module = _graph_module(graph, M, shifts)
-    return IrrelevantReesModule(M, graph.ambient, graph.defining, module)
+    module = _blow_up(
+        M, (gens,), [tuple(d) + (0,) for d in S.degrees], [deg_zero(r) + (1,)],
+        [tuple(-1 for _ in range(r)) + (1,)], shifts,
+    )
+    return IrrelevantReesModule(M, module)
 
 
 def irrelevant_piece_oracle(

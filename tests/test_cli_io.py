@@ -301,6 +301,21 @@ def test_cache_non_object_entry_is_miss(tmp_path, capsys):
     assert cache_fetch(d, material)["verdict"] == "holds"
 
 
+def test_cache_entry_that_is_not_a_corpus_result_is_miss(tmp_path, capsys):
+    # an object under the right key without instance, verdict and detail is
+    # recomputed and overwritten, not read
+    f = tmp_path / "s.mgcm"
+    f.write_text(SMALL)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"path": "s.mgcm", "expected": "holds"}]))
+    d = str(tmp_path / "c")
+    material = cli_io._file_key_material(SMALL, RunFlags(), "corpus-entry")
+    cache_store(d, material, {"verdict": "holds"})
+    assert main(["corpus", "--manifest", str(manifest), "--cache-dir", d]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == {"pass": 1, "fail": 0}
+    assert cache_fetch(d, material)["instance"] == "s"
+
+
 def test_cache_keyed_on_source_digest(monkeypatch, tmp_path):
     d = str(tmp_path)
     flags = RunFlags()
@@ -360,6 +375,19 @@ def test_main_verify_synthesizes_target(tmp_path, capsys):
     assert main(["verify", "thm42", str(f), "R"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["entries"][0]["theorem"] == "thm42"
+
+
+@pytest.mark.parametrize("theorem,target,need", [
+    ("thm31", "S", "module"),
+    ("lem41", "M", "rees or multirees"),
+])
+def test_main_verify_ad_hoc_target_of_the_wrong_kind_is_input_error(
+    theorem, target, need, capsys
+):
+    # a target named on the command line obeys the parser's target-kind rule
+    path = os.path.join(os.path.dirname(shipped_manifest_path()), "cox-p1-free.mgcm")
+    assert main(["verify", theorem, path, target]) == 2
+    assert f"'{theorem}' expects a {need} target" in capsys.readouterr().err
 
 
 def test_main_verify_missing_directive(tmp_path, capsys):

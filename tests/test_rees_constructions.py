@@ -7,6 +7,7 @@ import mgcm.rees_constructions as rc
 from mgcm.graded_poly import GradedRing, InputError, RationalField, parse_polynomial
 from mgcm.groebner_engine import (
     cyclic_presentation,
+    eliminate_module,
     free_module,
     free_presentation,
     ideal_power_product,
@@ -162,6 +163,54 @@ def test_nonzero_multidegree_shift_rejected(A):
         rees_module_presentation(N, ((A.var("a"),),))
 
 
+@pytest.fixture
+def fresh_rees_cache():
+    # a patched elimination must neither reuse nor leave cached Rees modules
+    rc._rees_module.cache_clear()
+    yield
+    rc._rees_module.cache_clear()
+
+
+def _append_to_elimination(monkeypatch, column):
+    """Make every blow-up's elimination return one more column, built by
+    `column` from the eliminated ring."""
+
+    def with_extra_column(free, gens, drop):
+        subfree, cols = eliminate_module(free, gens, drop)
+        return subfree, cols + (column(subfree.ring),)
+
+    monkeypatch.setattr(rc, "eliminate_module", with_extra_column)
+
+
+def test_tag_substitution_check_rejects_a_column_off_a_free_module(
+    A, monkeypatch, fresh_rees_cache
+):
+    # T*e_0 maps to a*t*e_0, which is not zero in the free module
+    _append_to_elimination(monkeypatch, lambda R: (R.var("T"),))
+    N = free_presentation(A, (((0,), 0),))
+    with pytest.raises(AssertionError, match="tag substitution check"):
+        rees_module_presentation(N, ((A.var("a"), A.var("b")),))
+    with pytest.raises(AssertionError, match="tag substitution check"):
+        multi_rees_algebra_presentation(A, ((A.var("a"),),))
+    S = GradedRing(QQ, ("x0", "x1"), [(1,), (1,)], [1, 1])
+    with pytest.raises(AssertionError, match="tag substitution check"):
+        irrelevant_rees(free_presentation(S, (((0,), 0),)))
+
+
+def test_tag_substitution_check_accepts_only_columns_in_the_relations(
+    A, monkeypatch, fresh_rees_cache
+):
+    N = cyclic_presentation(A, (A.var("b"),))
+    blocks = ((A.var("a"), A.var("b")),)
+    _append_to_elimination(monkeypatch, lambda R: (R.var("b"),))
+    mod = rees_module_presentation(N, blocks)
+    assert (mod.ring.var("b"),) in mod.relations
+    rc._rees_module.cache_clear()
+    _append_to_elimination(monkeypatch, lambda R: (R.var("a"),))
+    with pytest.raises(AssertionError, match="tag substitution check"):
+        rees_module_presentation(N, blocks)
+
+
 # -- diagonals ----------------------------------------------------------------
 
 
@@ -224,9 +273,9 @@ def test_regraded_line(A):
     M = free_presentation(S, (((0,), 0),))
     blow = irrelevant_rees(M)
     assert isinstance(blow, IrrelevantReesModule)
-    assert blow.ambient.names == ("x", "T")
-    assert blow.ambient.degrees == ((1, 0), (0, 1))
-    assert blow.algebra_relations == ()
+    assert blow.module.ring.names == ("x", "T")
+    assert blow.module.ring.degrees == ((1, 0), (0, 1))
+    assert blow.module.relations == ()
     assert graded_piece_dim(blow.module, (1, 2)) == 1
     assert irrelevant_piece_oracle(blow, (1,), 2) == 1
 
@@ -235,8 +284,9 @@ def test_regraded_projective_line():
     S = GradedRing(QQ, ("x0", "x1"), [(1,), (1,)], [1, 1])
     M = free_presentation(S, (((0,), 0),))
     blow = irrelevant_rees(M)
-    assert len(blow.algebra_relations) == 1
-    assert ideal_equal(blow.ambient, blow.algebra_relations, ["x1*T - x0*U"])
+    assert len(blow.module.relations) == 1
+    (rel,) = blow.module.relations
+    assert ideal_equal(blow.module.ring, rel, ["x1*T - x0*U"])
     for n in range(4):
         assert graded_piece_dim(blow.module, (n, 0)) == graded_piece_dim(M, (n,))
 
