@@ -16,14 +16,12 @@ __version__ = "0.1.0"
 from .graded_poly import (  # noqa: F401
     DEFAULT_PRIME,
     Degree,
-    DegreeRelation,
     GradedRing,
     InputError,
     Polynomial,
     PrimeField,
     RationalField,
     ResourceLimit,
-    compare_degrees,
     field_for_char,
     parse_polynomial,
     poly_str,

@@ -58,6 +58,21 @@ def _target_kind_error(theorem: str, kind: str, target: str) -> Optional[str]:
     return f"'{theorem}' expects a {' or '.join(need)} target, got {kind} '{target}'"
 
 
+# the key=value arguments each directive reads, by verb or verification id;
+# the parser refuses any other key
+DIRECTIVE_KEYS = {
+    "check": (),
+    "table": ("i", "window"),
+    "thm31": ("window",),
+    "lem-vanish": ("window", "k"),
+    "lem41": (),
+    "thm42": (),
+    "lem44": ("weights",),
+    "lem45": ("bound",),
+    "thm46": ("bound",),
+}
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -533,11 +548,16 @@ class _Parser:
         rest = body[body.index(target) + len(target):]
         roff = body_off + body.index(target) + len(target)
         args: List[Tuple[str, str]] = []
+        head = theorem or verb
         for am in re.finditer(r"(\S+)", rest):
             atext = am.group(1)
             km = re.match(r"([a-z]+)=(.*)\Z", atext)
             if not km:
                 self.err(roff + am.start(), f"expected 'key=value', got '{atext}'")
+                return
+            if km.group(1) not in DIRECTIVE_KEYS[head]:
+                keys = ", ".join(DIRECTIVE_KEYS[head]) or "none"
+                self.err(roff + am.start(), f"'{head}' does not read '{km.group(1)}' (keys: {keys})")
                 return
             args.append((km.group(1), km.group(2)))
         self.directives.append(Directive(verb, theorem, target, tuple(sorted(args))))
@@ -943,21 +963,24 @@ def cache_fetch(directory: str, material: str) -> Optional[dict]:
 
 
 def cache_store(directory: str, material: str, result: dict) -> None:
-    os.makedirs(directory, exist_ok=True)
     payload = {
         "created": datetime.now(timezone.utc).isoformat(),
         "engine": ENGINE_VERSION,
         "key": material,
         "result": result,
     }
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, _cache_path(directory, material))
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, _cache_path(directory, material))
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as e:
+        raise InputError(f"cannot write cache directory '{directory}': {e.strerror or e}") from e
 
 
 _SOURCE_DIGEST: Optional[str] = None

@@ -29,8 +29,8 @@ from .graded_poly import (
     InputError,
     Polynomial,
     ResourceLimit,
-    compare_degrees,
     deg_add,
+    deg_lt,
     deg_neg,
     deg_scale,
     deg_zero,
@@ -535,10 +535,10 @@ def support_E_vanishes(module: ModulePresentation, i: int, n: Sequence[int]) -> 
 
 def _check_below_v(module: ModulePresentation, n: Sequence[int]):
     v = v_of(module)
-    rel = compare_degrees(v, tuple(int(x) for x in n))
-    if not rel.gt:
+    n = tuple(int(x) for x in n)
+    if len(n) != len(v) or not deg_lt(n, v):
         raise InputError(
-            f"fiber identity out of range: degree {tuple(n)} is not strictly below v = {v}"
+            f"fiber identity out of range: degree {n} is not strictly below v = {v}"
         )
 
 

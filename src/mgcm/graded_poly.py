@@ -198,42 +198,6 @@ def deg_min(a: Degree, b: Degree) -> Degree:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-def deg_max(a: Degree, b: Degree) -> Degree:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-@dataclass(frozen=True)
-class DegreeRelation:
-    geq: bool
-    gt: bool
-    leq: bool
-    lt: bool
-    incomparable: bool
-    lower: Degree
-    upper: Degree
-
-
-def compare_degrees(a: Sequence[int], b: Sequence[int]) -> DegreeRelation:
-    """Partial-order comparison record plus coordinatewise min/max."""
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
-    if len(a) != len(b):
-        raise InputError(f"rank mismatch: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise InputError("empty multidegree")
-    geq = deg_leq(b, a)
-    leq = deg_leq(a, b)
-    return DegreeRelation(
-        geq=geq,
-        gt=deg_lt(b, a),
-        leq=leq,
-        lt=deg_lt(a, b),
-        incomparable=not (geq or leq),
-        lower=deg_min(a, b),
-        upper=deg_max(a, b),
-    )
-
-
 # ---------------------------------------------------------------------------
 # rings
 
@@ -633,19 +597,27 @@ def substitute(poly: Polynomial, target: GradedRing, images: Dict[str, Polynomia
     same-named variable of the target ring."""
     if poly.ring.field.char != target.field.char:
         raise InputError("substitution across characteristics")
-    out = target.zero()
+    f = target.field
+    names = poly.ring.names
+    out: Dict[Tuple[int, ...], object] = {}
     for exps, c in poly.terms:
-        term = Polynomial(target, (((0,) * target.nvars, c),))
+        moved = [0] * target.nvars
+        term = None
         for i, e in enumerate(exps):
             if not e:
                 continue
-            nm = poly.ring.names[i]
-            img = images.get(nm)
+            img = images.get(names[i])
             if img is None:
-                img = target.var(nm)
-            term = term * img ** e
-        out = out + term
-    return out
+                moved[target.var_index(names[i])] += e
+            elif img.ring != target:
+                raise InputError("image outside the target ring")
+            else:
+                term = img ** e if term is None else term * img ** e
+        mapped = term.terms if term is not None else (((0,) * target.nvars, f.one),)
+        for e, tc in mapped:
+            key = tuple(a + b for a, b in zip(moved, e))
+            out[key] = f.add(out.get(key, f.zero), f.mul(c, tc))
+    return target.from_dict(out)
 
 
 # ---------------------------------------------------------------------------

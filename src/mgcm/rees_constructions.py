@@ -6,14 +6,15 @@ One routine, `_blow_up`, builds the graph T - image * t of the substitution
 in a ring with internal tag variables t, places it on every generator of a
 module, and eliminates the tags once from it together with the module's
 relations; every column it returns is checked by substituting the images
-back.  The multi-Rees algebra is the Rees module of the cyclic free module,
-and the regraded module of the irrelevant ideal used by the vanishing
-checks differs from a Rees module only in how it grades the tag ring.
+back.  Every construction returns a plain `ModulePresentation`: the
+multi-Rees algebra is the Rees module of the cyclic free module, and the
+regraded module of the irrelevant ideal used by the vanishing checks
+differs from a Rees module only in how it grades the tag ring.
 Layered on top: the diagonal, taken from a module and its ideals as the
 Rees module of their product, and fiber cones with their analytic spread.
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -28,7 +29,6 @@ from .graded_poly import (
 from .groebner_engine import (
     ModulePresentation,
     basis_multiples,
-    cyclic_presentation,
     eliminate_module,
     free_module,
     free_presentation,
@@ -151,34 +151,13 @@ def _blow_up(
 # multi-Rees algebras
 
 
-@dataclass(frozen=True)
-class ReesPresentation:
-    """Blown-up presentation of a multi-Rees algebra.
-
-    `ambient` is a polynomial ring on the base variables (multidegree zero)
-    plus one variable per ideal generator, carrying multidegree e_j for the
-    j-th ideal and the weight of its generator.  `defining` generates the
-    relations among the new variables over the base.
-    """
-
-    base: GradedRing
-    blocks: Tuple[Tuple[Polynomial, ...], ...]
-    ambient: GradedRing
-    defining: Tuple[Polynomial, ...]
-    rank: int
-
-    def as_module(self) -> ModulePresentation:
-        return cyclic_presentation(self.ambient, self.defining)
-
-
-def multi_rees_algebra_presentation(base: GradedRing, ideals) -> ReesPresentation:
+def multi_rees_algebra_presentation(base: GradedRing, ideals) -> ModulePresentation:
     """Presentation of the blow-up algebra of the given ideals of the base:
-    the Rees module of the cyclic free module."""
+    the Rees module of the cyclic free module.  Its ring holds the base
+    variables (multidegree zero) plus one variable per ideal generator, in
+    multidegree e_j for the j-th ideal with the weight of its generator."""
     blocks = _check_blocks(base, ideals)
-    mod = _rees_module(free_presentation(base, ((deg_zero(base.rank), 0),)), blocks)
-    return ReesPresentation(
-        base, blocks, mod.ring, tuple(c[0] for c in mod.relations), len(blocks)
-    )
+    return _rees_module(free_presentation(base, ((deg_zero(base.rank), 0),)), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +217,17 @@ def rees_piece_oracle(
 # diagonals
 
 
-def diagonal_of(N: ModulePresentation, ideals, window: int = 2):
+DIAGONAL_WINDOW = 2
+
+
+def diagonal_of(N: ModulePresentation, ideals):
     """Rees module of N over the product of the ideals, with a window certificate.
 
     Returns (value, certificate): the certificate lists (n, weight, dim)
-    triples on which the diagonal's graded pieces were checked against the
-    multi-Rees module of N at (n, ..., n).  A mismatch raises AssertionError
-    since the identity is exact; for a single ideal the Rees module itself is
-    returned with an empty certificate.
+    triples, n = 0..DIAGONAL_WINDOW, on which the diagonal's graded pieces
+    were checked against the multi-Rees module of N at (n, ..., n).  A
+    mismatch raises AssertionError since the identity is exact; for a single
+    ideal the Rees module itself is returned with an empty certificate.
     """
     blocks = _check_blocks(N.ring, ideals)
     mod = _rees_module(N, blocks)
@@ -257,9 +239,9 @@ def diagonal_of(N: ModulePresentation, ideals, window: int = 2):
     wshifts = N.weight_shifts or (0,)
     wmax = max(g.degree_pair()[1] for blk in blocks for g in blk)
     wlo = min(0, min(wshifts))
-    whi = window * wmax + max(0, max(wshifts)) + 1
+    whi = DIAGONAL_WINDOW * wmax + max(0, max(wshifts)) + 1
     entries = []
-    for nd in range(window + 1):
+    for nd in range(DIAGONAL_WINDOW + 1):
         for w in range(wlo, whi + 1):
             dd = graded_piece_dim(value, (nd,), w)
             xx = graded_piece_dim(mod, (nd,) * r, w)
@@ -282,19 +264,15 @@ def fiber_cone_spread(ideal_gens) -> int:
         raise InputError("ideal needs at least one generator")
     base = gens[0].ring
     rees = multi_rees_algebra_presentation(base, (gens,))
-    amb = rees.ambient
-    rels = list(rees.defining)
-    for nm in base.names:
-        rels.append(amb.var(nm))
-    return krull_dim(cyclic_presentation(amb, tuple(rels)))
+    fiber = rees.relations + tuple((rees.ring.var(nm),) for nm in base.names)
+    return krull_dim(replace(rees, relations=fiber))
 
 
 # ---------------------------------------------------------------------------
 # the regraded module of the irrelevant ideal
 
 
-@dataclass(frozen=True)
-class IrrelevantReesModule:
+def irrelevant_rees(M: ModulePresentation) -> ModulePresentation:
     """Blow-up of the irrelevant ideal with M as coefficients.
 
     The module's ring extends the source grading by one coordinate: old
@@ -302,12 +280,6 @@ class IrrelevantReesModule:
     sit in degree (0, ..., 0, 1).  Graded pieces at (n; k) match the span of
     M_n times the degree-(k, ..., k) part of the source ring.
     """
-
-    source: ModulePresentation
-    module: ModulePresentation
-
-
-def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     S = M.ring
     gens = irrelevant_support(S).generators
     refusal = "irrelevant ideal must have positive grade"
@@ -316,21 +288,18 @@ def irrelevant_rees(M: ModulePresentation) -> IrrelevantReesModule:
     shifts = tuple(
         (tuple(d) + (0,), w) for d, w in zip(M.mdeg_shifts, M.weight_shifts)
     )
-    module = _blow_up(
+    return _blow_up(
         M, (gens,), [tuple(d) + (0,) for d in S.degrees], [deg_zero(r) + (1,)],
         [tuple(-1 for _ in range(r)) + (1,)], shifts,
     )
-    return IrrelevantReesModule(M, module)
 
 
-def irrelevant_piece_oracle(
-    blowup: IrrelevantReesModule, n: Sequence[int], k: int
-) -> int:
-    """Independent count of the (n; k) piece: rank of the multiplication
-    span of the degree-(k, ..., k) monomials against the degree-n basis."""
+def irrelevant_piece_oracle(M: ModulePresentation, n: Sequence[int], k: int) -> int:
+    """Independent count of the (n; k) piece of `irrelevant_rees(M)`: rank of
+    the multiplication span of the degree-(k, ..., k) monomials against the
+    degree-n basis of M."""
     if k < 0:
         raise InputError("negative power")
-    M = blowup.source
     S = M.ring
     if not S.is_field_base():
         raise InputError("weightless piece oracle needs a field base")

@@ -14,7 +14,8 @@ from .graded_poly import (
     Degree,
     InputError,
     ResourceLimit,
-    compare_degrees,
+    deg_leq,
+    deg_lt,
     deg_zero,
 )
 from .groebner_engine import (
@@ -174,6 +175,9 @@ def _window_box(module, window):
         return box, box[0], box[-1]
     lo = tuple(int(x) for x in window[0])
     hi = tuple(int(x) for x in window[1])
+    r = module.ring.rank
+    if len(lo) != r or len(hi) != r:
+        raise InputError(f"window {lo}..{hi} does not have the module's rank {r}")
     return degree_box(lo, hi), lo, hi
 
 
@@ -225,7 +229,7 @@ def verify_cm_biconditional(
     inv = is_cohen_macaulay(M)
     a = a_invariant(M)
     v = v_of(M)
-    a_below = compare_degrees(v, a).gt
+    a_below = deg_lt(a, v)
     left = inv.cm and a_below
     checks.append(
         CheckRecord("left-cm", None, None, str(inv.cm), "", "info",
@@ -248,8 +252,8 @@ def verify_cm_biconditional(
     imax_sheaf = max(1, dim_m - r + 1)
     right = True
     for n in box:
-        above = compare_degrees(n, v).geq
-        below = compare_degrees(v, n).gt
+        above = deg_leq(v, n)
+        below = deg_lt(n, v)
         if above:
             for w in weights:
                 iso = sections_natural_iso(M, n, w)
@@ -287,15 +291,14 @@ def verify_regraded_vanishing(
     planned = M.ring.nvars + len(irrelevant_support(M.ring).generators)
     if planned > REGRADED_VAR_LIMIT:
         raise ResourceLimit("instance too large for the regraded vanishing check")
-    blow = irrelevant_rees(M)
-    T = blow.module
+    T = irrelevant_rees(M)
     box, lo, hi = _window_box(M, window)
     v = v_of(M)
     dim_t = krull_dim(T)
     checks: List[CheckRecord] = []
     right = True
     for n in box:
-        if not compare_degrees(v, n).gt:
+        if not deg_lt(n, v):
             continue
         for k in k_range:
             layer = n + (k,)
@@ -383,17 +386,18 @@ def _power_cols(N: ModulePresentation, blocks, exps) -> Tuple[Tuple, ...]:
 def verify_colon_identities(
     N: ModulePresentation,
     ideals,
-    bound: Sequence[int] = (2, 2),
-    which: str = "both",
+    bound: Sequence[int],
+    which: str,
     instance: str = "",
 ) -> VerificationReport:
-    """Exact generator-membership colon checks over the base.
+    """Exact generator-membership colon checks over the base, one family.
 
-    "pushforward-colon": (product^(n-m)) N equals ((product^n) N : product^m)
-    for all 0 <= m <= n <= bound.  "subset-colon": for every nonempty index
-    subset K and l in K, (prod_K) N : I_l equals (prod_{K minus l}) N.
+    "pushforward-colon" (lem45): (product^(n-m)) N equals
+    ((product^n) N : product^m) for all 0 <= m <= n <= bound.
+    "subset-colon" (thm46): for every nonempty index subset K and l in K,
+    (prod_K) N : I_l equals (prod_{K minus l}) N.
     """
-    if which not in ("pushforward-colon", "subset-colon", "both"):
+    if which not in ("pushforward-colon", "subset-colon"):
         raise InputError(f"unknown colon family {which!r}")
     blocks = _normalize_blocks(ideals)
     r = len(blocks)
@@ -409,7 +413,7 @@ def verify_colon_identities(
 
     mod = rees_module_presentation(N, blocks)
     inv = is_cohen_macaulay(mod)
-    ident = inv.cm and compare_degrees(v_of(mod), a_invariant(mod)).gt
+    ident = inv.cm and deg_lt(a_invariant(mod), v_of(mod))
     hyps.append(
         HypothesisCheck(
             "sections-are-power-pieces",
@@ -419,10 +423,10 @@ def verify_colon_identities(
                if ident else "not certified, identity checked as stated"),
         )
     )
-    if which in ("subset-colon", "both"):
+    if which == "subset-colon":
         prod_all = ideal_power_product(blocks, (1,) * r)
         palg = multi_rees_algebra_presentation(base, (prod_all,))
-        pinv = is_cohen_macaulay(palg.as_module())
+        pinv = is_cohen_macaulay(palg)
         hyps.append(
             HypothesisCheck(
                 "diagonal-charts-cm",
@@ -436,7 +440,8 @@ def verify_colon_identities(
     checks: List[CheckRecord] = []
     right = True
 
-    if which in ("pushforward-colon", "both"):
+    if which == "pushforward-colon":
+        window = (deg_zero(r), bound)
         for n in degree_box(deg_zero(r), bound):
             for m in degree_box(deg_zero(r), n):
                 lhs = _power_cols(N, blocks, tuple(x - y for x, y in zip(n, m)))
@@ -448,8 +453,8 @@ def verify_colon_identities(
                     _bool_row("pushforward-colon", None, tuple(n) + tuple(m), ok)
                 )
                 right = right and ok
-
-    if which in ("subset-colon", "both"):
+    else:
+        window = None
         for size in range(1, r + 1):
             for K in itertools.combinations(range(r), size):
                 exps_k = tuple(1 if j in K else 0 for j in range(r))
@@ -464,7 +469,6 @@ def verify_colon_identities(
                     )
                     right = right and ok
 
-    window = (deg_zero(r), bound) if which != "subset-colon" else None
     return _finish(theorem, instance, hyps, None, right, window, char, [], checks)
 
 
@@ -593,7 +597,7 @@ def fiber_identity_report(
     checks: List[CheckRecord] = []
     right = True
     for n in box:
-        if not compare_degrees(v, n).gt:
+        if not deg_lt(n, v):
             continue
         for i in i_range:
             dv = local_cohomology_dim(M, dual, i, n).value

@@ -108,6 +108,38 @@ def test_parse_verify_target_kind_mismatch():
     assert "expects a module target" in str(ei.value)
 
 
+@pytest.mark.parametrize("directive,key", [
+    ("verify thm31 M windw=(0)..(1);", "windw"),
+    ("check M foo=bar;", "foo"),
+    ("table M window=(0)..(1) k=5;", "k"),
+    ("verify lem41 R window=(0)..(1);", "window"),
+    ("verify lem45 R weights=0..1;", "weights"),
+])
+def test_parse_key_the_directive_does_not_read(directive, key):
+    text = (
+        "ring S = poly(char=default; x0,x1 : deg=(1), weight=1);\n"
+        "module M = free(S);\n"
+        "ring A = poly(char=default; a,b : deg=(0), weight=1);\n"
+        "ideal I = (a, b);\n"
+        "module N = free(A);\n"
+        "rees R = rees(N; I);\n"
+        + directive + "\n"
+    )
+    with pytest.raises(SessionDiagnostics) as exc:
+        parse_session(text)
+    (d,) = exc.value.diagnostics
+    assert d.line == 7 and d.col == directive.index(key) + 1
+    assert f"does not read '{key}'" in d.message
+
+
+def test_main_rejects_a_misspelled_key(tmp_path, capsys):
+    f = tmp_path / "s.mgcm"
+    f.write_text(SMALL.replace("verify lem41 R;", "verify lem45 R bund=(1);"))
+    assert main(["parse", str(f)]) == 2
+    assert f"{f}:5:16: 'lem45' does not read 'bund'" in capsys.readouterr().out
+    assert main(["run", str(f)]) == 2
+
+
 def test_parse_rees_arity():
     text = """\
 ring A = poly(char=default; a,b : deg=(0,0), weight=1);
@@ -334,6 +366,23 @@ def test_cache_directory_env(monkeypatch, tmp_path):
     assert cache_directory(None) == ".mgcm-cache"
 
 
+def test_unusable_cache_directory_is_input_error(tmp_path, monkeypatch, capsys):
+    # a regular file where the cache directory should be
+    f = tmp_path / "s.mgcm"
+    f.write_text(SMALL)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"path": "s.mgcm", "expected": "holds"}]))
+    (tmp_path / "notadir").write_text("")
+    bad = str(tmp_path / "notadir" / "sub")
+    with pytest.raises(InputError, match="cannot write cache directory"):
+        cache_store(bad, "key1", {"x": 1})
+    assert main(["corpus", "--manifest", str(manifest), "--cache-dir", bad]) == 2
+    assert "cannot write cache directory" in capsys.readouterr().err
+    monkeypatch.setenv("MGCM_CACHE_DIR", bad)
+    assert main(["corpus", "--manifest", str(manifest)]) == 2
+    assert "cannot write cache directory" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -419,6 +468,21 @@ def test_main_bad_window_flag(tmp_path, capsys):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL)
     assert main(["run", str(f), "--window", "oops"]) == 2
+
+
+def test_main_run_window_of_the_wrong_rank(tmp_path, capsys):
+    f = tmp_path / "s.mgcm"
+    session = (
+        "ring S = poly(char=default; x0,x1 : deg=(1), weight=1);\n"
+        "module M = free(S);\n"
+        "verify thm31 M{};\n"
+    )
+    for text, argv in ((session.format(" window=(0,0)..(1,1)"), []),
+                       (session.format(""), ["--window", "(0,0)..(1,1)"])):
+        f.write_text(text)
+        assert main(["run", str(f)] + argv) == 2
+        entry = json.loads(capsys.readouterr().out)["entries"][0]
+        assert entry["verdict"] == "input-error" and "rank" in entry["checks"][0]["value"]
 
 
 def test_main_run_zero_denominator(tmp_path, capsys):

@@ -336,6 +336,8 @@ def test_support_E_identity_gate():
     M = cyclic_presentation(R, ())
     with pytest.raises(InputError):
         support_E_vanishes(M, 0, (0,))  # not strictly below v = 0
+    with pytest.raises(InputError, match="not strictly below"):
+        support_E_vanishes(M, 0, (-1, -1))  # a rank-2 degree on a rank-1 module
     assert support_E_vanishes(M, 0, (-1,)) == (True, "fiber-identity")
     assert support_E_vanishes(M, 1, (-1,)) == (False, "fiber-identity")
 

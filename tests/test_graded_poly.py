@@ -10,7 +10,8 @@ from mgcm.graded_poly import (
     Polynomial,
     PrimeField,
     RationalField,
-    compare_degrees,
+    deg_leq,
+    deg_lt,
     field_for_char,
     parse_polynomial,
     poly_str,
@@ -59,27 +60,12 @@ def test_field_for_char_dispatch():
 # degree order
 
 
-def test_compare_degrees_comparable():
-    rel = compare_degrees((2, 2), (1, 1))
-    assert rel.geq and rel.gt and not rel.leq and not rel.incomparable
-    assert rel.lower == (1, 1) and rel.upper == (2, 2)
-
-
-def test_compare_degrees_weak_only():
-    # larger in one coordinate, equal in the other: geq but not strict
-    rel = compare_degrees((2, 1), (1, 1))
-    assert rel.geq and not rel.gt
-
-
-def test_compare_degrees_incomparable():
-    rel = compare_degrees((1, 2), (2, 1))
-    assert rel.incomparable
-    assert rel.lower == (1, 1) and rel.upper == (2, 2)
-
-
-def test_compare_degrees_rank_mismatch():
-    with pytest.raises(InputError):
-        compare_degrees((1, 2), (1,))
+def test_degree_order_is_coordinatewise():
+    assert deg_lt((1, 1), (2, 2)) and deg_leq((1, 1), (2, 2))
+    # larger in one coordinate, equal in the other: weakly but not strictly above
+    assert deg_leq((1, 1), (2, 1)) and not deg_lt((1, 1), (2, 1))
+    # incomparable: neither below the other
+    assert not deg_leq((1, 2), (2, 1)) and not deg_leq((2, 1), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +216,17 @@ def test_substitute_monomial_curve():
     x, y = R.gens()
     f = x ** 3 - y ** 2
     assert substitute(f, T, {"x": t ** 2, "y": t ** 3}).is_zero()
+
+
+def test_substitute_moves_unmapped_names_and_maps_the_rest():
+    R = GradedRing(field_for_char(0), ("x", "y", "z"), ((1,),) * 3, (1, 1, 1))
+    T = GradedRing(field_for_char(0), ("s", "z", "y"), ((1,),) * 3, (1, 1, 1))
+    f = parse_polynomial(R, "x^2*y + 3*x*z - z^2 + 5")
+    got = substitute(f, T, {"x": parse_polynomial(T, "s + y")})
+    assert got == parse_polynomial(T, "(s + y)^2*y + 3*(s + y)*z - z^2 + 5")
+    # a name the target lacks is never looked up when its exponent is zero
+    S = GradedRing(field_for_char(0), ("y", "z"), ((1,),) * 2, (1, 1))
+    assert substitute(parse_polynomial(R, "y*z - z^2"), S, {}) == parse_polynomial(S, "y*z - z^2")
 
 
 def test_substitute_char_mismatch():

@@ -6,6 +6,7 @@ import pytest
 import mgcm.rees_constructions as rc
 from mgcm.graded_poly import GradedRing, InputError, RationalField, parse_polynomial
 from mgcm.groebner_engine import (
+    ModulePresentation,
     cyclic_presentation,
     eliminate_module,
     free_module,
@@ -22,7 +23,6 @@ from mgcm.homological import (
     v_of,
 )
 from mgcm.rees_constructions import (
-    IrrelevantReesModule,
     diagonal_of,
     fiber_cone_spread,
     irrelevant_piece_oracle,
@@ -55,34 +55,34 @@ def ideal_equal(ring, gens, text):
 
 def test_principal_ideal_gives_free_extension(A):
     rees = multi_rees_algebra_presentation(A, ((A.var("a"),),))
-    assert rees.defining == ()
-    assert rees.ambient.names == ("a", "b", "T")
-    assert rees.ambient.degrees == ((0,), (0,), (1,))
-    assert rees.ambient.weights == (1, 1, 1)
+    assert rees.relations == ()
+    assert rees.ring.names == ("a", "b", "T")
+    assert rees.ring.degrees == ((0,), (0,), (1,))
+    assert rees.ring.weights == (1, 1, 1)
 
 
 def test_single_two_generator_ideal_is_koszul(A):
     rees = multi_rees_algebra_presentation(A, ((A.var("a"), A.var("b")),))
-    assert rees.ambient.names == ("a", "b", "T", "U")
-    assert len(rees.defining) == 1
-    assert ideal_equal(rees.ambient, rees.defining, ["b*T - a*U"])
+    assert rees.ring.names == ("a", "b", "T", "U")
+    assert len(rees.relations) == 1
+    assert ideal_equal(rees.ring, [h for (h,) in rees.relations], ["b*T - a*U"])
 
 
 def test_two_ideal_blowup_relation(A):
     rees = multi_rees_algebra_presentation(
         A, ((A.var("a"),), (A.var("a"), A.var("b")))
     )
-    assert rees.rank == 2
-    assert rees.ambient.names == ("a", "b", "T", "U", "V")
-    assert rees.ambient.degrees == ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1))
-    assert len(rees.defining) == 1
-    assert ideal_equal(rees.ambient, rees.defining, ["b*U - a*V"])
+    assert rees.ring.rank == 2
+    assert rees.ring.names == ("a", "b", "T", "U", "V")
+    assert rees.ring.degrees == ((0, 0), (0, 0), (1, 0), (0, 1), (0, 1))
+    assert len(rees.relations) == 1
+    assert ideal_equal(rees.ring, [h for (h,) in rees.relations], ["b*U - a*V"])
 
 
 def test_ambient_is_public_ring(A):
     rees = multi_rees_algebra_presentation(A, ((A.var("a"), A.var("b")),))
-    assert all(w >= 1 for w in rees.ambient.weights)
-    assert all(all(x >= 0 for x in d) for d in rees.ambient.degrees)
+    assert all(w >= 1 for w in rees.ring.weights)
+    assert all(all(x >= 0 for x in d) for d in rees.ring.degrees)
 
 
 def test_unit_ideal_rejected(A):
@@ -109,9 +109,9 @@ def test_rank_one_free_module_recovers_algebra(A):
     blocks = ((A.var("a"),), (A.var("a"), A.var("b")))
     mod = rees_module_presentation(N, blocks)
     rees = multi_rees_algebra_presentation(A, blocks)
-    assert mod.ring == rees.ambient
-    fm = free_module(rees.ambient, (((0, 0), 0),))
-    assert submodules_equal(fm, mod.relations, [(h,) for h in rees.defining])
+    assert mod.ring == rees.ring
+    fm = free_module(rees.ring, (((0, 0), 0),))
+    assert submodules_equal(fm, mod.relations, rees.relations)
 
 
 def test_module_pieces_match_generator_product_oracle(A):
@@ -221,7 +221,7 @@ def test_diagonal_of_algebra(A):
     value, cert = diagonal_of(N, blocks)
     product = ideal_power_product(blocks, (1, 1))
     assert ideal_equal(A, product, ["a^2", "a*b"])
-    assert value == multi_rees_algebra_presentation(A, (product,)).as_module()
+    assert value == multi_rees_algebra_presentation(A, (product,))
     assert cert
     assert [graded_piece_dim(value, (n,), 2 * n) for n in range(3)] == [1, 2, 3]
 
@@ -272,23 +272,23 @@ def test_regraded_line(A):
     S = GradedRing(QQ, ("x",), [(1,)], [1])
     M = free_presentation(S, (((0,), 0),))
     blow = irrelevant_rees(M)
-    assert isinstance(blow, IrrelevantReesModule)
-    assert blow.module.ring.names == ("x", "T")
-    assert blow.module.ring.degrees == ((1, 0), (0, 1))
-    assert blow.module.relations == ()
-    assert graded_piece_dim(blow.module, (1, 2)) == 1
-    assert irrelevant_piece_oracle(blow, (1,), 2) == 1
+    assert isinstance(blow, ModulePresentation)
+    assert blow.ring.names == ("x", "T")
+    assert blow.ring.degrees == ((1, 0), (0, 1))
+    assert blow.relations == ()
+    assert graded_piece_dim(blow, (1, 2)) == 1
+    assert irrelevant_piece_oracle(M, (1,), 2) == 1
 
 
 def test_regraded_projective_line():
     S = GradedRing(QQ, ("x0", "x1"), [(1,), (1,)], [1, 1])
     M = free_presentation(S, (((0,), 0),))
     blow = irrelevant_rees(M)
-    assert len(blow.module.relations) == 1
-    (rel,) = blow.module.relations
-    assert ideal_equal(blow.module.ring, rel, ["x1*T - x0*U"])
+    assert len(blow.relations) == 1
+    (rel,) = blow.relations
+    assert ideal_equal(blow.ring, rel, ["x1*T - x0*U"])
     for n in range(4):
-        assert graded_piece_dim(blow.module, (n, 0)) == graded_piece_dim(M, (n,))
+        assert graded_piece_dim(blow, (n, 0)) == graded_piece_dim(M, (n,))
 
 
 def test_regraded_quotient_window_matches_oracle():
@@ -298,9 +298,9 @@ def test_regraded_quotient_window_matches_oracle():
     for n1 in range(-1, 2):
         for n2 in range(-1, 2):
             for k in range(3):
-                engine = graded_piece_dim(blow.module, (n1, n2, k))
-                assert engine == irrelevant_piece_oracle(blow, (n1, n2), k)
+                engine = graded_piece_dim(blow, (n1, n2, k))
+                assert engine == irrelevant_piece_oracle(M, (n1, n2), k)
     # pieces vanish once some coordinate drops below every generator degree
     assert v_of(M) == (0, 0)
     for k in range(3):
-        assert graded_piece_dim(blow.module, (-1, 3, k)) == 0
+        assert graded_piece_dim(blow, (-1, 3, k)) == 0

@@ -110,6 +110,18 @@ def test_biconditional_violated_by_nonzero_sheaf_cohomology(monkeypatch):
     assert {c.check for c in rep.failures} == {"sheaf-vanishing"}
 
 
+@pytest.mark.parametrize("window", [((-1, -1), (1, 1)), ((-1,), (1, 1)), ((), ())],
+                         ids=["rank-2", "mixed", "rank-0"])
+def test_window_of_the_wrong_rank_is_input_error(window):
+    # zip over a window and a degree of different ranks would truncate silently
+    S = line_ring()
+    M = free_presentation(S, (((0,), 0),))
+    for verify in (verify_cm_biconditional, verify_regraded_vanishing, dual_route_report,
+                   fiber_identity_report):
+        with pytest.raises(InputError, match="rank"):
+            verify(M, window)
+
+
 def test_biconditional_zero_module_rejected():
     S = line_ring()
     M = cyclic_presentation(S, (S.one(),))
@@ -279,29 +291,32 @@ def test_rees_transfer_violated_by_a_non_cm_diagonal(monkeypatch):
 def test_colon_identities_two_principal():
     A = local_plane(rank=2)
     N = free_presentation(A, (((0, 0), 0),))
-    rep = verify_colon_identities(N, ((p(A, "a"),), (p(A, "b"),)), bound=(2, 2))
-    assert rep.verdict == "holds"
-    push = [c for c in rep.checks if c.check == "pushforward-colon"]
-    sub = [c for c in rep.checks if c.check == "subset-colon"]
-    assert len(push) == 36 and len(sub) == 4
+    ideals = ((p(A, "a"),), (p(A, "b"),))
+    push = verify_colon_identities(N, ideals, (2, 2), "pushforward-colon")
+    sub = verify_colon_identities(N, ideals, (2, 2), "subset-colon")
+    assert push.verdict == sub.verdict == "holds"
+    assert [c.check for c in push.checks] == ["pushforward-colon"] * 36
+    assert [c.check for c in sub.checks] == ["subset-colon"] * 4
 
 
 def test_colon_identities_principal_and_maximal():
     A = local_plane(rank=2)
     N = free_presentation(A, (((0, 0), 0),))
-    rep = verify_colon_identities(
-        N, ((p(A, "a"),), (p(A, "a"), p(A, "b"))), bound=(2, 2)
-    )
-    assert rep.verdict == "holds"
+    for which in ("pushforward-colon", "subset-colon"):
+        rep = verify_colon_identities(
+            N, ((p(A, "a"),), (p(A, "a"), p(A, "b"))), (2, 2), which
+        )
+        assert rep.verdict == "holds"
 
 
 def test_colon_identities_mixed_degrees():
     A = local_plane(rank=2)
     N = free_presentation(A, (((0, 0), 0),))
-    rep = verify_colon_identities(
-        N, ((p(A, "a^2"), p(A, "b")), (p(A, "a"),)), bound=(2, 2)
-    )
-    assert rep.verdict == "holds"
+    for which in ("pushforward-colon", "subset-colon"):
+        rep = verify_colon_identities(
+            N, ((p(A, "a^2"), p(A, "b")), (p(A, "a"),)), (2, 2), which
+        )
+        assert rep.verdict == "holds"
 
 
 def test_colon_identities_single_family_selection():
@@ -313,7 +328,7 @@ def test_colon_identities_single_family_selection():
     assert rep.theorem == "lem45"
     assert all(c.check == "pushforward-colon" for c in rep.checks)
     rep = verify_colon_identities(
-        N, ((p(A, "a"),), (p(A, "b"),)), which="subset-colon"
+        N, ((p(A, "a"),), (p(A, "b"),)), bound=(2, 2), which="subset-colon"
     )
     assert rep.theorem == "thm46"
     assert len(rep.checks) == 4
@@ -335,8 +350,9 @@ def test_colon_identities_violated_by_a_colon_that_returns_its_submodule(monkeyp
 def test_colon_identities_bad_family_rejected():
     A = local_plane(rank=2)
     N = free_presentation(A, (((0, 0), 0),))
-    with pytest.raises(InputError):
-        verify_colon_identities(N, ((p(A, "a"),), (p(A, "b"),)), which="nope")
+    for which in ("nope", "both"):
+        with pytest.raises(InputError, match="unknown colon family"):
+            verify_colon_identities(N, ((p(A, "a"),), (p(A, "b"),)), (1, 1), which)
 
 
 def test_colon_identities_bad_bound_rejected_before_the_grade_gate():
@@ -347,8 +363,9 @@ def test_colon_identities_bad_bound_rejected_before_the_grade_gate():
     for ideal in ((p(A, "a"),), (A.one(),)):
         for bound in ((1, 2, 3), (-1,)):
             with pytest.raises(InputError, match="bound must be"):
-                verify_colon_identities(N, (ideal,), bound=bound)
-    assert verify_colon_identities(N, ((A.one(),),), bound=(1,)).verdict == "hypothesis-not-met"
+                verify_colon_identities(N, (ideal,), bound, "pushforward-colon")
+    rep = verify_colon_identities(N, ((A.one(),),), (1,), "subset-colon")
+    assert rep.verdict == "hypothesis-not-met"
 
 
 # ---------------------------------------------------------------------------
