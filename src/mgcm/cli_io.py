@@ -559,6 +559,9 @@ class _Parser:
                 keys = ", ".join(DIRECTIVE_KEYS[head]) or "none"
                 self.err(roff + am.start(), f"'{head}' does not read '{km.group(1)}' (keys: {keys})")
                 return
+            if any(k == km.group(1) for k, _ in args):
+                self.err(roff + am.start(), f"key '{km.group(1)}' given twice")
+                return
             args.append((km.group(1), km.group(2)))
         self.directives.append(Directive(verb, theorem, target, tuple(sorted(args))))
 

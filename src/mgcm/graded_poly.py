@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
@@ -239,6 +240,7 @@ class GradedRing:
         "degrees",
         "weights",
         "_allow_zero_weight",
+        "_columns",
         "_name_index",
         "_counts",
         "_blocks",
@@ -288,6 +290,7 @@ class GradedRing:
         ring.degrees = degrees
         ring.weights = weights
         ring._allow_zero_weight = key[-1]
+        ring._columns = tuple(zip(*degrees))  # one tuple per multidegree coordinate
         ring._name_index = {nm: i for i, nm in enumerate(names)}
         ring._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
         ring._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
@@ -314,15 +317,10 @@ class GradedRing:
             raise InputError(f"unknown variable {name!r}") from None
 
     def monomial_mdeg(self, exps: Tuple[int, ...]) -> Degree:
-        out = [0] * self.rank
-        for e, d in zip(exps, self.degrees):
-            if e:
-                for j in range(self.rank):
-                    out[j] += e * d[j]
-        return tuple(out)
+        return tuple([sum(map(mul, exps, col)) for col in self._columns])
 
     def monomial_weight(self, exps: Tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
 
     @property
     def blocks(self) -> Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]:

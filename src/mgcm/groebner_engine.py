@@ -8,7 +8,11 @@ Design points, fixed once for the whole package:
     first), which stays a well order even when eliminated tag variables have
     weight 0;
   * pair queue ordered by (S-pair weight degree, creation index): fully
-    deterministic, sugar = true degree because all inputs are homogeneous;
+    deterministic, sugar = true degree because all inputs are homogeneous.
+    Pairs are formed within a component and pruned by the Gebauer-Moeller
+    (1988) criteria B_k, M and F, then by the coprime criterion on ideals;
+    seeds and S-pairs are reduced only until no lead divides their leading
+    term, and `_reduced_basis` reduces every tail once at the end;
   * syzygies, kernels and colons all run through one code path: a Groebner
     basis of the elimination embedding F (+) A^s with the F block dominant.
     A colon (U :_F (f_1..f_s)) is the kernel of F -> (+)_k F(-deg f_k)/U,
@@ -236,9 +240,16 @@ def _divides(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf) -> Vec:
+def _lcm(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf,
+                lead_only: bool = False) -> Vec:
     """Full normal form: leading term reduced when possible, otherwise moved
-    to the remainder; reducers are scanned in fixed list order."""
+    to the remainder; reducers are scanned in fixed list order.  With
+    lead_only, stop at the first leading term no lead divides and return
+    the vec with its tail as it stands."""
     work = dict(v)
     rem: Vec = {}
     while work:
@@ -251,6 +262,8 @@ def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf) -> Vec:
                 hit = (lt, g)
                 break
         if hit is None:
+            if lead_only:
+                return work
             rem[t] = c
             del work[t]
         else:
@@ -369,6 +382,9 @@ def _k_polynomial(gens, degs) -> Dict[Tuple[int, ...], int]:
 
 
 def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) -> List[Vec]:
+    """A Groebner basis, not reduced: seeds and S-pairs are reduced only
+    until no lead divides their leading term, and `_reduced_basis` reduces
+    the tails once at the end."""
     field = free.ring.field
     keyf = order.key
     rank1 = free.rank == 1 and order.split is None
@@ -381,36 +397,62 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
             seed.append(v)
 
     basis: List[Tuple[Term, Vec]] = []
-    pairs: List[Tuple[int, int, int, int]] = []  # (degree, counter, i, j)
+    pairs: List[Tuple[int, int, int]] = []  # heap of (degree, counter, component)
+    # per component, counter -> (i, j, lcm) of the pairs not yet popped or
+    # deleted; a deleted pair stays in the heap and is skipped when popped
+    live: List[Dict[int, Tuple[int, int, Tuple[int, ...]]]] = [{} for _ in range(free.rank)]
     counter = itertools.count()
 
     def push_element(v: Vec):
+        """Add v and update the pairs by Gebauer-Moeller (1988)."""
         lead = max(v, key=keyf)
         v = _vec_monic(field, v, lead)
-        idx = len(basis)
-        for j, (lt, _) in enumerate(basis):
-            if lt[0] != lead[0]:
+        comp, m = lead
+        old = live[comp]
+        # B_k: m divides lcm(i, j), so S(i, j) follows from the new pairs
+        # (i, new) and (j, new), unless one of them has the same lcm
+        for cnt, (i, j, lcm) in list(old.items()):
+            if (_divides(m, lcm) and _lcm(basis[i][0][1], m) != lcm
+                    and _lcm(basis[j][0][1], m) != lcm):
+                del old[cnt]
+        # F: one new pair per lcm, none if a pair with that lcm is coprime
+        # (the coprime criterion, valid for ideals only); in the order of j
+        new: Dict[Tuple[int, ...], Optional[int]] = {}
+        for j, ((c, e), _) in enumerate(basis):
+            if c != comp:
                 continue
-            if rank1 and all(min(a, b) == 0 for a, b in zip(lt[1], lead[1])):
-                continue  # coprime criterion, valid for ideals only
-            lcm = tuple(max(a, b) for a, b in zip(lt[1], lead[1]))
-            deg = free.ring.monomial_weight(lcm) + free.weight_shifts[lead[0]]
-            heapq.heappush(pairs, (deg, next(counter), j, idx))
+            lcm = _lcm(e, m)
+            if rank1 and all(min(a, b) == 0 for a, b in zip(e, m)):
+                new[lcm] = None
+            else:
+                new.setdefault(lcm, j)
+        idx = len(basis)
+        for lcm, j in new.items():
+            # M: drop a pair whose lcm another new lcm properly divides
+            if j is None or any(l2 != lcm and _divides(l2, lcm) for l2 in new):
+                continue
+            cnt = next(counter)
+            old[cnt] = (j, idx, lcm)
+            deg = free.ring.monomial_weight(lcm) + free.weight_shifts[comp]
+            heapq.heappush(pairs, (deg, cnt, comp))
         basis.append((lead, v))
 
     for v in sorted(seed, key=lambda w: keyf(max(w, key=keyf))):
-        h = _reduce_vec(field, v, basis, keyf)
+        h = _reduce_vec(field, v, basis, keyf, lead_only=True)
         if h:
             push_element(h)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, cnt, comp = heapq.heappop(pairs)
+        pair = live[comp].pop(cnt, None)
+        if pair is None:
+            continue
+        i, j, lcm = pair
         (lti, gi), (ltj, gj) = basis[i], basis[j]
-        lcm = tuple(max(a, b) for a, b in zip(lti[1], ltj[1]))
         s: Vec = {}
         _vec_axpy(field, s, field.neg(field.one), deg_sub(lcm, lti[1]), gi)
         _vec_axpy(field, s, field.one, deg_sub(lcm, ltj[1]), gj)
-        h = _reduce_vec(field, s, basis, keyf)
+        h = _reduce_vec(field, s, basis, keyf, lead_only=True)
         if h:
             push_element(h)
 

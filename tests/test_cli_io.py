@@ -140,6 +140,19 @@ def test_main_rejects_a_misspelled_key(tmp_path, capsys):
     assert main(["run", str(f)]) == 2
 
 
+def test_main_rejects_a_repeated_key(tmp_path, capsys):
+    f = tmp_path / "s.mgcm"
+    directive = "verify thm31 M window=(0)..(1) window=(-1)..(0);"
+    f.write_text(
+        "ring S = poly(char=default; x0,x1 : deg=(1), weight=1);\n"
+        "module M = free(S);\n" + directive + "\n"
+    )
+    assert main(["parse", str(f)]) == 2
+    col = directive.rindex("window") + 1
+    assert f"{f}:3:{col}: key 'window' given twice" in capsys.readouterr().out
+    assert main(["run", str(f)]) == 2
+
+
 def test_parse_rees_arity():
     text = """\
 ring A = poly(char=default; a,b : deg=(0,0), weight=1);

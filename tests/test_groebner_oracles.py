@@ -1,0 +1,203 @@
+"""Groebner bases against oracles that share no code with groebner_engine:
+sympy's Groebner bases for ideals, and a naive Buchberger (every pair,
+full reduction) for modules, ideals included, under split and elimination
+orders."""
+
+import itertools
+
+import sympy
+from hypothesis import example, given, settings, strategies as st
+
+from mgcm.graded_poly import GradedRing, field_for_char, parse_polynomial
+from mgcm.groebner_engine import (
+    cyclic_presentation,
+    free_module,
+    groebner_basis,
+    groebner_module,
+    normal_form,
+)
+from mgcm.homological import graded_piece_dim
+
+PRIME = 32003
+NAMES = ("x0", "x1", "x2", "x3")
+RING = GradedRing(field_for_char(PRIME), NAMES, ((1,),) * 4, (1,) * 4)
+SYMBOLS = sympy.symbols(NAMES)
+
+
+def _terms(text):
+    return dict(parse_polynomial(RING, text).terms)
+
+
+def _monomials(degree, nvars=4):
+    """Exponent vectors over x0..x3 of the degree, in the first nvars only."""
+    return [e + (0,) * (4 - nvars)
+            for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+
+
+@st.composite
+def _homogeneous(draw, degree, nvars, max_terms=3):
+    """A homogeneous polynomial of the degree in the first nvars variables,
+    or zero, as {exps: coeff}."""
+    if degree < 0:
+        return {}
+    terms = draw(st.lists(st.sampled_from(_monomials(degree, nvars)), max_size=max_terms,
+                          unique=True))
+    return {e: draw(st.integers(1, PRIME - 1)) for e in terms}
+
+
+# ---------------------------------------------------------------------------
+# ideals against sympy
+
+
+@st.composite
+def _ideal_cases(draw):
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        poly = draw(_homogeneous(draw(st.integers(1, 3)), nvars))
+        if poly:
+            gens.append(poly)
+    if not gens:
+        gens.append({(1, 0, 0, 0): 1})
+    return gens
+
+
+def _to_sympy(terms):
+    return sympy.Poly.from_dict(dict(terms), *SYMBOLS, modulus=PRIME)
+
+
+# the leads x0^2*x2, x0*x1*x2 and x0^2*x1 have one lcm pairwise: a B_k
+# without its equality exception, or an F that keeps no pair, loses a
+# needed S-pair here
+@example([_terms("x2^3 + x1*x2^2 + x0^2*x2"), _terms("x2^3 + x0*x1*x2"),
+          _terms("x2^3 + x1*x2^2 + x0^2*x1")])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_ideal_cases())
+def test_ideal_basis_matches_sympy(gens):
+    polys = [RING.from_dict(g) for g in gens]
+    gb = groebner_basis(RING, polys)
+    ref = sympy.groebner([_to_sympy(g) for g in gens], *SYMBOLS, modulus=PRIME, order="grevlex")
+    # each basis lies in the other's ideal
+    for (f,) in gb.elements:
+        assert ref.contains(_to_sympy(f.terms))
+    for p in ref.polys:
+        f = RING.from_dict({e: c % PRIME for e, c in p.as_dict().items()})
+        assert normal_form(gb, f).is_zero()
+    # Hilbert function of P/I: standard monomials of sympy's lead terms
+    leads = [p.monoms(order="grevlex")[0] for p in ref.polys]
+    quotient = cyclic_presentation(RING, polys)
+    for d in range(7):
+        standard = sum(1 for e in _monomials(d)
+                       if not any(all(a <= b for a, b in zip(m, e)) for m in leads))
+        assert graded_piece_dim(quotient, (d,)) == standard
+
+
+# ---------------------------------------------------------------------------
+# modules against a naive Buchberger
+
+
+def _order_key(shifts, elim, split):
+    """The engine's module order, written out: the first `split` components
+    dominate, then the eliminated variables' total degree, then weight
+    degree, then reverse lexicographic on exponents, lower component first."""
+    def key(term):
+        c, e = term
+        return (split is None or c < split, sum(e[i] for i in elim), sum(e) + shifts[c],
+                tuple(-x for x in reversed(e)), -c)
+    return key
+
+
+def _reference_basis(vecs, key):
+    """Reduced monic Groebner basis as sorted (lead, vec) pairs: Buchberger
+    over every pair of the same component, full reduction throughout."""
+    def lead(v):
+        return max(v, key=key)
+
+    def axpy(target, coeff, mono, src):  # target -= coeff * x^mono * src
+        for (c, e), x in src.items():
+            t = (c, tuple(a + b for a, b in zip(e, mono)))
+            target[t] = (target.get(t, 0) - coeff * x) % PRIME
+            if not target[t]:
+                del target[t]
+
+    def reduce(v, basis):
+        work, rem = dict(v), {}
+        while work:
+            t = lead(work)
+            g = next((g for g in basis if lead(g)[0] == t[0]
+                      and all(a <= b for a, b in zip(lead(g)[1], t[1]))), None)
+            if g is None:
+                rem[t] = work.pop(t)
+            else:
+                lt = lead(g)
+                axpy(work, work[t] * pow(g[lt], -1, PRIME), tuple(a - b for a, b in zip(t[1], lt[1])), g)
+        return rem
+
+    def monic(v):
+        inv = pow(v[lead(v)], -1, PRIME)
+        return {t: x * inv % PRIME for t, x in v.items()}
+
+    def lcm(i, j):
+        return tuple(max(a, b) for a, b in zip(lead(basis[i])[1], lead(basis[j])[1]))
+
+    basis = [monic(v) for v in vecs if v]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        # lowest lcm degree first, so that no pass wanders into high degrees
+        i, j = pairs.pop(min(range(len(pairs)), key=lambda k: sum(lcm(*pairs[k]))))
+        (ci, ei), (cj, ej) = lead(basis[i]), lead(basis[j])
+        if ci != cj:
+            continue
+        lcm_ij = lcm(i, j)
+        s = {}
+        axpy(s, PRIME - 1, tuple(a - b for a, b in zip(lcm_ij, ei)), basis[i])
+        axpy(s, 1, tuple(a - b for a, b in zip(lcm_ij, ej)), basis[j])
+        h = reduce(s, basis)
+        if h:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(monic(h))
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(lead(g))):
+        c, e = lead(g)
+        if not any(lead(h)[0] == c and all(a <= b for a, b in zip(lead(h)[1], e)) for h in minimal):
+            minimal.append(g)
+    out = []
+    for g in minimal:
+        lt = lead(g)
+        tail = reduce({t: x for t, x in g.items() if t != lt}, [h for h in minimal if h is not g])
+        out.append((lt, {lt: 1, **tail}))
+    return sorted(out, key=lambda p: key(p[0]))
+
+
+@st.composite
+def _module_cases(draw):
+    """Homogeneous columns in a free module of rank 1-3 over k[x0..x3], with
+    a split (rank 2-3) or not, and eliminated variables or not."""
+    rank = draw(st.integers(1, 3))
+    shifts = tuple(draw(st.integers(0, 1)) for _ in range(rank))
+    split = draw(st.none() | st.integers(1, rank - 1)) if rank > 1 else None
+    elim = draw(st.sampled_from([(), ("x0",), ("x3",), ("x1", "x2")]))
+    nvars = draw(st.integers(2, 4))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        top = max(shifts) + draw(st.integers(0, 2))
+        col = [draw(_homogeneous(top - s, nvars, max_terms=2)) for s in shifts]
+        if any(col):
+            cols.append(col)
+    if not cols:
+        cols.append([{(1, 0, 0, 0): 1}] + [{}] * (rank - 1))
+    return shifts, split, elim, cols
+
+
+# leads x1*e0 and x0*e0 are coprime, yet their S-pair x0*x1*e1 is not zero
+@example(((0, 0), None, (), [[_terms("x1"), _terms("x1")], [_terms("x0"), {}]]))
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_module_cases())
+def test_module_basis_matches_naive_buchberger(case):
+    shifts, split, elim, cols = case
+    free = free_module(RING, tuple(((s,), s) for s in shifts))
+    gens = tuple(tuple(RING.from_dict(entry) for entry in col) for col in cols)
+    gb = groebner_module(free, gens, elim, split)
+    key = _order_key(shifts, tuple(NAMES.index(nm) for nm in elim), split)
+    vecs = [{(c, e): x for c, entry in enumerate(col) for e, x in entry.items()} for col in cols]
+    assert [(lt, dict(v)) for lt, v in gb.reducers] == _reference_basis(vecs, key)
