@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graded_poly import (
     Degree,
@@ -54,130 +54,54 @@ KOSZUL_STEP_LIMIT = 40
 # exact rank over the coefficient field: one kernel for F_p and Q alike
 
 
-def matrix_rank(field, rows: Sequence[Sequence]) -> int:
-    """Rank of a dense matrix with entries in the coefficient field.
+def sparse_rank(field, rows: Iterable[Dict[int, object]]) -> int:
+    """Rank of a matrix given as row dicts (column -> entry).
 
-    One exact kernel serves every field.  Entries must be field elements or
-    ints; a Fraction handed to a PrimeField is not supported.  Over F_p each
-    entry is reduced with x % p once and elimination runs on plain ints with
-    inline % p, so ranks are exact for any prime; over Q the entries stay
-    Fractions.  Forward elimination only; rows below the pivot are cleared
-    from the pivot column on.
+    Each row is reduced against the pivot rows kept so far.  A pivot row is
+    stored monic and keyed by its least column, without that leading 1; its
+    other columns are larger, so clearing a row's least column never brings
+    in a smaller one.  A row that does not reduce to zero becomes a pivot
+    row, and the rank is the number of pivot rows.  Elimination touches only
+    the columns a row shares with a pivot row, so rows that share no column,
+    directly or through other rows, never mix.
+
+    Entries must be field elements or ints; a Fraction handed to a
+    PrimeField is not supported.  Over F_p each entry is reduced with x % p
+    once on entry and elimination runs on plain ints with inline % p, so
+    ranks are exact for any prime; over Q the entries stay Fractions.
     """
     p = field.char
-    work = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
-    nrows = len(work)
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        tail = work[rank][col:]
-        inv = field.inv(tail[0])
-        for r in range(rank + 1, nrows):
-            row = work[r]
-            if row[col]:
+    pivots: Dict[int, Dict[int, object]] = {}
+    for row in rows:
+        if p:
+            r = {c: v for c, x in row.items() if (v := x % p)}
+        else:
+            r = {c: x for c, x in row.items() if x}
+        while r:
+            c = min(r)
+            f = r.pop(c)
+            tail = pivots.get(c)
+            if tail is None:
+                inv = field.inv(f)
                 if p:
-                    f = row[col] * inv % p
-                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+                    pivots[c] = {j: x * inv % p for j, x in r.items()}
                 else:
-                    f = row[col] * inv
-                    row[col:] = [a - f * b for a, b in zip(row[col:], tail)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+                    pivots[c] = {j: x * inv for j, x in r.items()}
+                break
+            # f and every tail entry are nonzero, so a sum that cancels
+            # had its column in r already
+            for j, x in tail.items():
+                v = (r.get(j, 0) - f * x) % p if p else r.get(j, 0) - f * x
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+    return len(pivots)
 
 
-def sparse_rank(field, rows: List[Dict[int, object]]) -> int:
-    """Rank of a matrix given as row dicts (column -> nonzero entry).
-
-    Singleton rows and columns are valid pivots that cause no fill-in, so
-    they are peeled off first.  The rows left are split into strands, the
-    connected components of the graph that joins two rows sharing a column
-    (union-find on the columns); strands share no column, so the rank is
-    the sum of their ranks, and each strand's dense core goes to
-    `matrix_rank` on its own.  This is the block-diagonal part of the
-    Dulmage-Mendelsohn decomposition (Pothen-Fan 1990).  A Koszul
-    differential of a monomial module is a direct sum over fine degrees,
-    so its strands are tiny.
-    """
-    work: Dict[int, Dict[int, object]] = {
-        i: dict(r) for i, r in enumerate(rows) if r
-    }
-    col_rows: Dict[int, set] = {}
-    for ri, r in work.items():
-        for c in r:
-            col_rows.setdefault(c, set()).add(ri)
-    rank = 0
-    row_queue = [ri for ri, r in work.items() if len(r) == 1]
-    col_queue = [c for c, rs in col_rows.items() if len(rs) == 1]
-
-    def drop_row(ri: int):
-        for c in work[ri]:
-            rs = col_rows.get(c)
-            if rs is not None:
-                rs.discard(ri)
-                if len(rs) == 1:
-                    col_queue.append(c)
-                elif not rs:
-                    del col_rows[c]
-        del work[ri]
-
-    while row_queue or col_queue:
-        if col_queue:
-            c = col_queue.pop()
-            rs = col_rows.get(c)
-            if rs is None or len(rs) != 1:
-                continue
-            (ri,) = rs
-            rank += 1
-            del col_rows[c]
-            del work[ri][c]
-            drop_row(ri)
-            continue
-        ri = row_queue.pop()
-        r = work.get(ri)
-        if r is None or len(r) != 1:
-            continue
-        (c,) = r
-        rank += 1
-        for r2 in list(col_rows.get(c, ())):
-            if r2 == ri:
-                continue
-            del work[r2][c]
-            if len(work[r2]) == 1:
-                row_queue.append(r2)
-            elif not work[r2]:
-                del work[r2]
-        col_rows.pop(c, None)
-        del work[ri][c]
-        drop_row(ri)
-
-    # rows joined by a column, directly or through other rows, form a
-    # strand: union-find on the columns
-    root: Dict[int, int] = {}
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            root[c] = c = root[root[c]]
-        return c
-
-    rest = [r for r in work.values() if r]
-    for r in rest:
-        heads = [find(root.setdefault(c, c)) for c in r]
-        for h in heads:
-            root[h] = heads[0]
-    strands: Dict[int, List[Dict[int, object]]] = {}
-    for r in rest:
-        strands.setdefault(find(next(iter(r))), []).append(r)
-    zero = field.zero
-    for group in strands.values():
-        cols = list(dict.fromkeys(c for r in group for c in r))
-        dense = [[r.get(c, zero) for c in cols] for r in group]
-        rank += matrix_rank(field, dense)
-    return rank
+def matrix_rank(field, rows: Sequence[Sequence]) -> int:
+    """Rank of a dense matrix with entries in the coefficient field."""
+    return sparse_rank(field, [dict(enumerate(r)) for r in rows])
 
 
 # ---------------------------------------------------------------------------

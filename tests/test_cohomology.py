@@ -1,6 +1,7 @@
 """Local and sheaf cohomology dimensions against classical hand values."""
 
 import itertools
+import math
 
 import pytest
 from fractions import Fraction
@@ -55,6 +56,15 @@ def p1xp1_ring(char=32003):
     )
 
 
+def p1xp2_ring(char=32003):
+    return GradedRing(
+        field_for_char(char),
+        ("x0", "x1", "y0", "y1", "y2"),
+        ((1, 0), (1, 0), (0, 1), (0, 1), (0, 1)),
+        (1, 1, 1, 1, 1),
+    )
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -87,9 +97,8 @@ def _char_and_scalars(draw):
 
 @st.composite
 def _rank_cases(draw):
-    """(field, rows): a low-rank dense product, so a dense core is left after
-    singleton peeling, plus a few rows with one or two nonzero entries, in
-    random order."""
+    """(field, rows): a dense product of rank at most 3, plus a few rows with
+    one or two nonzero entries, in random order."""
     p, scalar = _char_and_scalars(draw)
     nrows, ncols, k = draw(st.integers(0, 6)), draw(st.integers(1, 7)), draw(st.integers(0, 3))
     left = [[draw(scalar) for _ in range(k)] for _ in range(nrows)]
@@ -127,8 +136,7 @@ def test_rank_kernels_match_sympy(case):
 @st.composite
 def _block_diagonal_cases(draw):
     """(field, rows): two to four dense low-rank blocks on disjoint columns,
-    so several strands are left after singleton peeling, with the rows and
-    the columns of the whole matrix shuffled."""
+    with the rows and the columns of the whole matrix shuffled."""
     p, scalar = _char_and_scalars(draw)
     blocks = []
     for _ in range(draw(st.integers(2, 4))):
@@ -397,6 +405,91 @@ def test_mdeg_layer_nonzero_direct():
                 graded_piece_dim(M, n, w) for w in range(min(weights | {0}), top + 1)
             )
             assert mdeg_layer_nonzero(M, n) == expected, (M, n)
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristic against the Hilbert polynomial
+#
+# On a field base with standard N^r grading (every variable of multidegree
+# some e_j), sum_i (-1)^i h^i(F(n)) equals the multigraded Hilbert polynomial
+# P_M(n) for every n in Z^r, not only for large n (Snapper; in local form the
+# Grothendieck-Serre formula).  P_M needs no Koszul level, rank or piece
+# listing, so it guards every sheaf value the colimit and the rank kernel
+# produce.
+
+
+def _hilbert_polynomial(module, n):
+    """P_M(n) = sum_c sum_a k_a prod_j C(n_j - shift_cj - a_j + N_j - 1, N_j - 1)
+    over the K-polynomial terms k_a t^a of each component (weights summed),
+    N_j the number of variables of multidegree e_j, each binomial read as a
+    polynomial in n."""
+    ring = module.ring
+    sizes = [ring.degrees.count(tuple(int(t == j) for t in range(ring.rank)))
+             for j in range(ring.rank)]
+    assert sum(sizes) == ring.nvars, "not a standard grading"
+    total = 0
+    for terms, shift in zip(_relations_gb(module).hilbert_numerators, module.mdeg_shifts):
+        for a, _, k in terms:
+            for nj, sj, aj, size in zip(n, shift, a, sizes):
+                x = nj - sj - aj
+                k *= math.prod(range(x + 1, x + size)) // math.factorial(size - 1)
+            total += k
+    return total
+
+
+def _check_euler_characteristic(module, box):
+    ring = module.ring
+    for n in box:
+        chi = sum((-1) ** i * sheaf_cohomology_dim(module, i, n)
+                  for i in range(ring.nvars - ring.rank + 1))
+        assert chi == _hilbert_polynomial(module, n), (ring.names, module.mdeg_shifts, n)
+
+
+def test_euler_characteristic_on_cox_corpus():
+    cox = [M for label, M in _corpus_modules() if label.startswith("cox-")]
+    assert len(cox) == 6
+    for M in cox:
+        _check_euler_characteristic(M, degree_box((-3,) * M.ring.rank, (2,) * M.ring.rank))
+
+
+def test_euler_characteristic_on_line_bundles():
+    """The free modules of the Kunneth bench: P^a x P^b and P^2."""
+    for a, b in ((0, 1), (1, 0), (1, 1)):
+        names = tuple(f"x{j}" for j in range(a + 1)) + tuple(f"y{j}" for j in range(b + 1))
+        degs = ((1, 0),) * (a + 1) + ((0, 1),) * (b + 1)
+        ring = GradedRing(field_for_char(32003), names, degs, (1,) * len(names))
+        _check_euler_characteristic(cyclic_presentation(ring, ()), degree_box((-2, -2), (2, 2)))
+    _check_euler_characteristic(cyclic_presentation(p2_ring(), ()), degree_box((-4,), (2,)))
+
+
+@st.composite
+def _quotient_cases(draw):
+    """A shifted quotient of P^1, P^2, P^1 x P^1 or P^1 x P^2 by one or two
+    monomials or binomials, and a degree to check it at."""
+    ring = draw(st.sampled_from((p1_ring(), p2_ring(), p1xp1_ring(), p1xp2_ring())))
+    r = ring.rank
+    blocks = [[v for v in range(ring.nvars) if ring.degrees[v][j]] for j in range(r)]
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        mdeg = [draw(st.integers(0, 2)) for _ in range(r)]
+        poly = {}
+        for _ in range(draw(st.integers(1, 2))):
+            exps = [0] * ring.nvars
+            for j, block in enumerate(blocks):
+                for _ in range(mdeg[j]):
+                    exps[draw(st.sampled_from(block))] += 1
+            poly[tuple(exps)] = draw(st.integers(1, 5))
+        gens.append(ring.from_dict(poly))
+    shift = tuple(draw(st.integers(-1, 1)) for _ in range(r))
+    module = presentation(ring, ((shift, sum(shift)),), tuple((g,) for g in gens))
+    lo = -3 if r == 1 else -1
+    return module, [draw(st.tuples(*[st.integers(lo, 1)] * r))]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(_quotient_cases())
+def test_euler_characteristic_on_drawn_quotients(case):
+    _check_euler_characteristic(*case)
 
 
 # ---------------------------------------------------------------------------
