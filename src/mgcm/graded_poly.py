@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
@@ -36,6 +36,10 @@ class ResourceLimit(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # coefficient fields
+#
+# Coefficients are plain values: Fractions over Q, ints in range(p) over F_p.
+# Polynomial and vec arithmetic work on them directly, reducing with % p
+# inline; a field object converts (`of`), inverts, negates and renders.
 
 
 def _is_prime(n: int) -> bool:
@@ -78,15 +82,6 @@ class RationalField:
     def of(self, n: Union[int, Fraction]) -> Fraction:
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def neg(self, a):
         return -a
 
@@ -123,17 +118,8 @@ class PrimeField:
 
     def of(self, n: Union[int, Fraction]) -> int:
         if isinstance(n, Fraction):
-            return self.mul(n.numerator % self.p, self.inv(n.denominator % self.p))
+            return n.numerator * self.inv(n.denominator) % self.p
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -170,11 +156,11 @@ def deg_zero(rank: int) -> Degree:
 
 
 def deg_add(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def deg_sub(a: Degree, b: Degree) -> Degree:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def deg_neg(a: Degree) -> Degree:
@@ -404,7 +390,7 @@ class GradedRing:
 
         Tuple keys compare like the order: u > v iff key(u) > key(v).
         """
-        return (self.monomial_weight(exps), tuple(-e for e in reversed(exps)))
+        return (sum(map(mul, exps, self.weights)), tuple(map(neg, reversed(exps))))
 
     # -- polynomial constructors ----------------------------------------
 
@@ -416,7 +402,7 @@ class GradedRing:
 
     def const(self, c: Union[int, Fraction]) -> "Polynomial":
         cc = self.field.of(c)
-        if cc == self.field.zero:
+        if not cc:
             return self.zero()
         return Polynomial(self, (((0,) * self.nvars, cc),))
 
@@ -433,12 +419,19 @@ class GradedRing:
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise InputError("bad exponent vector")
         c = self.field.of(coeff)
-        if c == self.field.zero:
+        if not c:
             return self.zero()
         return Polynomial(self, ((exps, c),))
 
     def from_dict(self, d: Dict[Tuple[int, ...], object]) -> "Polynomial":
-        items = [(e, c) for e, c in d.items() if c != self.field.zero]
+        """The polynomial with the given terms.  Over F_p the coefficients
+        may be any ints and are reduced here, so callers can sum products
+        without reducing each one; zero terms are dropped."""
+        p = self.field.char
+        if p:
+            items = [(e, v) for e, c in d.items() if (v := c % p)]
+        else:
+            items = [(e, c) for e, c in d.items() if c]
         items.sort(key=lambda t: self.term_sort_key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
@@ -458,14 +451,18 @@ class GradedRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms sorted descending in the ring order."""
+    """Immutable sparse polynomial; terms sorted descending in the ring order.
 
-    __slots__ = ("ring", "terms", "_hash")
+    The hash and the (multidegree, weight) of a homogeneous polynomial are
+    computed on first use and kept."""
+
+    __slots__ = ("ring", "terms", "_hash", "_degree")
 
     def __init__(self, ring: GradedRing, terms: Tuple[Tuple[Tuple[int, ...], object], ...]):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._degree = None
 
     def __hash__(self):
         if self._hash is None:
@@ -505,18 +502,15 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
         d = dict(self.terms)
-        f = self.ring.field
         for e, c in other.terms:
-            nc = f.add(d.get(e, f.zero), c)
-            if nc == f.zero:
-                d.pop(e, None)
-            else:
-                d[e] = nc
+            d[e] = d.get(e, 0) + c
         return self.ring.from_dict(d)
 
     def __neg__(self) -> "Polynomial":
-        f = self.ring.field
-        return Polynomial(self.ring, tuple((e, f.neg(c)) for e, c in self.terms))
+        p = self.ring.field.char
+        if p:
+            return Polynomial(self.ring, tuple((e, -c % p) for e, c in self.terms))
+        return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -524,24 +518,22 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         f = self.ring.field
         c = f.of(c) if isinstance(c, (int, Fraction)) else c
-        if c == f.zero:
+        if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, tuple((e, f.mul(cc, c)) for e, cc in self.terms))
+        p = f.char
+        if p:
+            return Polynomial(self.ring, tuple((e, cc * c % p) for e, cc in self.terms))
+        return Polynomial(self.ring, tuple((e, cc * c) for e, cc in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_same_ring(other)
-        f = self.ring.field
         d: Dict[Tuple[int, ...], object] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nc = f.add(d.get(e, f.zero), f.mul(c1, c2))
-                if nc == f.zero:
-                    d.pop(e, None)
-                else:
-                    d[e] = nc
+                e = tuple(map(add, e1, e2))
+                d[e] = d.get(e, 0) + c1 * c2
         return self.ring.from_dict(d)
 
     def __rmul__(self, other):
@@ -581,13 +573,18 @@ class Polynomial:
         return True
 
     def degree_pair(self) -> Tuple[Degree, int]:
-        """(multidegree, weight) of a nonzero homogeneous polynomial."""
-        if not self.terms:
-            raise InputError("zero polynomial has no degree")
-        pairs = set(self.term_degrees())
-        if len(pairs) != 1:
-            raise InputError(f"inhomogeneous polynomial: {poly_str(self)}")
-        return next(iter(pairs))
+        """(multidegree, weight) of a nonzero homogeneous polynomial, kept
+        after the first call; a zero or inhomogeneous one raises on every
+        call."""
+        if self._degree is None:
+            if not self.terms:
+                raise InputError("zero polynomial has no degree")
+            mdeg, weight = self.ring.monomial_mdeg, self.ring.monomial_weight
+            pairs = {(mdeg(e), weight(e)) for e, _ in self.terms}
+            if len(pairs) != 1:
+                raise InputError(f"inhomogeneous polynomial: {poly_str(self)}")
+            self._degree = pairs.pop()
+        return self._degree
 
 
 def substitute(poly: Polynomial, target: GradedRing, images: Dict[str, Polynomial]) -> Polynomial:
@@ -595,7 +592,6 @@ def substitute(poly: Polynomial, target: GradedRing, images: Dict[str, Polynomia
     same-named variable of the target ring."""
     if poly.ring.field.char != target.field.char:
         raise InputError("substitution across characteristics")
-    f = target.field
     names = poly.ring.names
     out: Dict[Tuple[int, ...], object] = {}
     for exps, c in poly.terms:
@@ -611,10 +607,10 @@ def substitute(poly: Polynomial, target: GradedRing, images: Dict[str, Polynomia
                 raise InputError("image outside the target ring")
             else:
                 term = img ** e if term is None else term * img ** e
-        mapped = term.terms if term is not None else (((0,) * target.nvars, f.one),)
+        mapped = term.terms if term is not None else (((0,) * target.nvars, 1),)
         for e, tc in mapped:
-            key = tuple(a + b for a, b in zip(moved, e))
-            out[key] = f.add(out.get(key, f.zero), f.mul(c, tc))
+            key = tuple(map(add, moved, e))
+            out[key] = out.get(key, 0) + c * tc
     return target.from_dict(out)
 
 

@@ -22,7 +22,12 @@ Design points, fixed once for the whole package:
     with, sorted by lead.  Normal forms, standard-monomial enumeration and
     piece counts read them as they are; syzygies and elimination pick their
     elements by lead term alone, and columns of polynomials are built only
-    for what a public function returns.  Bases compare by identity.
+    for what a public function returns.  Bases compare by identity;
+  * vec arithmetic runs on plain field values, as `sparse_rank` does: over
+    F_p the entries are ints in range(p) and every update reduces with
+    x % p inline, over Q they are Fractions under plain arithmetic.  No
+    per-term call goes through the field object; `field.inv` is called
+    once per monic scaling.
 
 Inhomogeneous generators are rejected.  Every public result is canonically
 sorted, so identical inputs give byte-identical outputs.
@@ -34,6 +39,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add, le, mul, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graded_poly import Degree, GradedRing, InputError, Polynomial, deg_add, deg_sub
@@ -176,11 +182,11 @@ class _TermKeys(dict):
 
     def __missing__(self, term: Term):
         c, e = term
-        split, elimset = self.split, self.elimset
+        split = self.split
         blockflag = 1 if (split is None or c < split) else 0
-        tagdeg = sum(e[i] for i in elimset) if elimset else 0
-        w = sum(ee * ww for ee, ww in zip(e, self.weights)) + self.wshift[c]
-        k = self[term] = (blockflag, tagdeg, w, tuple(-x for x in reversed(e)), -c)
+        tagdeg = sum(map(e.__getitem__, self.elimset))
+        w = sum(map(mul, e, self.weights)) + self.wshift[c]
+        k = self[term] = (blockflag, tagdeg, w, tuple(map(neg, reversed(e))), -c)
         return k
 
 
@@ -217,59 +223,57 @@ def _vec_to_col(ring: GradedRing, rank: int, v: Vec) -> Column:
     return tuple(ring.from_dict(b) for b in buckets)
 
 
-def _vec_axpy(field, target: Vec, coeff, mono: Tuple[int, ...], src: Vec):
-    """target -= coeff * x^mono * src   (in place)"""
+def _vec_axpy(p: int, target: Vec, coeff, mono: Tuple[int, ...], src: Vec):
+    """target -= coeff * x^mono * src   (in place), over the field of
+    characteristic p: reduced with % p when p > 0, plain arithmetic on
+    Q."""
+    get = target.get
     for (c, e), cv in src.items():
-        k = (c, tuple(a + b for a, b in zip(e, mono)))
-        nv = field.sub(target.get(k, field.zero), field.mul(coeff, cv))
-        if nv == field.zero:
-            target.pop(k, None)
-        else:
+        k = (c, tuple(map(add, e, mono)))
+        nv = (get(k, 0) - coeff * cv) % p if p else get(k, 0) - coeff * cv
+        if nv:
             target[k] = nv
+        else:
+            target.pop(k, None)
 
 
 def _vec_monic(field, v: Vec, lead: Term) -> Vec:
     lc = v[lead]
-    if lc == field.one:
+    if lc == 1:
         return v
-    inv = field.inv(lc)
-    return {t: field.mul(c, inv) for t, c in v.items()}
+    inv, p = field.inv(lc), field.char
+    if p:
+        return {t: c * inv % p for t, c in v.items()}
+    return {t: c * inv for t, c in v.items()}
 
 
 def _divides(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _reduce_vec(field, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf,
+def _reduce_vec(p: int, v: Vec, basis: Sequence[Tuple[Term, Vec]], keyf,
                 lead_only: bool = False) -> Vec:
-    """Full normal form: leading term reduced when possible, otherwise moved
-    to the remainder; reducers are scanned in fixed list order.  With
-    lead_only, stop at the first leading term no lead divides and return
-    the vec with its tail as it stands."""
+    """Full normal form over the field of characteristic p: leading term
+    reduced when possible, otherwise moved to the remainder; reducers are
+    scanned in fixed list order.  With lead_only, stop at the first leading
+    term no lead divides and return the vec with its tail as it stands."""
     work = dict(v)
     rem: Vec = {}
     while work:
         t = max(work, key=keyf)
-        c = work[t]
         comp, exps = t
-        hit = None
-        for lt, g in basis:
-            if lt[0] == comp and _divides(lt[1], exps):
-                hit = (lt, g)
+        for (lc, lexps), g in basis:
+            if lc == comp and _divides(lexps, exps):
+                _vec_axpy(p, work, work[t], tuple(map(sub, exps, lexps)), g)
                 break
-        if hit is None:
+        else:
             if lead_only:
                 return work
-            rem[t] = c
-            del work[t]
-        else:
-            lt, g = hit
-            mono = tuple(a - b for a, b in zip(exps, lt[1]))
-            _vec_axpy(field, work, c, mono, g)
+            rem[t] = work.pop(t)
     return rem
 
 
@@ -303,7 +307,7 @@ class GroebnerBasis:
 
     def reduce(self, v: Vec) -> Vec:
         """Normal form of a vec of the free module."""
-        return _reduce_vec(self.free.ring.field, v, self.reducers, self.order().key)
+        return _reduce_vec(self.free.ring.field.char, v, self.reducers, self.order().key)
 
     @cached_property
     def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
@@ -386,6 +390,7 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
     until no lead divides their leading term, and `_reduced_basis` reduces
     the tails once at the end."""
     field = free.ring.field
+    p = field.char
     keyf = order.key
     rank1 = free.rank == 1 and order.split is None
 
@@ -422,7 +427,7 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
             if c != comp:
                 continue
             lcm = _lcm(e, m)
-            if rank1 and all(min(a, b) == 0 for a, b in zip(e, m)):
+            if rank1 and not any(map(min, e, m)):
                 new[lcm] = None
             else:
                 new.setdefault(lcm, j)
@@ -438,7 +443,7 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
         basis.append((lead, v))
 
     for v in sorted(seed, key=lambda w: keyf(max(w, key=keyf))):
-        h = _reduce_vec(field, v, basis, keyf, lead_only=True)
+        h = _reduce_vec(p, v, basis, keyf, lead_only=True)
         if h:
             push_element(h)
 
@@ -450,9 +455,9 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
         i, j, lcm = pair
         (lti, gi), (ltj, gj) = basis[i], basis[j]
         s: Vec = {}
-        _vec_axpy(field, s, field.neg(field.one), deg_sub(lcm, lti[1]), gi)
-        _vec_axpy(field, s, field.one, deg_sub(lcm, ltj[1]), gj)
-        h = _reduce_vec(field, s, basis, keyf, lead_only=True)
+        _vec_axpy(p, s, -1, deg_sub(lcm, lti[1]), gi)
+        _vec_axpy(p, s, 1, deg_sub(lcm, ltj[1]), gj)
+        h = _reduce_vec(p, s, basis, keyf, lead_only=True)
         if h:
             push_element(h)
 
@@ -482,7 +487,7 @@ def _reduced_basis(free: FreeModule, vecs: List[Vec], order: ModOrder) -> List[T
     out: List[Tuple[Term, Vec]] = []
     for i, (lt, v) in enumerate(kept):
         # no other kept lead divides lt, so lt stays the lead of the remainder
-        h = _reduce_vec(field, v, kept[:i] + kept[i + 1:], keyf)
+        h = _reduce_vec(field.char, v, kept[:i] + kept[i + 1:], keyf)
         out.append((lt, _vec_monic(field, h, lt)))
     out.sort(key=lambda t: keyf(t[0]))
     return out

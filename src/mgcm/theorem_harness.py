@@ -430,7 +430,7 @@ def verify_colon_identities(
         hyps.append(
             HypothesisCheck(
                 "diagonal-charts-cm",
-                True,
+                pinv.cm,
                 f"algebra CM={pinv.cm}; chart rings are localizations"
                 " (chart-proxy)",
             )

@@ -1,7 +1,9 @@
 """Fields, degrees, rings, polynomials, parsing and printing."""
 
 import pytest
+import sympy
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from mgcm.graded_poly import (
     DEFAULT_PRIME,
@@ -33,7 +35,7 @@ def bigraded_ring(char=0):
 
 def test_rational_field_exact():
     F = RationalField()
-    assert F.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert F.of(Fraction(1, 3)) + F.of(Fraction(1, 6)) == Fraction(1, 2)
     assert F.inv(Fraction(2, 7)) == Fraction(7, 2)
     assert F.char == 0
 
@@ -41,7 +43,7 @@ def test_rational_field_exact():
 def test_prime_field_inverse():
     F = PrimeField(32003)
     for a in (1, 2, 17, 32002):
-        assert F.mul(a, F.inv(a)) == 1
+        assert a * F.inv(a) % F.p == 1
 
 
 def test_prime_field_rejects_composites():
@@ -235,3 +237,106 @@ def test_substitute_char_mismatch():
     x, _ = R0.gens()
     with pytest.raises(InputError):
         substitute(x, Rp, {"x": Rp.gens()[0], "y": Rp.gens()[1]})
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic kernels against sympy
+
+KERNEL_CHARS = (7, 32003, 2 ** 61 - 1, 0)
+KERNEL_NAMES = ("x", "y", "z")
+
+
+def _coefficients(char):
+    """Signed ints past 2^64, so every prime here wraps; over Q, fractions
+    as well."""
+    ints = st.integers(-(2 ** 70), 2 ** 70)
+    if char:
+        return ints
+    return ints | st.fractions(min_value=-(10 ** 9), max_value=10 ** 9, max_denominator=10 ** 4)
+
+
+@st.composite
+def _polynomials(draw, ring, max_terms=4):
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    d = draw(st.dictionaries(exps, _coefficients(ring.field.char), max_size=max_terms))
+    return ring.from_dict({e: ring.field.of(c) for e, c in d.items()})
+
+
+def _domain(char):
+    return {"modulus": char} if char else {"domain": sympy.QQ}
+
+
+def _to_sympy(f, symbols):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms}
+    return sympy.Poly.from_dict(terms, *symbols, **_domain(f.ring.field.char))
+
+
+def _sympy_terms(poly, char):
+    """{exps: coefficient} of a sympy Poly, in the engine's residues."""
+    if char:
+        return {e: int(c) % char for e, c in poly.as_dict().items() if int(c) % char}
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.as_dict().items() if c}
+
+
+def _assert_canonical(f, want):
+    """f has exactly the terms of want, sorted descending in the ring order,
+    with coefficients in range(p) over F_p."""
+    assert dict(f.terms) == want
+    keys = [f.ring.term_sort_key(e) for e, _ in f.terms]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+    p = f.ring.field.char
+    assert all(c and (not p or 0 < c < p) for _, c in f.terms)
+
+
+@pytest.mark.parametrize("char", KERNEL_CHARS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_add_and_mul_match_sympy(char, data):
+    R = GradedRing(field_for_char(char), KERNEL_NAMES, ((1,),) * 3, (1, 1, 1))
+    symbols = sympy.symbols(KERNEL_NAMES)
+    f, g = data.draw(_polynomials(R)), data.draw(_polynomials(R))
+    sf, sg = _to_sympy(f, symbols), _to_sympy(g, symbols)
+    _assert_canonical(f + g, _sympy_terms(sf + sg, char))
+    _assert_canonical(f - g, _sympy_terms(sf - sg, char))
+    _assert_canonical(f * g, _sympy_terms(sf * sg, char))
+    _assert_canonical(f + (-f), {})
+
+
+@pytest.mark.parametrize("char", KERNEL_CHARS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_substitute_matches_sympy(char, data):
+    F = field_for_char(char)
+    R = GradedRing(F, KERNEL_NAMES, ((1,),) * 3, (1, 1, 1))
+    T = GradedRing(F, ("s", "t", "z"), ((1,),) * 3, (1, 1, 1))
+    f = data.draw(_polynomials(R))
+    images = {nm: data.draw(_polynomials(T, max_terms=3)) for nm in ("x", "y")}
+    got = substitute(f, T, images)  # z goes to T's z
+    symbols, tsyms = sympy.symbols(KERNEL_NAMES), sympy.symbols(T.names)
+    expr = _to_sympy(f, symbols).as_expr().subs(
+        {symbols[0]: _to_sympy(images["x"], tsyms).as_expr(),
+         symbols[1]: _to_sympy(images["y"], tsyms).as_expr()},
+        simultaneous=True)
+    _assert_canonical(got, _sympy_terms(sympy.Poly(expr, *tsyms, **_domain(char)), char))
+
+
+@pytest.mark.parametrize("char", (7, 0))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_degree_pair_is_kept_and_failures_repeat(char, data):
+    R = GradedRing(field_for_char(char), KERNEL_NAMES, ((1, 0), (1, 0), (0, 1)), (1, 1, 1))
+    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    x_powers = data.draw(st.lists(st.integers(0, a), min_size=1, unique=True))
+    coeffs = _coefficients(char).filter(lambda c: R.field.of(c))
+    h = R.from_dict({(i, a - i, b): R.field.of(data.draw(coeffs)) for i in x_powers})
+    want = ((a, b), a + b)
+    assert h.degree_pair() == want and h.degree_pair() == want
+    f = data.draw(_polynomials(R))
+    pairs = {(R.monomial_mdeg(e), R.monomial_weight(e)) for e, _ in f.terms}
+    if len(pairs) == 1:
+        assert f.degree_pair() == f.degree_pair() == pairs.pop()
+    else:
+        # zero or inhomogeneous: every call raises, not just the first
+        for _ in range(2):
+            with pytest.raises(InputError):
+                f.degree_pair()

@@ -1,10 +1,12 @@
 """Groebner bases against oracles that share no code with groebner_engine:
-sympy's Groebner bases for ideals, and a naive Buchberger (every pair,
-full reduction) for modules, ideals included, under split and elimination
-orders."""
+sympy's Groebner bases for ideals over F_32003, F_4294967311 and Q, and a
+naive Buchberger (every pair, full reduction) for modules, ideals included,
+under split and elimination orders."""
 
 import itertools
+from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +24,9 @@ PRIME = 32003
 NAMES = ("x0", "x1", "x2", "x3")
 RING = GradedRing(field_for_char(PRIME), NAMES, ((1,),) * 4, (1,) * 4)
 SYMBOLS = sympy.symbols(NAMES)
+# the ideal oracle also runs over a prime above 2^32 and over Q, where the
+# engine's arithmetic takes its other branch
+OTHER_IDEAL_CHARS = (4294967311, 0)
 
 
 def _terms(text):
@@ -35,14 +40,14 @@ def _monomials(degree, nvars=4):
 
 
 @st.composite
-def _homogeneous(draw, degree, nvars, max_terms=3):
+def _homogeneous(draw, degree, nvars, max_terms=3, coeffs=st.integers(1, PRIME - 1)):
     """A homogeneous polynomial of the degree in the first nvars variables,
     or zero, as {exps: coeff}."""
     if degree < 0:
         return {}
     terms = draw(st.lists(st.sampled_from(_monomials(degree, nvars)), max_size=max_terms,
                           unique=True))
-    return {e: draw(st.integers(1, PRIME - 1)) for e in terms}
+    return {e: draw(coeffs) for e in terms}
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +56,13 @@ def _homogeneous(draw, degree, nvars, max_terms=3):
 
 @st.composite
 def _ideal_cases(draw):
+    """Generators as {exps: int}; the ints, signed and up to 2^40, are read
+    in the field of the test, so over F_4294967311 they wrap."""
     nvars = draw(st.integers(2, 4))
+    coeffs = st.integers(-(2 ** 40), 2 ** 40).filter(bool)
     gens = []
     for _ in range(draw(st.integers(1, 5))):
-        poly = draw(_homogeneous(draw(st.integers(1, 3)), nvars))
+        poly = draw(_homogeneous(draw(st.integers(1, 3)), nvars, coeffs=coeffs))
         if poly:
             gens.append(poly)
     if not gens:
@@ -62,34 +70,59 @@ def _ideal_cases(draw):
     return gens
 
 
-def _to_sympy(terms):
-    return sympy.Poly.from_dict(dict(terms), *SYMBOLS, modulus=PRIME)
+def _to_sympy(terms, char):
+    """A sympy Poly over GF(char), or over QQ when char is 0."""
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in dict(terms).items()}
+    if char:
+        return sympy.Poly.from_dict(terms, *SYMBOLS, modulus=char)
+    return sympy.Poly.from_dict(terms, *SYMBOLS, domain=sympy.QQ)
+
+
+def _from_sympy(ring, poly):
+    char = ring.field.char
+    if char:
+        return ring.from_dict({e: int(c) % char for e, c in poly.as_dict().items()})
+    return ring.from_dict({e: Fraction(int(c.p), int(c.q)) for e, c in poly.as_dict().items()})
+
+
+def _check_ideal_basis(char, gens):
+    ring = GradedRing(field_for_char(char), NAMES, ((1,),) * 4, (1,) * 4)
+    polys = [ring.from_dict({e: ring.field.of(c) for e, c in g.items()}) for g in gens]
+    polys = [f for f in polys if not f.is_zero()] or [ring.var("x0")]
+    gb = groebner_basis(ring, polys)
+    domain = {"modulus": char} if char else {"domain": sympy.QQ}
+    ref = sympy.groebner([_to_sympy(f.terms, char) for f in polys], *SYMBOLS,
+                         order="grevlex", **domain)
+    # each basis lies in the other's ideal
+    for (f,) in gb.elements:
+        assert ref.contains(_to_sympy(f.terms, char))
+    for p in ref.polys:
+        assert normal_form(gb, _from_sympy(ring, p)).is_zero()
+    # Hilbert function of P/I: standard monomials of sympy's lead terms
+    leads = [p.monoms(order="grevlex")[0] for p in ref.polys]
+    quotient = cyclic_presentation(ring, polys)
+    for d in range(7):
+        standard = sum(1 for e in _monomials(d)
+                       if not any(all(a <= b for a, b in zip(m, e)) for m in leads))
+        assert graded_piece_dim(quotient, (d,)) == standard
 
 
 # the leads x0^2*x2, x0*x1*x2 and x0^2*x1 have one lcm pairwise: a B_k
 # without its equality exception, or an F that keeps no pair, loses a
 # needed S-pair here
-@example([_terms("x2^3 + x1*x2^2 + x0^2*x2"), _terms("x2^3 + x0*x1*x2"),
-          _terms("x2^3 + x1*x2^2 + x0^2*x1")])
+@example(gens=[_terms("x2^3 + x1*x2^2 + x0^2*x2"), _terms("x2^3 + x0*x1*x2"),
+               _terms("x2^3 + x1*x2^2 + x0^2*x1")])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_ideal_cases())
+@given(gens=_ideal_cases())
 def test_ideal_basis_matches_sympy(gens):
-    polys = [RING.from_dict(g) for g in gens]
-    gb = groebner_basis(RING, polys)
-    ref = sympy.groebner([_to_sympy(g) for g in gens], *SYMBOLS, modulus=PRIME, order="grevlex")
-    # each basis lies in the other's ideal
-    for (f,) in gb.elements:
-        assert ref.contains(_to_sympy(f.terms))
-    for p in ref.polys:
-        f = RING.from_dict({e: c % PRIME for e, c in p.as_dict().items()})
-        assert normal_form(gb, f).is_zero()
-    # Hilbert function of P/I: standard monomials of sympy's lead terms
-    leads = [p.monoms(order="grevlex")[0] for p in ref.polys]
-    quotient = cyclic_presentation(RING, polys)
-    for d in range(7):
-        standard = sum(1 for e in _monomials(d)
-                       if not any(all(a <= b for a, b in zip(m, e)) for m in leads))
-        assert graded_piece_dim(quotient, (d,)) == standard
+    _check_ideal_basis(PRIME, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gens=_ideal_cases())
+@pytest.mark.parametrize("char", OTHER_IDEAL_CHARS)
+def test_ideal_basis_matches_sympy_at_a_large_prime_and_over_q(char, gens):
+    _check_ideal_basis(char, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,19 @@ def test_colon_identities_bad_bound_rejected_before_the_grade_gate():
     assert rep.verdict == "hypothesis-not-met"
 
 
+def test_subset_colon_needs_a_cohen_macaulay_product_rees_algebra():
+    # (a^3, b^3)(a, b) = (a^4, a^3 b, a b^3, b^4) has reduction number 2 (the
+    # square of a^3 b is not in (a^4, b^4) I), so its Rees algebra is not CM;
+    # the subset-colon identity fails here, outside the theorem's hypothesis
+    A = local_plane()
+    N = free_presentation(A, (((0,), 0),))
+    ideals = ((p(A, "a^3"), p(A, "b^3")), (p(A, "a"), p(A, "b")))
+    rep = verify_colon_identities(N, ideals, (1, 1), "subset-colon")
+    row = [h for h in rep.hypotheses if h.name == "diagonal-charts-cm"]
+    assert [(h.passed, h.witness.split(";")[0]) for h in row] == [(False, "algebra CM=False")]
+    assert rep.verdict == "hypothesis-not-met"
+
+
 # ---------------------------------------------------------------------------
 # spread vanishing
 
