@@ -5,9 +5,13 @@ Two independent routes are implemented:
 * duality: pieces of local cohomology at the full graded maximal ideal are
   k-duals of pieces of the dual Ext module in complementary index (graded
   local duality over the polynomial cover),
-* Koszul colimit: local cohomology against any finitely generated support
-  ideal is computed as the stabilizing cohomology of Koszul complexes on
-  rising powers of the generators, one graded piece at a time.
+* colimit: local cohomology against any finitely generated support ideal
+  is the colimit over levels k of the cohomology of Hom(F_., M), one graded
+  piece at a time.  F_. is the Koszul complex on the k-th powers of a custom
+  support's generators, or for the irrelevant ideal B the minimal free
+  resolution of S/B^[k], B^[k] = (g^k : g generates B), as H^i_B(M) is the
+  colimit of Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  A value
+  is accepted once it repeats over consecutive levels.
 
 Sheaf cohomology on the Proj of the ambient multigraded ring is read off the
 irrelevant-ideal route.  Dimensions summed over the auxiliary weight grading
@@ -32,7 +36,6 @@ from .graded_poly import (
     deg_add,
     deg_lt,
     deg_neg,
-    deg_scale,
     deg_zero,
 )
 from .groebner_engine import ModulePresentation
@@ -131,8 +134,8 @@ def maximal_support(ring: GradedRing) -> SupportSpec:
     return SupportSpec("maximal", ring.gens())
 
 
-def irrelevant_support(ring: GradedRing) -> SupportSpec:
-    """One generator per choice of a multidegree-e_j variable from each block."""
+def _irrelevant_blocks(ring: GradedRing) -> List[List[int]]:
+    """For each j, the indices of the variables of multidegree e_j."""
     r = ring.rank
     blocks: List[List[int]] = []
     for j in range(r):
@@ -141,14 +144,22 @@ def irrelevant_support(ring: GradedRing) -> SupportSpec:
         if not idx:
             raise InputError(f"no variable of multidegree e_{j + 1}; ring not standard")
         blocks.append(idx)
-    variables = ring.gens()
-    gens = []
-    for combo in itertools.product(*blocks):
-        g = ring.one()
-        for v in combo:
-            g = g * variables[v]
-        gens.append(g)
-    return SupportSpec("irrelevant", tuple(gens))
+    return blocks
+
+
+def _power_product(ring: GradedRing, variables: Iterable[int], d: int) -> Polynomial:
+    """The product of x_v^d over the given distinct variables."""
+    exps = [0] * ring.nvars
+    for v in variables:
+        exps[v] = d
+    return ring.monomial(exps)
+
+
+def irrelevant_support(ring: GradedRing) -> SupportSpec:
+    """One generator per choice of a multidegree-e_j variable from each block."""
+    return SupportSpec("irrelevant", tuple(
+        _power_product(ring, combo, 1) for combo in itertools.product(*_irrelevant_blocks(ring))
+    ))
 
 
 def custom_support(gens: Sequence[Polynomial]) -> SupportSpec:
@@ -198,129 +209,187 @@ def _mult_matrix(
     return tuple(cols), len(src), len(tgt)
 
 
-@lru_cache(maxsize=None)
-def _gen_power(g: Polynomial, k: int) -> Polynomial:
-    return g ** k
+# ---------------------------------------------------------------------------
+# graded free complexes F_. whose duals Hom(F_., M) compute the colimit
+#
+# A complex F_0 <- F_1 <- ... is a pair (shifts, maps).  shifts[q] lists the
+# (multidegree, weight) twists a of the summands S(-a) of F_q, so
+# Hom(F_q, M)_n is the sum of the pieces M_(n + a).  maps[q] lists the
+# entries of F_{q+1} -> F_q as (a, b, sign, m), sorted by (a, b): summand b
+# of F_{q+1} maps to sign * m times summand a of F_q.  Dually, Hom(F_q, M)
+# -> Hom(F_{q+1}, M) multiplies the piece of a by sign * m into that of b.
+
+
+def _koszul_complex(gens: Tuple[Polynomial, ...], k: int):
+    """Koszul complex on g_1^k, ..., g_s^k: F_p has one summand e_J per
+    p-subset J, twisted by the degree of the product of the g_j^k over J,
+    and e_J goes to the sum over j in J of (-1)^(position of j in J)
+    g_j^k e_(J - j)."""
+    s = len(gens)
+    powers = tuple(g ** k for g in gens)
+    degs = tuple(g.degree_pair() for g in powers)
+    levels = [list(itertools.combinations(range(s), p)) for p in range(s + 1)]
+    zero = deg_zero(len(degs[0][0]))
+    shifts = []
+    for level in levels:
+        row = []
+        for J in level:
+            m, w = zero, 0
+            for j in J:
+                m, w = deg_add(m, degs[j][0]), w + degs[j][1]
+            row.append((m, w))
+        shifts.append(tuple(row))
+    maps = []
+    for p in range(s):
+        index = {J: b for b, J in enumerate(levels[p + 1])}
+        maps.append(tuple(
+            (a, index[tuple(sorted(J + (j,)))], (-1) ** sum(1 for x in J if x < j), powers[j])
+            for a, J in enumerate(levels[p]) for j in range(s) if j not in J
+        ))
+    return tuple(shifts), tuple(maps)
+
+
+def _irrelevant_resolution(ring: GradedRing, d: int):
+    """Minimal free resolution of S/B^[d], B^[d] = (g^d) over the generators
+    g of the irrelevant ideal B = B_1 ... B_r.
+
+    B^[d] is the product of the block ideals (x^d : x in B_j), which lie in
+    disjoint variables, so the tensor product of their Koszul resolutions
+    (each without its S term) resolves it.  F_0 = S, and F_q has one summand
+    e_J per tuple J = (J_1, ..., J_r) of nonempty J_j in B_j with
+    1 + sum_j (|J_j| - 1) = q, twisted by the degree of the product of the
+    x^d over J.  An e_J of singletons goes to that product in S; any other
+    goes to the sum over blocks j with |J_j| >= 2 and over t in J_j of
+    (-1)^(sum_{i<j} (|J_i| - 1) + position of t in J_j) x_t^d e_(J - t).
+    For r = 1 this is the Koszul complex on the x^d."""
+    blocks = _irrelevant_blocks(ring)
+    nonempty = [[J for p in range(1, len(b) + 1) for J in itertools.combinations(b, p)]
+                for b in blocks]
+    levels: List[List[Tuple[Tuple[int, ...], ...]]] = [[()]]
+    levels += [[] for _ in range(1 + sum(len(b) - 1 for b in blocks))]
+    for J in itertools.product(*nonempty):
+        levels[1 + sum(len(Jj) - 1 for Jj in J)].append(J)
+    shifts = [((deg_zero(ring.rank), 0),)]
+    shifts += [tuple((tuple(d * len(Jj) for Jj in J),
+                      d * sum(ring.weights[v] for Jj in J for v in Jj)) for J in level)
+               for level in levels[1:]]
+    maps = [tuple((0, b, 1, _power_product(ring, itertools.chain(*J), d))
+                  for b, J in enumerate(levels[1]))]
+    powers = {v: _power_product(ring, (v,), d) for b in blocks for v in b}
+    for q in range(1, len(levels) - 1):
+        index = {J: a for a, J in enumerate(levels[q])}
+        entries = []
+        for b, J in enumerate(levels[q + 1]):
+            before = 0
+            for j, Jj in enumerate(J):
+                if len(Jj) >= 2:
+                    for pos, t in enumerate(Jj):
+                        face = J[:j] + (Jj[:pos] + Jj[pos + 1:],) + J[j + 1:]
+                        entries.append((index[face], b, (-1) ** (before + pos), powers[t]))
+                before += len(Jj) - 1
+        maps.append(tuple(sorted(entries, key=lambda e: e[:2])))
+    return tuple(shifts), tuple(maps)
+
+
+@lru_cache(maxsize=16)
+def _complex(support: SupportSpec, k: int):
+    """The free complex whose dual gives level k of the colimit: the minimal
+    resolution of S/B^[k] for the irrelevant ideal B, and the Koszul complex
+    on the k-th powers of the generators for a custom support.
+
+    Only recent complexes are kept.  Each value walks a few consecutive
+    levels, a complex is cheap to build again, and a Koszul complex on s
+    generators has s * 2^(s-1) entries at every level, so keeping all levels
+    of all supports would grow memory for little time."""
+    if support.kind == "irrelevant":
+        return _irrelevant_resolution(support.generators[0].ring, k)
+    return _koszul_complex(support.generators, k)
 
 
 # ---------------------------------------------------------------------------
-# Koszul-complex cohomology of one graded piece at one power level
+# cohomology of Hom(F_., M) on one graded piece
 
 
-def _subset_shift(degs: Sequence[Tuple[Degree, int]], J: Tuple[int, ...], k: int):
-    m = deg_zero(len(degs[0][0]))
-    w = 0
-    for j in J:
-        m = deg_add(m, deg_scale(degs[j][0], k))
-        w += degs[j][1] * k
-    return m, w
-
-
-def _piece_offsets(
-    module: ModulePresentation,
-    degs: Sequence[Tuple[Degree, int]],
-    subsets,
-    k: int,
-    n: Degree,
-    weight: Optional[int],
-) -> Tuple[Dict[Tuple[int, ...], int], int]:
-    """Offsets of the pieces (n, weight) + k*deg(J), one per subset J, laid
-    end to end, and their total size.
+def _pieces(module: ModulePresentation, shifts, n: Degree, weight: Optional[int]):
+    """The pieces (n, weight) + a, one per twist a, and the offsets of their
+    bases laid end to end, with the total size last.
 
     Pieces here are sized by `piece_basis`: `_mult_matrix` lists their bases
     anyway, so a separate count would only add work."""
-    offsets: Dict[Tuple[int, ...], int] = {}
-    total = 0
-    for J in subsets:
-        dm, dw = _subset_shift(degs, J, k)
-        offsets[J] = total
-        total += len(piece_basis(
-            module, deg_add(n, dm), None if weight is None else weight + dw
-        ))
-    return offsets, total
+    pieces = [(deg_add(n, m), None if weight is None else weight + w) for m, w in shifts]
+    offsets = [0]
+    for piece in pieces:
+        offsets.append(offsets[-1] + len(piece_basis(module, *piece)))
+    return pieces, offsets
 
 
 @lru_cache(maxsize=None)
 def _differential_rank(
     module: ModulePresentation,
-    gens: Tuple[Polynomial, ...],
+    support: SupportSpec,
     k: int,
-    p: int,
+    q: int,
     n: Degree,
     weight: Optional[int],
 ) -> int:
-    """Rank of d^p: C^p -> C^{p+1} on the (n, weight) piece at power level k."""
-    s = len(gens)
-    if p < 0 or p >= s:
+    """Rank of Hom(F_q, M) -> Hom(F_{q+1}, M) on the (n, weight) piece, F the
+    support's complex at level k."""
+    shifts, maps = _complex(support, k)
+    if q < 0 or q >= len(maps):
         return 0
-    degs = tuple(g.degree_pair() for g in gens)
-    powers = tuple(_gen_power(g, k) for g in gens)
-    src_subsets = list(itertools.combinations(range(s), p))
-    tgt_subsets = list(itertools.combinations(range(s), p + 1))
-    ring = module.ring
-
-    src_off, total_src = _piece_offsets(module, degs, src_subsets, k, n, weight)
-    tgt_off, total_tgt = _piece_offsets(module, degs, tgt_subsets, k, n, weight)
-    if total_src == 0 or total_tgt == 0:
+    src, src_off = _pieces(module, shifts[q], n, weight)
+    tgt_off = _pieces(module, shifts[q + 1], n, weight)[1]
+    if src_off[-1] == 0 or tgt_off[-1] == 0:
         return 0
-
-    field = ring.field
-    rows: List[Dict[int, object]] = [{} for _ in range(total_tgt)]
-    for J in src_subsets:
-        dm, dw = _subset_shift(degs, J, k)
-        src_n = deg_add(n, dm)
-        src_w = None if weight is None else weight + dw
-        for j in range(s):
-            if j in J:
-                continue
-            J2 = tuple(sorted(J + (j,)))
-            sign = (-1) ** sum(1 for x in J if x < j)
-            cols = _mult_matrix(module, powers[j], src_n, src_w)[0]
-            ro, co = tgt_off[J2], src_off[J]
-            for ci, col in enumerate(cols, co):
-                for ti, v in col:
-                    rows[ro + ti][ci] = v if sign > 0 else field.neg(v)
+    field = module.ring.field
+    rows: List[Dict[int, object]] = [{} for _ in range(tgt_off[-1])]
+    for a, b, sign, m in maps[q]:
+        cols = _mult_matrix(module, m, *src[a])[0]
+        ro = tgt_off[b]
+        for ci, col in enumerate(cols, src_off[a]):
+            for ti, v in col:
+                rows[ro + ti][ci] = v if sign > 0 else field.neg(v)
     return sparse_rank(field, rows)
 
 
-def _koszul_value(
+def _level_value(
     module: ModulePresentation,
-    degs: Sequence[Tuple[Degree, int]],
-    gens: Tuple[Polynomial, ...],
+    support: SupportSpec,
     k: int,
     i: int,
     n: Degree,
     weight: Optional[int],
 ) -> int:
-    subsets = itertools.combinations(range(len(gens)), i)
-    dim_ci = _piece_offsets(module, degs, subsets, k, n, weight)[1]
-    r_i = _differential_rank(module, gens, k, i, n, weight)
-    r_prev = _differential_rank(module, gens, k, i - 1, n, weight)
-    value = dim_ci - r_i - r_prev
+    """dim_k of H^i(Hom(F_., M))_(n, weight), F the support's complex at level k."""
+    dim_ci = _pieces(module, _complex(support, k)[0][i], n, weight)[1][-1]
+    value = (dim_ci - _differential_rank(module, support, k, i, n, weight)
+             - _differential_rank(module, support, k, i - 1, n, weight))
     if value < 0:
         raise AssertionError("negative cohomology dimension (rank bookkeeping bug)")
     return value
 
 
-def _koszul_stable_dim(
+def _stable_dim(
     module: ModulePresentation,
-    gens: Tuple[Polynomial, ...],
+    support: SupportSpec,
     i: int,
     n: Degree,
     weight: Optional[int],
     margin: bool,
 ) -> Tuple[int, int]:
-    """Koszul-colimit dimension with stabilization exponent.
+    """Colimit dimension with stabilization level.
 
-    Accepts the first power level whose value repeats at the next level
-    (two consecutive repeats with the safety margin on, the default)."""
+    Accepts the first level whose value repeats at the next level (two
+    consecutive repeats with the safety margin on, the default).  Past the
+    complex's length the value is 0 at every level, reported at level 0."""
     need = 3 if margin else 2
     k0 = 1 + max([abs(x) for x in n] + ([abs(weight)] if weight else [0]))
+    if i >= len(_complex(support, k0)[0]):
+        return 0, 0
     history: List[int] = []
     k = k0
-    degs = tuple(g.degree_pair() for g in gens)
     while k - k0 < KOSZUL_STEP_LIMIT:
-        history.append(_koszul_value(module, degs, gens, k, i, n, weight))
+        history.append(_level_value(module, support, k, i, n, weight))
         if len(history) >= need and len(set(history[-need:])) == 1:
             return history[-1], k - need + 1
         k += 1
@@ -366,10 +435,7 @@ def local_cohomology_dim(
         w = None if weight is None else -weight
         return CohomologyValue(graded_piece_dim(ext, deg_neg(n), w), "duality", None)
 
-    gens = support.generators
-    if i > len(gens):
-        return CohomologyValue(0, "koszul-colimit", 0)
-    value, stab = _koszul_stable_dim(module, gens, i, n, weight, margin)
+    value, stab = _stable_dim(module, support, i, n, weight, margin)
     return CohomologyValue(value, "koszul-colimit", stab)
 
 
