@@ -7,11 +7,14 @@ Two independent routes are implemented:
   local duality over the polynomial cover),
 * colimit: local cohomology against any finitely generated support ideal
   is the colimit over levels k of the cohomology of Hom(F_., M), one graded
-  piece at a time.  F_. is the Koszul complex on the k-th powers of a custom
-  support's generators, or for the irrelevant ideal B the minimal free
-  resolution of S/B^[k], B^[k] = (g^k : g generates B), as H^i_B(M) is the
-  colimit of Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  A value
-  is accepted once it repeats over consecutive levels.
+  piece at a time.  One producer builds every F_.: S followed by the tensor
+  product of Koszul complexes on blocks of polynomials.  A custom support is
+  one block, the k-th powers of its generators, which gives their Koszul
+  complex.  The irrelevant ideal B = B_1 ... B_r gives one block of x^k per
+  variable block, which gives the minimal free resolution of S/B^[k],
+  B^[k] = (g^k : g generates B), as H^i_B(M) is the colimit of
+  Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  A value is accepted
+  once it repeats over consecutive levels.
 
 Sheaf cohomology on the Proj of the ambient multigraded ring is read off the
 irrelevant-ideal route.  Dimensions summed over the auxiliary weight grading
@@ -220,62 +223,47 @@ def _mult_matrix(
 # -> Hom(F_{q+1}, M) multiplies the piece of a by sign * m into that of b.
 
 
-def _koszul_complex(gens: Tuple[Polynomial, ...], k: int):
-    """Koszul complex on g_1^k, ..., g_s^k: F_p has one summand e_J per
-    p-subset J, twisted by the degree of the product of the g_j^k over J,
-    and e_J goes to the sum over j in J of (-1)^(position of j in J)
-    g_j^k e_(J - j)."""
-    s = len(gens)
-    powers = tuple(g ** k for g in gens)
-    degs = tuple(g.degree_pair() for g in powers)
-    levels = [list(itertools.combinations(range(s), p)) for p in range(s + 1)]
-    zero = deg_zero(len(degs[0][0]))
-    shifts = []
-    for level in levels:
-        row = []
-        for J in level:
-            m, w = zero, 0
-            for j in J:
-                m, w = deg_add(m, degs[j][0]), w + degs[j][1]
-            row.append((m, w))
-        shifts.append(tuple(row))
-    maps = []
-    for p in range(s):
-        index = {J: b for b, J in enumerate(levels[p + 1])}
-        maps.append(tuple(
-            (a, index[tuple(sorted(J + (j,)))], (-1) ** sum(1 for x in J if x < j), powers[j])
-            for a, J in enumerate(levels[p]) for j in range(s) if j not in J
-        ))
-    return tuple(shifts), tuple(maps)
+def _degree_sum(pairs) -> Tuple[Degree, int]:
+    """The sum of (multidegree, weight) pairs."""
+    return tuple(map(sum, zip(*(m for m, _ in pairs)))), sum(w for _, w in pairs)
 
 
-def _irrelevant_resolution(ring: GradedRing, d: int):
-    """Minimal free resolution of S/B^[d], B^[d] = (g^d) over the generators
-    g of the irrelevant ideal B = B_1 ... B_r.
+def _block_complex(blocks: Sequence[Sequence[Polynomial]]):
+    """S in homological degree 0, followed by the tensor product over blocks
+    j of the Koszul complex on block j's polynomials without its S term.
 
-    B^[d] is the product of the block ideals (x^d : x in B_j), which lie in
-    disjoint variables, so the tensor product of their Koszul resolutions
-    (each without its S term) resolves it.  F_0 = S, and F_q has one summand
-    e_J per tuple J = (J_1, ..., J_r) of nonempty J_j in B_j with
-    1 + sum_j (|J_j| - 1) = q, twisted by the degree of the product of the
-    x^d over J.  An e_J of singletons goes to that product in S; any other
-    goes to the sum over blocks j with |J_j| >= 2 and over t in J_j of
-    (-1)^(sum_{i<j} (|J_i| - 1) + position of t in J_j) x_t^d e_(J - t).
-    For r = 1 this is the Koszul complex on the x^d."""
-    blocks = _irrelevant_blocks(ring)
-    nonempty = [[J for p in range(1, len(b) + 1) for J in itertools.combinations(b, p)]
-                for b in blocks]
+    F_q has one summand e_J per tuple J = (J_1, ..., J_r) of nonempty index
+    sets J_j into block j with 1 + sum_j (|J_j| - 1) = q, twisted by the
+    degree of the product of the polynomials over J.  An e_J of singletons
+    goes to that product in S; any other goes to the sum over blocks j with
+    |J_j| >= 2 and over t in J_j of
+    (-1)^(sum_{i<j} (|J_i| - 1) + position of t in J_j) g_jt e_(J - t).
+
+    One block is the Koszul complex on its polynomials.  With several
+    blocks the polynomials must be monic monomials, and when the blocks lie
+    in disjoint variables the complex is the minimal free resolution of S
+    mod the product of the block ideals."""
+    ring = blocks[0][0].ring
+    degrees = []
+    for block in blocks:
+        degs = [g.degree_pair() for g in block]
+        degrees.append({J: _degree_sum([degs[t] for t in J])
+                        for p in range(1, len(block) + 1)
+                        for J in itertools.combinations(range(len(block)), p)})
     levels: List[List[Tuple[Tuple[int, ...], ...]]] = [[()]]
     levels += [[] for _ in range(1 + sum(len(b) - 1 for b in blocks))]
-    for J in itertools.product(*nonempty):
+    for J in itertools.product(*degrees):
         levels[1 + sum(len(Jj) - 1 for Jj in J)].append(J)
     shifts = [((deg_zero(ring.rank), 0),)]
-    shifts += [tuple((tuple(d * len(Jj) for Jj in J),
-                      d * sum(ring.weights[v] for Jj in J for v in Jj)) for J in level)
+    shifts += [tuple(_degree_sum([degrees[j][Jj] for j, Jj in enumerate(J)]) for J in level)
                for level in levels[1:]]
-    maps = [tuple((0, b, 1, _power_product(ring, itertools.chain(*J), d))
-                  for b, J in enumerate(levels[1]))]
-    powers = {v: _power_product(ring, (v,), d) for b in blocks for v in b}
+    if len(blocks) == 1:
+        products = [blocks[0][t] for ((t,),) in levels[1]]
+    else:
+        products = [ring.monomial(tuple(map(sum, zip(*(blocks[j][t].terms[0][0]
+                                                      for j, (t,) in enumerate(J))))))
+                    for J in levels[1]]
+    maps = [tuple((0, b, 1, m) for b, m in enumerate(products))]
     for q in range(1, len(levels) - 1):
         index = {J: a for a, J in enumerate(levels[q])}
         entries = []
@@ -285,7 +273,7 @@ def _irrelevant_resolution(ring: GradedRing, d: int):
                 if len(Jj) >= 2:
                     for pos, t in enumerate(Jj):
                         face = J[:j] + (Jj[:pos] + Jj[pos + 1:],) + J[j + 1:]
-                        entries.append((index[face], b, (-1) ** (before + pos), powers[t]))
+                        entries.append((index[face], b, (-1) ** (before + pos), blocks[j][t]))
                 before += len(Jj) - 1
         maps.append(tuple(sorted(entries, key=lambda e: e[:2])))
     return tuple(shifts), tuple(maps)
@@ -293,17 +281,21 @@ def _irrelevant_resolution(ring: GradedRing, d: int):
 
 @lru_cache(maxsize=16)
 def _complex(support: SupportSpec, k: int):
-    """The free complex whose dual gives level k of the colimit: the minimal
-    resolution of S/B^[k] for the irrelevant ideal B, and the Koszul complex
-    on the k-th powers of the generators for a custom support.
+    """The free complex whose dual gives level k of the colimit: for the
+    irrelevant ideal B = B_1 ... B_r, one block of x^k per variable block,
+    which gives the minimal resolution of S/B^[k]; for a custom support, one
+    block of the k-th powers of the generators, which gives their Koszul
+    complex.
 
     Only recent complexes are kept.  Each value walks a few consecutive
     levels, a complex is cheap to build again, and a Koszul complex on s
     generators has s * 2^(s-1) entries at every level, so keeping all levels
     of all supports would grow memory for little time."""
     if support.kind == "irrelevant":
-        return _irrelevant_resolution(support.generators[0].ring, k)
-    return _koszul_complex(support.generators, k)
+        ring = support.generators[0].ring
+        return _block_complex([[_power_product(ring, (v,), k) for v in block]
+                               for block in _irrelevant_blocks(ring)])
+    return _block_complex([[g ** k for g in support.generators]])
 
 
 # ---------------------------------------------------------------------------

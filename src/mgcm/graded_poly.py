@@ -167,10 +167,6 @@ def deg_neg(a: Degree) -> Degree:
     return tuple(-x for x in a)
 
 
-def deg_scale(a: Degree, c: int) -> Degree:
-    return tuple(c * x for x in a)
-
-
 def deg_leq(a: Degree, b: Degree) -> bool:
     """Coordinatewise a <= b."""
     return all(x <= y for x, y in zip(a, b))

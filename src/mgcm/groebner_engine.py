@@ -169,7 +169,14 @@ def basis_multiples(f: Polynomial, rank: int) -> Tuple[Column, ...]:
 
 
 class _TermKeys(dict):
-    """Term -> key tuple of one order, built on first lookup and kept."""
+    """Term -> key tuple of one order, built on first lookup and kept; a
+    bigger key is a bigger term.
+
+    split: first `split` components dominate the rest (syzygy embedding);
+    elim: variable indices whose block total degree is compared first.
+    One Buchberger run looks up every term's key through one table, so it
+    builds each key once.
+    """
 
     __slots__ = ("weights", "wshift", "elimset", "split")
 
@@ -188,20 +195,6 @@ class _TermKeys(dict):
         w = sum(map(mul, e, self.weights)) + self.wshift[c]
         k = self[term] = (blockflag, tagdeg, w, tuple(map(neg, reversed(e))), -c)
         return k
-
-
-class ModOrder:
-    """Key object: bigger key tuple = bigger term.
-
-    split: first `split` components dominate the rest (syzygy embedding);
-    elim: variable indices whose block total degree is compared first.
-    Keys are memoised per order object, so one Buchberger run builds each
-    term's key once.
-    """
-
-    def __init__(self, free: FreeModule, elim: Tuple[int, ...] = (), split: Optional[int] = None):
-        self.split = split
-        self.key = _TermKeys(free, elim, split).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +285,9 @@ class GroebnerBasis:
     elim: Tuple[int, ...] = ()
     split: Optional[int] = None
 
-    def order(self) -> ModOrder:
-        return ModOrder(self.free, self.elim, self.split)
+    def term_key(self):
+        """A key function of the basis's order, with a table of its own."""
+        return _TermKeys(self.free, self.elim, self.split).__getitem__
 
     @property
     def lead_terms(self) -> Tuple[Term, ...]:
@@ -307,7 +301,7 @@ class GroebnerBasis:
 
     def reduce(self, v: Vec) -> Vec:
         """Normal form of a vec of the free module."""
-        return _reduce_vec(self.free.ring.field.char, v, self.reducers, self.order().key)
+        return _reduce_vec(self.free.ring.field.char, v, self.reducers, self.term_key())
 
     @cached_property
     def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
@@ -385,14 +379,14 @@ def _k_polynomial(gens, degs) -> Dict[Tuple[int, ...], int]:
     return k_of(_minimal_monomials(gens))
 
 
-def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) -> List[Vec]:
+def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], keyf,
+                     split: Optional[int]) -> List[Vec]:
     """A Groebner basis, not reduced: seeds and S-pairs are reduced only
     until no lead divides their leading term, and `_reduced_basis` reduces
     the tails once at the end."""
     field = free.ring.field
     p = field.char
-    keyf = order.key
-    rank1 = free.rank == 1 and order.split is None
+    rank1 = free.rank == 1 and split is None
 
     seed: List[Vec] = []
     for col in gens:
@@ -464,9 +458,8 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], order: ModOrder) 
     return [v for _, v in basis]
 
 
-def _reduced_basis(free: FreeModule, vecs: List[Vec], order: ModOrder) -> List[Tuple[Term, Vec]]:
+def _reduced_basis(free: FreeModule, vecs: List[Vec], keyf) -> List[Tuple[Term, Vec]]:
     field = free.ring.field
-    keyf = order.key
     leads = [max(v, key=keyf) for v in vecs]
     keep = []
     for i, lt in enumerate(leads):
@@ -502,9 +495,9 @@ def groebner_module(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by `gens`."""
     elim = tuple(free.ring.var_index(nm) for nm in elim_names)
-    order = ModOrder(free, elim, split)
-    vecs = _buchberger_vecs(free, gens, order)
-    return GroebnerBasis(free, tuple(_reduced_basis(free, vecs, order)), elim, split)
+    keyf = _TermKeys(free, elim, split).__getitem__
+    vecs = _buchberger_vecs(free, gens, keyf, split)
+    return GroebnerBasis(free, tuple(_reduced_basis(free, vecs, keyf)), elim, split)
 
 
 def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial]) -> GroebnerBasis:

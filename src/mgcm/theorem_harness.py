@@ -417,7 +417,7 @@ def verify_colon_identities(
     hyps.append(
         HypothesisCheck(
             "sections-are-power-pieces",
-            True,
+            ident,
             "exact module-level rendering; section identification "
             + ("certified (CM with top degrees below generator degrees)"
                if ident else "not certified, identity checked as stated"),
@@ -485,7 +485,8 @@ def verify_spread_vanishing(
     """For a Cohen-Macaulay blow-up module L of one ideal with analytic
     spread l, the positive sheaf cohomology of L twisted by l - 1 - i
     vanishes.  The fiber-supported line is checked only on field bases and
-    is otherwise skipped with a mode tag."""
+    is otherwise skipped with a mode tag.  The hypothesis that N is locally
+    free is checked only as N free (projective dimension 0)."""
     gens = tuple(ideal_gens)
     blocks = (gens,)
     hyps = _grade_hypotheses(N.ring, blocks)
@@ -499,12 +500,13 @@ def verify_spread_vanishing(
     hyps.append(
         HypothesisCheck("blowup-cm", inv.cm, f"dim={inv.dim} depth={inv.depth}")
     )
+    pd = is_cohen_macaulay(N).pd
     hyps.append(
         HypothesisCheck(
             "locally-free",
-            True,
-            "assumed by corpus construction"
-            + (" (module is free)" if not N.relations else ""),
+            pd == 0,
+            "assumed by corpus construction (module is free)" if pd == 0
+            else f"not free (pd={pd}); only freeness is checked",
         )
     )
     if not inv.cm:

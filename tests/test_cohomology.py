@@ -15,6 +15,7 @@ from mgcm.graded_poly import (
     PrimeField,
     RationalField,
     field_for_char,
+    parse_polynomial,
 )
 from mgcm.groebner_engine import (
     _k_polynomial,
@@ -26,8 +27,7 @@ from mgcm.groebner_engine import (
 from mgcm.homological import _relations_gb, ext_dual_module, graded_piece_dim, piece_basis
 from mgcm.cohomology import (
     CohomologyValue,
-    _irrelevant_resolution,
-    _koszul_complex,
+    _complex,
     _mult_matrix,
     cohomology_table,
     custom_support,
@@ -222,41 +222,71 @@ def _ring_id(sizes, base=0):
 RESOLUTION_RINGS = [((2,), 0), ((2, 2), 0), ((2, 3), 0), ((3, 3), 0), ((2, 2), 1)]
 
 
+def _check_complex(ring, shifts, maps):
+    """Assert that every entry is homogeneous of the degree its two summands
+    differ by and that d o d = 0; return sum_q (-1)^q sum_a t^a, the
+    K-polynomial of the complex, keyed by multidegree + (weight,)."""
+    assert len(shifts) == len(maps) + 1
+    assert len(shifts[0]) == 1 and shifts[0][0] == ((0,) * ring.rank, 0)
+    for q, entries in enumerate(maps):
+        assert [e[:2] for e in entries] == sorted(e[:2] for e in entries)
+        for a, b, sign, m in entries:
+            (ma, wa), (mb, wb) = shifts[q][a], shifts[q + 1][b]
+            assert sign in (1, -1)
+            assert m.degree_pair() == (tuple(y - x for x, y in zip(ma, mb)), wb - wa)
+    for q in range(1, len(maps)):
+        composite = {}
+        for a, b, sign, m in maps[q - 1]:
+            for a2, c, sign2, m2 in maps[q]:
+                if a2 == b:
+                    term = (sign * sign2) * (m * m2)
+                    composite[(a, c)] = composite.get((a, c), ring.zero()) + term
+        assert all(p.is_zero() for p in composite.values()), q
+    euler = {}
+    for q, twists in enumerate(shifts):
+        for m, w in twists:
+            euler[m + (w,)] = euler.get(m + (w,), 0) + (-1) ** q
+    return {t: c for t, c in euler.items() if c}
+
+
 @pytest.mark.parametrize("sizes, base", RESOLUTION_RINGS,
                          ids=[_ring_id(*case) for case in RESOLUTION_RINGS])
 def test_irrelevant_resolution_is_a_complex_with_the_k_polynomial_of_s_mod_b_d(sizes, base):
+    # both support kinds through the one producer: the irrelevant ideal B
+    # (S/B^[d], one block per variable block) and the ideal of all the
+    # variables as a custom support (S/(x^d), one block)
     ring = _block_ring(sizes, base)
-    gens = irrelevant_support(ring).generators
     degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
-    for d in (1, 2, 3):
-        shifts, maps = _irrelevant_resolution(ring, d)
-        assert len(shifts) == len(maps) + 1 == 2 + sum(s - 1 for s in sizes)
-        assert len(shifts[0]) == 1 and shifts[0][0] == ((0,) * len(sizes), 0)
-        # every entry is homogeneous of the degree its two summands differ by
-        for q, entries in enumerate(maps):
-            for a, b, sign, m in entries:
-                (ma, wa), (mb, wb) = shifts[q][a], shifts[q + 1][b]
-                assert sign in (1, -1) and len(m.terms) == 1
-                assert m.degree_pair() == (tuple(y - x for x, y in zip(ma, mb)), wb - wa)
-        # the image of F_1 is B^[d]
-        assert [m for _, _, _, m in maps[0]] == [g ** d for g in gens]
-        # d o d = 0
-        for q in range(1, len(maps)):
-            composite = {}
-            for a, b, sign, m in maps[q - 1]:
-                for a2, c, sign2, m2 in maps[q]:
-                    if a2 == b:
-                        term = (sign * sign2) * (m * m2)
-                        composite[(a, c)] = composite.get((a, c), ring.zero()) + term
-            assert all(p.is_zero() for p in composite.values()), (sizes, d, q)
-        # sum_q (-1)^q sum_a t^a is the K-polynomial of S/B^[d]
-        euler = {}
-        for q, twists in enumerate(shifts):
-            for m, w in twists:
-                euler[m + (w,)] = euler.get(m + (w,), 0) + (-1) ** q
-        euler = {t: c for t, c in euler.items() if c}
-        powers = [(g ** d).terms[0][0] for g in gens]
-        assert euler == _k_polynomial(powers, degs), (sizes, d)
+    irrelevant = irrelevant_support(ring)
+    for support, length in ((irrelevant, 2 + sum(s - 1 for s in sizes)),
+                            (custom_support(ring.gens()), 1 + ring.nvars)):
+        for d in (1, 2, 3):
+            shifts, maps = _complex(support, d)
+            assert len(shifts) == length
+            assert all(len(m.terms) == 1 for entries in maps for _, _, _, m in entries)
+            euler = _check_complex(ring, shifts, maps)
+            # the image of F_1 is generated by the g^d
+            powers = [g ** d for g in support.generators]
+            assert [m for _, _, _, m in maps[0]] == powers
+            assert euler == _k_polynomial([g.terms[0][0] for g in powers], degs), (sizes, d)
+
+
+@pytest.mark.parametrize("char", [32003, 0])
+def test_koszul_complex_on_non_monomial_generators_is_a_complex(char):
+    plane = GradedRing(field_for_char(char), ("x", "y", "z"), ((1,),) * 3, (1, 1, 1))
+    weighted = GradedRing(field_for_char(char), ("x", "y", "z"), ((1,),) * 3, (1, 2, 3))
+    quad = p1xp1_ring(char)
+    cases = [(plane, ("x + y", "x - y")), (plane, ("x^2 + y*z", "y", "z^3 - x^2*y")),
+             (weighted, ("x*z - y^2", "y", "x^2")),
+             (weighted, ("x*z + 2*y^2", "x*y*z - y^3", "x^3")),
+             (quad, ("x0*y0 + x1*y1", "x0*y1 - 3*x1*y0", "x0*y0 - x1*y1"))]
+    for ring, texts in cases:
+        support = custom_support([parse_polynomial(ring, t) for t in texts])
+        for d in (1, 2, 3):
+            shifts, maps = _complex(support, d)
+            assert len(shifts) == 1 + len(texts)
+            assert [m for _, _, _, m in maps[0]] == [g ** d for g in support.generators]
+            _check_complex(ring, shifts, maps)
 
 
 @pytest.mark.parametrize("sizes", [(2,), (3,), (4,)], ids=_ring_id)
@@ -264,9 +294,10 @@ def test_rank_one_resolution_is_the_koszul_complex_of_the_irrelevant_generators(
     # in rank 1 both supports run one complex, so their values and
     # stabilization levels agree
     ring = _block_ring(sizes, 1)
-    gens = irrelevant_support(ring).generators
+    irrelevant = irrelevant_support(ring)
+    koszul = custom_support(irrelevant.generators)
     for d in (1, 2, 3):
-        assert _irrelevant_resolution(ring, d) == _koszul_complex(gens, d)
+        assert _complex(irrelevant, d) == _complex(koszul, d)
 
 
 def test_irrelevant_and_koszul_complexes_give_the_same_local_cohomology():

@@ -62,7 +62,7 @@ def test_stored_lead_terms_and_identity():
         (R.zero(), P(R, "y*z + x^2")),
     )
     gb = groebner_module(fm, gens)
-    key = gb.order().key
+    key = gb.term_key()
     assert gb.lead_terms == tuple(max(v, key=key) for _, v in gb.reducers)
     assert tuple(_col_to_vec(col) for col in gb.elements) == tuple(v for _, v in gb.reducers)
     nf = normal_form_column(gb, (P(R, "x^3*y"), P(R, "x^2*z")))

@@ -381,6 +381,24 @@ def test_subset_colon_needs_a_cohen_macaulay_product_rees_algebra():
     assert rep.verdict == "hypothesis-not-met"
 
 
+def _session_report(text):
+    (rep,) = cli_io.execute_session(cli_io.parse_session(text), stem="t").entries
+    return rep, {h.name: h for h in rep.hypotheses}
+
+
+def test_pushforward_colon_needs_certified_sections():
+    # the Rees algebra of (a^4, a^3 b, a b^3, b^4) is not CM, so sections are
+    # not certified to be power pieces; a failing colon check here is
+    # outside the lemma's hypothesis, not a counterexample
+    rep, hyps = _session_report(
+        "ring A = poly(char=default; a,b : deg=(0), weight=1);"
+        " ideal I = (a^4, a^3*b, a*b^3, b^4); module N = free(A);"
+        " rees R = rees(N; I); verify lem45 R;")
+    row = hyps["sections-are-power-pieces"]
+    assert not row.passed and "not certified" in row.witness
+    assert rep.verdict == "hypothesis-not-met"
+
+
 # ---------------------------------------------------------------------------
 # spread vanishing
 
@@ -409,6 +427,17 @@ def test_spread_vanishing_noncm_gate():
     rep = verify_spread_vanishing(N, (p(A, "b"),))
     assert rep.verdict == "hypothesis-not-met"
     assert any(h.name == "blowup-cm" and not h.passed for h in rep.hypotheses)
+
+
+def test_spread_vanishing_needs_a_free_module():
+    # A/(c) is not locally free off V(I); freeness is checked as pd = 0
+    rep, hyps = _session_report(
+        "ring A = poly(char=default; a,b,c : deg=(0), weight=1); ideal I = (a, b);"
+        " module N = quotient(A; c); rees R = rees(N; I); verify lem44 R;")
+    assert hyps["blowup-cm"].passed
+    assert not hyps["locally-free"].passed
+    assert hyps["locally-free"].witness == "not free (pd=1); only freeness is checked"
+    assert rep.verdict == "hypothesis-not-met"
 
 
 # ---------------------------------------------------------------------------
