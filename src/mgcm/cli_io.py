@@ -5,6 +5,13 @@ end of line.  Declarations (ring / ideal / module / rees / multirees /
 diagonal) bind unique names; directives (check / table / verify) consume
 earlier names.  Parsing collects every diagnostic with its line and column
 instead of stopping at the first.
+
+`DIRECTIVES` is the one table of directives, keyed by verb or verify id:
+the target kinds each accepts, the keys it reads, and its runner.  The
+parser, the ad-hoc `mgcm verify ID FILE TARGET` path and execution all read
+it.  Runners call the checkers by their module-level names at call time and
+never hold the function objects, so whatever rebinds those names (a
+profiler's wrappers) sees every call.
 """
 
 import argparse
@@ -16,6 +23,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -29,12 +37,14 @@ from .graded_poly import (
 )
 from .groebner_engine import cyclic_presentation, free_presentation
 from .homological import a_invariant, is_cohen_macaulay, is_zero_module, v_of
-from .cohomology import cohomology_table, degree_box
+from .cohomology import cohomology_table, default_window, degree_box
 from .rees_constructions import diagonal_of, rees_module_presentation
 from .theorem_harness import (
     AggregateReport,
     CheckRecord,
     VerificationReport,
+    VERDICT_EXIT,
+    _cell,
     run_corpus,
     verify_cm_biconditional,
     verify_colon_identities,
@@ -42,37 +52,11 @@ from .theorem_harness import (
     verify_rees_transfer,
     verify_regraded_vanishing,
     verify_spread_vanishing,
+    worst_verdict,
 )
 
 ENGINE_VERSION = "mgcm-" + __version__
 CACHE_ENV_VAR = "MGCM_CACHE_DIR"
-VERIFY_IDS = ("thm31", "lem-vanish", "lem41", "thm42", "lem44", "lem45", "thm46")
-
-
-def _target_kind_error(theorem: str, kind: str, target: str) -> Optional[str]:
-    """Why `verify theorem target` is refused, or None: thm31 and lem-vanish
-    take a module, the other statements a rees or multirees object."""
-    need = ("module",) if theorem in ("thm31", "lem-vanish") else ("rees", "multirees")
-    if kind in need:
-        return None
-    return f"'{theorem}' expects a {' or '.join(need)} target, got {kind} '{target}'"
-
-
-# the key=value arguments each directive reads, by verb or verification id;
-# the parser refuses any other key
-DIRECTIVE_KEYS = {
-    "check": (),
-    "table": ("i", "window"),
-    "thm31": ("window",),
-    "lem-vanish": ("window", "k"),
-    "lem41": (),
-    "thm42": (),
-    "lem44": ("weights",),
-    "lem45": ("bound",),
-    "thm46": ("bound",),
-}
-
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -532,32 +516,24 @@ class _Parser:
         if target not in self.kinds:
             self.err(toff, f"unknown identifier '{target}'")
             return
-        want = {
-            "check": ("module", "rees", "multirees", "diagonal"),
-            "table": ("module",),
-            "verify": (),
-        }[verb]
-        if want and self.kinds[target] not in want:
-            self.err(toff, f"'{target}' ({self.kinds[target]}) cannot be used with {verb}")
+        head = theorem or verb
+        wrong = _kind_error(head, self.kinds[target], target)
+        if wrong:
+            self.err(toff, wrong)
             return
-        if verb == "verify":
-            wrong = _target_kind_error(theorem, self.kinds[target], target)
-            if wrong:
-                self.err(toff, wrong)
-                return
         rest = body[body.index(target) + len(target):]
         roff = body_off + body.index(target) + len(target)
         args: List[Tuple[str, str]] = []
-        head = theorem or verb
+        keys = DIRECTIVES[head][1]
         for am in re.finditer(r"(\S+)", rest):
             atext = am.group(1)
             km = re.match(r"([a-z]+)=(.*)\Z", atext)
             if not km:
                 self.err(roff + am.start(), f"expected 'key=value', got '{atext}'")
                 return
-            if km.group(1) not in DIRECTIVE_KEYS[head]:
-                keys = ", ".join(DIRECTIVE_KEYS[head]) or "none"
-                self.err(roff + am.start(), f"'{head}' does not read '{km.group(1)}' (keys: {keys})")
+            if km.group(1) not in keys:
+                self.err(roff + am.start(), f"'{head}' does not read '{km.group(1)}'"
+                         f" (keys: {', '.join(keys) or 'none'})")
                 return
             if any(k == km.group(1) for k, _ in args):
                 self.err(roff + am.start(), f"key '{km.group(1)}' given twice")
@@ -683,20 +659,36 @@ def _parse_range_arg(text: str) -> range:
     return range(a, b + 1)
 
 
+def _arg(args: Dict[str, str], key: str, parse, default):
+    return parse(args[key]) if key in args else default
+
+
+def _window(args: Dict[str, str], flags: "RunFlags"):
+    return _arg(args, "window", _parse_window_arg, flags.window)
+
+
+def _bound(args: Dict[str, str], obj: ReesData) -> Tuple[int, ...]:
+    if "bound" not in args:
+        return (2,) * len(obj.ideals)
+    bound = _parse_deg(args["bound"])
+    if bound is None:
+        raise InputError(f"bound expects a tuple, got '{args['bound']}'")
+    return bound
+
+
+def _one_ideal(obj: ReesData) -> Tuple[object, ...]:
+    if len(obj.ideals) != 1:
+        raise InputError("lem44 needs a rees object with exactly one ideal")
+    return obj.ideals[0]
+
+
 def _info_report(theorem: str, instance: str, char: int, rows, window=None) -> VerificationReport:
     return VerificationReport(
         theorem, instance, (), None, True, "holds", window, char, (), tuple(rows)
     )
 
 
-def _module_target(kind: str, obj) -> object:
-    if kind in ("rees", "multirees"):
-        return obj.module
-    return obj
-
-
-def _run_check(obj, kind, instance) -> VerificationReport:
-    mod = _module_target(kind, obj)
+def _run_check(mod, instance) -> VerificationReport:
     inv = is_cohen_macaulay(mod)
     rows = [
         CheckRecord("dim", None, None, str(inv.dim), "", "info"),
@@ -713,13 +705,11 @@ def _run_check(obj, kind, instance) -> VerificationReport:
 
 
 def _run_table(obj, args: Dict[str, str], instance) -> VerificationReport:
-    i_range = _parse_range_arg(args["i"]) if "i" in args else range(0, 3)
+    i_range = _arg(args, "i", _parse_range_arg, range(0, 3))
     if "window" in args:
         lo, hi = _parse_window_arg(args["window"])
         window = degree_box(lo, hi)
     else:
-        from .cohomology import default_window
-
         window = default_window(obj)
         lo, hi = window[0], window[-1]
     table = cohomology_table(obj, i_range, window)
@@ -730,37 +720,39 @@ def _run_table(obj, args: Dict[str, str], instance) -> VerificationReport:
     return _info_report("table", instance, obj.ring.field.char, rows, (lo, hi))
 
 
-def _run_verify(theorem, kind, obj, args: Dict[str, str], flags, instance) -> VerificationReport:
-    window = None
-    if "window" in args:
-        window = _parse_window_arg(args["window"])
-    elif flags.window is not None:
-        window = flags.window
-    if theorem == "thm31":
-        return verify_cm_biconditional(obj, window, instance)
-    if theorem == "lem-vanish":
-        k_range = _parse_range_arg(args["k"]) if "k" in args else (0, 1, 2)
-        return verify_regraded_vanishing(obj, window, k_range, instance)
-    if theorem == "lem41":
-        return verify_rees_a_invariant(obj.source, obj.ideals, instance)
-    if theorem == "thm42":
-        return verify_rees_transfer(obj.source, obj.ideals, instance)
-    if theorem == "lem44":
-        if len(obj.ideals) != 1:
-            raise InputError("lem44 needs a rees object with exactly one ideal")
-        weights = _parse_range_arg(args["weights"]) if "weights" in args else range(-3, 4)
-        return verify_spread_vanishing(obj.source, obj.ideals[0], weights, instance)
-    if theorem in ("lem45", "thm46"):
-        r = len(obj.ideals)
-        if "bound" in args:
-            bound = _parse_deg(args["bound"])
-            if bound is None:
-                raise InputError(f"bound expects a tuple, got '{args['bound']}'")
-        else:
-            bound = (2,) * r
-        which = "pushforward-colon" if theorem == "lem45" else "subset-colon"
-        return verify_colon_identities(obj.source, obj.ideals, bound, which, instance)
-    raise InputError(f"unknown verification id '{theorem}'")
+_REES = ("rees", "multirees")
+
+# verb or verify id -> (target kinds, keys read, runner(kind, obj, args, flags,
+# instance)); the parser refuses any other key.  The verify ids follow the
+# two verbs in the order `mgcm verify` lists them.
+DIRECTIVES = {
+    "check": (("module", "rees", "multirees", "diagonal"), (),
+              lambda k, o, a, f, i: _run_check(o.module if k in _REES else o, i)),
+    "table": (("module",), ("i", "window"), lambda k, o, a, f, i: _run_table(o, a, i)),
+    "thm31": (("module",), ("window",),
+              lambda k, o, a, f, i: verify_cm_biconditional(o, _window(a, f), i)),
+    "lem-vanish": (("module",), ("window", "k"), lambda k, o, a, f, i: verify_regraded_vanishing(
+        o, _window(a, f), _arg(a, "k", _parse_range_arg, (0, 1, 2)), i)),
+    "lem41": (_REES, (), lambda k, o, a, f, i: verify_rees_a_invariant(o.source, o.ideals, i)),
+    "thm42": (_REES, (), lambda k, o, a, f, i: verify_rees_transfer(o.source, o.ideals, i)),
+    "lem44": (_REES, ("weights",), lambda k, o, a, f, i: verify_spread_vanishing(
+        o.source, _one_ideal(o), _arg(a, "weights", _parse_range_arg, range(-3, 4)), i)),
+    "lem45": (_REES, ("bound",), lambda k, o, a, f, i: verify_colon_identities(
+        o.source, o.ideals, _bound(a, o), "pushforward-colon", i)),
+    "thm46": (_REES, ("bound",), lambda k, o, a, f, i: verify_colon_identities(
+        o.source, o.ideals, _bound(a, o), "subset-colon", i)),
+}
+VERIFY_IDS = tuple(DIRECTIVES)[2:]
+
+
+def _kind_error(head: str, kind: str, target: str) -> Optional[str]:
+    """Why directive `head` refuses a target of this kind, or None."""
+    kinds = DIRECTIVES[head][0]
+    if kind in kinds:
+        return None
+    if head in VERIFY_IDS:
+        return f"'{head}' expects a {' or '.join(kinds)} target, got {kind} '{target}'"
+    return f"'{target}' ({kind}) cannot be used with {head}"
 
 
 @dataclass(frozen=True)
@@ -798,22 +790,13 @@ def execute_session(
         if t.target not in objects:
             raise InputError(f"unknown target '{t.target}'")
         kind, obj = objects[t.target]
-        if t.verb == "verify":
-            wrong = _target_kind_error(t.theorem, kind, t.target)
-            if wrong:
-                raise InputError(wrong)
-        head = t.theorem if t.verb == "verify" else t.verb
+        head = t.theorem or t.verb
+        wrong = _kind_error(head, kind, t.target)
+        if wrong:
+            raise InputError(wrong)
         instance = f"{stem}:{idx}:{head}:{t.target}"
-        args = dict(t.args)
-
-        def thunk(t=t, kind=kind, obj=obj, args=args, instance=instance):
-            if t.verb == "check":
-                return _run_check(obj, kind, instance)
-            if t.verb == "table":
-                return _run_table(_module_target(kind, obj), args, instance)
-            return _run_verify(t.theorem, kind, obj, args, flags, instance)
-
-        entries.append((instance, thunk))
+        run = DIRECTIVES[head][2]
+        entries.append((instance, partial(run, kind, obj, dict(t.args), flags, instance)))
     return run_corpus(entries)
 
 
@@ -822,9 +805,7 @@ def execute_session(
 
 
 def _fmt_degree_cell(degree) -> str:
-    if degree is None:
-        return ""
-    return "(" + "|".join(str(x) for x in degree) + ")"
+    return "" if degree is None else _cell(degree)
 
 
 def _fmt_window(window) -> str:
@@ -928,12 +909,6 @@ def emit_report(report, fmt: str = "json") -> bytes:
             else:
                 rows.extend(_csv_rows_for_report(entry))
         return _csv_bytes(rows)
-    if "detail" in shaped:
-        rows = [
-            [shaped["instance"], "corpus-entry", "", "", shaped["verdict"],
-             shaped["expected"], "pass" if shaped["ok"] else "fail", "", ""]
-        ]
-        return _csv_bytes(rows)
     return _csv_bytes(_csv_rows_for_report(shaped))
 
 
@@ -1033,16 +1008,6 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read '{path}': {e.strerror or e}") from e
 
 
-_VERDICT_ORDER = {"violated": 0, "input-error": 1, "resource-limit": 2,
-                  "hypothesis-not-met": 3, "holds": 4}
-
-
-def _worst(verdicts: Sequence[str]) -> str:
-    if not verdicts:
-        return "holds"
-    return min(verdicts, key=lambda v: _VERDICT_ORDER.get(v, 0))
-
-
 def _is_corpus_entry(result) -> bool:
     """Has a cached result the shape `run_manifest_entry` stores?  Any other
     value under a matching key is corrupt and reads as a miss."""
@@ -1065,7 +1030,7 @@ def run_manifest_entry(path: str, flags: RunFlags, cache_dir: Optional[str]) -> 
             {"instance": r.instance, "theorem": r.theorem, "verdict": r.verdict}
             for r in agg.entries
         ]
-        verdict = _worst([r.verdict for r in agg.entries])
+        verdict = worst_verdict(r.verdict for r in agg.entries)
     except SessionDiagnostics as e:
         detail = [
             {"instance": stem, "theorem": "parse", "verdict": d.render()}
@@ -1110,15 +1075,11 @@ def run_corpus_files(
         "entries": entries,
         "summary": {"pass": npass, "fail": len(entries) - npass},
     }
-    if any(v not in ("input-error", "resource-limit") for v in mismatch_verdicts):
-        code = 1
-    elif "input-error" in mismatch_verdicts:
-        code = 2
-    elif "resource-limit" in mismatch_verdicts:
-        code = 3
-    else:
-        code = 0
-    return report, code
+    # a verdict other than the expected one counts as a violation, unless it
+    # is an error verdict
+    worst = worst_verdict(v if v in ("input-error", "resource-limit") else "violated"
+                          for v in mismatch_verdicts)
+    return report, VERDICT_EXIT[worst]
 
 
 def load_manifest(path: str) -> List[Tuple[str, str]]:

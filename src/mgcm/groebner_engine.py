@@ -461,22 +461,11 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], keyf,
 def _reduced_basis(free: FreeModule, vecs: List[Vec], keyf) -> List[Tuple[Term, Vec]]:
     field = free.ring.field
     leads = [max(v, key=keyf) for v in vecs]
-    keep = []
-    for i, lt in enumerate(leads):
-        redundant = False
-        for j, lt2 in enumerate(leads):
-            if i == j:
-                continue
-            if lt2[0] == lt[0] and _divides(lt2[1], lt[1]):
-                if _divides(lt[1], lt2[1]) and lt[1] == lt2[1]:
-                    redundant = j < i  # identical leads: keep the first
-                else:
-                    redundant = True
-                if redundant:
-                    break
-        if not redundant:
-            keep.append(i)
-    kept = [(leads[i], vecs[i]) for i in keep]
+    # drop a vec if another lead properly divides its lead, or if an earlier
+    # vec has the same lead
+    kept = [(lt, v) for i, (lt, v) in enumerate(zip(leads, vecs))
+            if not any(lt2[0] == lt[0] and _divides(lt2[1], lt[1]) and (lt2 != lt or j < i)
+                       for j, lt2 in enumerate(leads))]
     out: List[Tuple[Term, Vec]] = []
     for i, (lt, v) in enumerate(kept):
         # no other kept lead divides lt, so lt stays the lead of the remainder

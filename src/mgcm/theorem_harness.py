@@ -8,7 +8,7 @@ conclusion computably failed; everything window-relative records its window.
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .graded_poly import (
     Degree,
@@ -100,22 +100,40 @@ class VerificationReport:
         return self.verdict in ("holds", "hypothesis-not-met")
 
 
+# every verdict, from worst to best, with the exit code of a run whose worst
+# verdict it is: the one verdict order
+VERDICT_EXIT = {"violated": 1, "input-error": 2, "resource-limit": 3,
+                "hypothesis-not-met": 0, "holds": 0}
+_RANK = {v: r for r, v in enumerate(VERDICT_EXIT)}
+
+
+def worst_verdict(verdicts: Iterable[str]) -> str:
+    """The worst of the verdicts, "holds" for none; an unknown one is worst."""
+    return min(verdicts, key=lambda v: _RANK.get(v, 0), default="holds")
+
+
 @dataclass(frozen=True)
 class AggregateReport:
     entries: Tuple[VerificationReport, ...]
-    passed: int
-    failed: int
-    input_errors: int
-    resource_limits: int
+
+    @property
+    def passed(self) -> int:
+        return sum(r.passed for r in self.entries)
+
+    @property
+    def failed(self) -> int:
+        return len(self.entries) - self.passed
+
+    @property
+    def input_errors(self) -> int:
+        return sum(r.verdict == "input-error" for r in self.entries)
+
+    @property
+    def resource_limits(self) -> int:
+        return sum(r.verdict == "resource-limit" for r in self.entries)
 
     def exit_code(self) -> int:
-        if self.failed - self.input_errors - self.resource_limits > 0:
-            return 1
-        if self.input_errors:
-            return 2
-        if self.resource_limits:
-            return 3
-        return 0
+        return VERDICT_EXIT.get(worst_verdict(r.verdict for r in self.entries), 1)
 
 
 def _cell(x) -> str:
@@ -628,27 +646,14 @@ def run_corpus(
     """Run one thunk per corpus entry; input and resource failures are
     isolated into per-entry reports instead of aborting the batch."""
     reports: List[VerificationReport] = []
-    passed = failed = input_errors = resource_limits = 0
     for instance, thunk in entries:
         try:
             rep = thunk()
-        except InputError as e:
+        except (InputError, ResourceLimit) as e:
+            verdict = "input-error" if isinstance(e, InputError) else "resource-limit"
             rep = VerificationReport(
-                "error", instance, (), None, None, "input-error", None, 0,
-                ("input-error",),
-                (CheckRecord("input-error", None, None, str(e), "", "fail"),),
+                "error", instance, (), None, None, verdict, None, 0, (verdict,),
+                (CheckRecord(verdict, None, None, str(e), "", "fail"),),
             )
-            input_errors += 1
-        except ResourceLimit as e:
-            rep = VerificationReport(
-                "error", instance, (), None, None, "resource-limit", None, 0,
-                ("resource-limit",),
-                (CheckRecord("resource-limit", None, None, str(e), "", "fail"),),
-            )
-            resource_limits += 1
-        if rep.passed:
-            passed += 1
-        else:
-            failed += 1
         reports.append(rep)
-    return AggregateReport(tuple(reports), passed, failed, input_errors, resource_limits)
+    return AggregateReport(tuple(reports))

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -545,6 +546,30 @@ def test_run_corpus_exit_codes():
     # hypothesis-not-met counts as a pass
     agg = run_corpus([("h", lambda: _fake("hypothesis-not-met"))])
     assert agg.exit_code() == 0 and agg.passed == 1
+
+
+VERDICTS_WORST_FIRST = ("violated", "input-error", "resource-limit", "hypothesis-not-met", "holds")
+EXIT_CODE = {"violated": 1, "input-error": 2, "resource-limit": 3,
+             "hypothesis-not-met": 0, "holds": 0}
+
+
+def _entry(verdict):
+    def run():
+        if verdict == "input-error":
+            raise InputError("x")
+        if verdict == "resource-limit":
+            raise ResourceLimit("x")
+        return _fake(verdict)
+    return run
+
+
+@pytest.mark.parametrize("first,second", itertools.product(VERDICTS_WORST_FIRST, repeat=2))
+def test_run_corpus_exit_code_is_the_worse_verdicts(first, second):
+    agg = run_corpus([("a", _entry(first)), ("b", _entry(second))])
+    assert [r.verdict for r in agg.entries] == [first, second]
+    worse = min(first, second, key=VERDICTS_WORST_FIRST.index)
+    assert th.worst_verdict([first, second]) == worse
+    assert agg.exit_code() == EXIT_CODE[worse]
 
 
 def test_report_failures_property():
