@@ -715,7 +715,7 @@ def _run_table(obj, args: Dict[str, str], instance) -> VerificationReport:
     table = cohomology_table(obj, i_range, window)
     rows = [
         CheckRecord("sheaf-dim", i, n, str(dim), "", "info", table.mode)
-        for (i, n, dim, _stab) in table.entries
+        for (i, n, dim) in table.entries
     ]
     return _info_report("table", instance, obj.ring.field.char, rows, (lo, hi))
 
@@ -1127,7 +1127,8 @@ def _flags_from(ns) -> RunFlags:
 def _emit(shaped, fmt: str) -> int:
     sys.stdout.flush()
     sys.stdout.buffer.write(emit_report(shaped, fmt))
-    sys.stdout.buffer.write(b"\n")
+    if fmt == "json":
+        sys.stdout.buffer.write(b"\n")
     sys.stdout.buffer.flush()
     return 0
 

@@ -13,8 +13,10 @@ Two independent routes are implemented:
   complex.  The irrelevant ideal B = B_1 ... B_r gives one block of x^k per
   variable block, which gives the minimal free resolution of S/B^[k],
   B^[k] = (g^k : g generates B), as H^i_B(M) is the colimit of
-  Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  A value is accepted
-  once it repeats over consecutive levels.
+  Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  Each value is
+  computed at one certified level, read off the twists of M's minimal free
+  resolution; the irrelevant ideal and the ideal of all the variables are
+  the supports with such a level.
 
 Sheaf cohomology on the Proj of the ambient multigraded ring is read off the
 irrelevant-ideal route.  Dimensions summed over the auxiliary weight grading
@@ -35,7 +37,6 @@ from .graded_poly import (
     GradedRing,
     InputError,
     Polynomial,
-    ResourceLimit,
     deg_add,
     deg_lt,
     deg_neg,
@@ -52,9 +53,6 @@ from .homological import (
     standard_monomials,
     v_of,
 )
-
-KOSZUL_STEP_LIMIT = 40
-
 
 # ---------------------------------------------------------------------------
 # exact rank over the coefficient field: one kernel for F_p and Q alike
@@ -287,8 +285,8 @@ def _complex(support: SupportSpec, k: int):
     block of the k-th powers of the generators, which gives their Koszul
     complex.
 
-    Only recent complexes are kept.  Each value walks a few consecutive
-    levels, a complex is cheap to build again, and a Koszul complex on s
+    Only recent complexes are kept.  Each value is computed at one certified
+    level, a complex is cheap to build again, and a Koszul complex on s
     generators has s * 2^(s-1) entries at every level, so keeping all levels
     of all supports would grow memory for little time."""
     if support.kind == "irrelevant":
@@ -352,8 +350,12 @@ def _level_value(
     n: Degree,
     weight: Optional[int],
 ) -> int:
-    """dim_k of H^i(Hom(F_., M))_(n, weight), F the support's complex at level k."""
-    dim_ci = _pieces(module, _complex(support, k)[0][i], n, weight)[1][-1]
+    """dim_k of H^i(Hom(F_., M))_(n, weight), F the support's complex at level k;
+    0 past the complex's length."""
+    shifts = _complex(support, k)[0]
+    if i >= len(shifts):
+        return 0
+    dim_ci = _pieces(module, shifts[i], n, weight)[1][-1]
     value = (dim_ci - _differential_rank(module, support, k, i, n, weight)
              - _differential_rank(module, support, k, i - 1, n, weight))
     if value < 0:
@@ -361,33 +363,66 @@ def _level_value(
     return value
 
 
-def _stable_dim(
+def _certified_level(
     module: ModulePresentation,
     support: SupportSpec,
-    i: int,
     n: Degree,
     weight: Optional[int],
-    margin: bool,
-) -> Tuple[int, int]:
-    """Colimit dimension with stabilization level.
+) -> int:
+    """A level d0 from which H^i(Hom(F^(d), M)) is the colimit H^i_I(M) on
+    the (n, weight) piece for every i, F^(d) the support's complex at level d.
 
-    Accepts the first level whose value repeats at the next level (two
-    consecutive repeats with the safety margin on, the default).  Past the
-    complex's length the value is 0 at every level, reported at level 0."""
-    need = 3 if margin else 2
-    k0 = 1 + max([abs(x) for x in n] + ([abs(weight)] if weight else [0]))
-    if i >= len(_complex(support, k0)[0]):
-        return 0, 0
-    history: List[int] = []
-    k = k0
-    while k - k0 < KOSZUL_STEP_LIMIT:
-        history.append(_level_value(module, support, k, i, n, weight))
-        if len(history) >= need and len(set(history[-need:])) == 1:
-            return history[-1], k - need + 1
-        k += 1
-    raise ResourceLimit(
-        f"Koszul colimit did not stabilize within {KOSZUL_STEP_LIMIT} levels"
-    )
+    Let b run over the twists of all the free modules of M's minimal free
+    resolution F_., and N_j be the number of variables of multidegree e_j.
+    For the irrelevant ideal B, and for the ideal m of all the variables
+    without a weight slice,
+        d0 = max(1, max_{b, j} (b_j - n_j - N_j + 1)).
+    For m in the weight slice w, with W the sum of the variable weights
+    (every weight is positive),
+        d0 = max(1, max_{b, v} floor((w_b - w - W + w_v) / w_v)).
+
+    Free module S(-b).  Its n-piece splits into the fine degrees a in
+    Z^nvars of S of multidegree n - b.  Hom(F^(d), S)_a has one summand
+    S_(a + c) per twist c of F^(d), each c a vector of 0s and ds, and
+    S_(a + c) != 0 iff a + c >= 0.  So the complex is 0 if some a_v < -d;
+    if none is, it depends only on which a_v are negative and equals the
+    fine piece of the Cech complex, whose cohomology is H_I(S)_a.
+    H_B(S)_a = 0 unless every block of a is all >= 0 or all <= -1, and
+    H_m(S)_a = 0 unless every a_v <= -1.  In a block j that is all <= -1
+    the entries sum to m_j = n_j - b_j, so each a_v >= m_j + N_j - 1; with
+    a weight slice, the a_v <= -1 weigh w - w_b in all, so each
+    w_v * a_v >= w - w_b + W - w_v.  Either way a_v >= -d0.
+    So for d >= d0 each fine degree has at level d either the colimit's
+    piece or a zero complex whose colimit piece is acyclic too, and the map
+    from level d to the colimit is a quasi-isomorphism on the n-piece.
+
+    General M.  Hom(F^(d), F_.)_n is a bounded double complex, and its
+    total complex computes Ext(S/I^[d], M)_n because F^(d) is a bounded
+    complex of free modules; its colimit over d computes H_I(M)_n because
+    the colimit is exact.  Compare the two column by column: column p is
+    Hom(F^(d), F_p)_n, a sum over the twists b of F_p, so the map is a
+    quasi-isomorphism on every column, and a map of bounded double
+    complexes that is one on every column is one on the total complexes.
+
+    Level d0 - 1 can be wrong.  Multidegree-0 variables are not in B and
+    stay >= 0 in every nonzero fine degree; without a weight slice they
+    make the pieces infinite, which `piece_basis` refuses.  Other supports
+    and other gradings have no bound here and raise InputError."""
+    ring = module.ring
+    if support.kind == "custom" and support.generators != ring.gens():
+        raise InputError("no certified colimit level for a custom support "
+                         "other than the variables")
+    twists = minimal_free_resolution(module).shifts
+    if support.kind == "custom" and weight is not None:
+        total = sum(ring.weights)
+        return max([1] + [(wb - weight - total + wv) // wv
+                          for _, ws in twists for wb in ws for wv in ring.weights])
+    blocks = _irrelevant_blocks(ring)
+    if sum(map(len, blocks)) + len(ring.base_variable_indices()) != ring.nvars:
+        raise InputError("no certified colimit level: a variable's multidegree "
+                         "is neither 0 nor some e_j")
+    return max([1] + [b[j] - n[j] - len(block) + 1
+                      for mds, _ in twists for b in mds for j, block in enumerate(blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +442,11 @@ def local_cohomology_dim(
     i: int,
     n: Sequence[int],
     weight: Optional[int] = None,
-    margin: bool = True,
 ) -> CohomologyValue:
-    """dim_k of the (n[, weight]) piece of H^i against the support ideal."""
+    """dim_k of the (n[, weight]) piece of H^i against the support ideal.
+
+    The colimit route reads one level, the certified level d0 of
+    `_certified_level`, which `stab_k` holds."""
     if i < 0:
         raise InputError("negative cohomological index")
     ring = module.ring
@@ -427,8 +464,9 @@ def local_cohomology_dim(
         w = None if weight is None else -weight
         return CohomologyValue(graded_piece_dim(ext, deg_neg(n), w), "duality", None)
 
-    value, stab = _stable_dim(module, support, i, n, weight, margin)
-    return CohomologyValue(value, "koszul-colimit", stab)
+    d0 = _certified_level(module, support, n, weight)
+    value = _level_value(module, support, d0, i, n, weight)
+    return CohomologyValue(value, "koszul-colimit", d0)
 
 
 def local_cohomology_layer_vanishes(
@@ -462,33 +500,31 @@ def mdeg_layer_nonzero(module: ModulePresentation, n: Degree) -> bool:
 # sheaf cohomology on Proj
 
 
-def _sheaf_value(module: ModulePresentation, i: int, n: Degree,
-                 weight: Optional[int], margin: bool) -> Tuple[int, int]:
-    """(dim_k H^i(Z, sheaf(module)(n)), stabilization level of the colimits
-    it read).  For i >= 1 this is the degree-n piece of H^{i+1} at the
-    irrelevant ideal; for i = 0 global sections have dimension
-    dim module_n - h^0 + h^1 (h^j at the irrelevant ideal)."""
-    support = irrelevant_support(module.ring)
-    if i >= 1:
-        cv = local_cohomology_dim(module, support, i + 1, n, weight, margin)
-        return cv.value, cv.stab_k
-    mn = graded_piece_dim(module, n, weight)
-    h0 = local_cohomology_dim(module, support, 0, n, weight, margin)
-    h1 = local_cohomology_dim(module, support, 1, n, weight, margin)
-    return mn - h0.value + h1.value, max(h0.stab_k, h1.stab_k)
-
-
 def sheaf_cohomology_dim(
     module: ModulePresentation,
     i: int,
     n: Sequence[int],
     weight: Optional[int] = None,
-    margin: bool = True,
+    *, margin: bool = True,
 ) -> int:
-    """dim_k H^i(Z, sheaf(module)(n)) on Z = Proj of the ambient ring."""
+    """dim_k H^i(Z, sheaf(module)(n)) on Z = Proj of the ambient ring.
+
+    For i >= 1 this is the degree-n piece of H^{i+1} at the irrelevant
+    ideal; for i = 0 global sections have dimension dim module_n - h^0 + h^1
+    (h^j at the irrelevant ideal).
+
+    `margin` is ignored.  It set how many repeats the old stopping rule
+    waited for before accepting a colimit value; each value is now computed
+    at one certified level.  It stays only because the benchmark's kunneth
+    workload still passes margin=False."""
     if i < 0:
         raise InputError("negative cohomological index")
-    return _sheaf_value(module, i, tuple(n), weight, margin)[0]
+    support = irrelevant_support(module.ring)
+    if i >= 1:
+        return local_cohomology_dim(module, support, i + 1, n, weight).value
+    return (graded_piece_dim(module, n, weight)
+            - local_cohomology_dim(module, support, 0, n, weight).value
+            + local_cohomology_dim(module, support, 1, n, weight).value)
 
 
 def sections_natural_iso(
@@ -532,10 +568,9 @@ def _check_below_v(module: ModulePresentation, n: Sequence[int]):
 class CohomologyTable:
     """Sheaf cohomology dimensions over a degree window.
 
-    entries: rows (i, n, dim, stabilization exponent or None) sorted by i
-    then lexicographically by n."""
+    entries: rows (i, n, dim) sorted by i then lexicographically by n."""
 
-    entries: Tuple[Tuple[int, Degree, int, Optional[int]], ...]
+    entries: Tuple[Tuple[int, Degree, int], ...]
     window: Tuple[Degree, ...]
     mode: str
 
@@ -551,9 +586,8 @@ def cohomology_table(
     i_list = sorted(set(int(i) for i in i_range))
     if any(i < 0 for i in i_list):
         raise InputError("negative cohomological index")
-    rows = tuple(
-        (i, n) + _sheaf_value(module, i, n, None, True) for i in i_list for n in sorted(window)
-    )
+    rows = tuple((i, n, sheaf_cohomology_dim(module, i, n))
+                 for i in i_list for n in sorted(window))
     return CohomologyTable(rows, window, "koszul-colimit")
 
 

@@ -564,7 +564,8 @@ def dual_route_report(
     instance: str = "",
 ) -> VerificationReport:
     """Local cohomology at the full variable ideal computed twice: once by
-    duality, once as a stabilized colimit of exponent-power complexes."""
+    duality, once as the colimit of exponent-power Koszul complexes, read at
+    one certified level."""
     ring = module.ring
     box, lo, hi = _window_box(module, window)
     if i_range is None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -474,6 +476,23 @@ def test_main_run(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["summary"] == {"pass": 1, "fail": 0}
     assert data["entries"][0]["verdict"] == "holds"
+
+
+def test_main_table_of_a_twisted_line_bundle_in_csv(tmp_path, capsys):
+    # h^1(O(-7, 0)) on P^1 x P^1 is h^1(O_P1(-7)) * h^0(O_P1) = 6; at
+    # (0, 0) levels 1-3 of the colimit read 0, and the certified level is 6
+    f = tmp_path / "s.mgcm"
+    f.write_text("""\
+ring S = poly(char=default; x0,x1 : deg=(1,0), weight=1; y0,y1 : deg=(0,1), weight=1);
+module F = free(S; (7,0):7);
+table F i=0..2 window=(0,0)..(1,0);
+""")
+    assert main(["run", str(f), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    h1 = {row[3]: row[4] for row in rows if row[1:3] == ["sheaf-dim", "1"]}
+    assert h1 == {"(0|0)": "6", "(1|0)": "5"}
+    # the CSV bytes end in the verdict row's newline, with no empty row after
+    assert rows[-1][1] == "verdict"
 
 
 def test_main_run_malformed(tmp_path, capsys):
