@@ -48,6 +48,27 @@ Column = Tuple[Polynomial, ...]
 Term = Tuple[int, Tuple[int, ...]]  # (component, exponent vector)
 Vec = Dict[Term, object]
 
+# One bound for the six caches whose values are Groebner bases or are built
+# from them: `groebner_module`, `_syzygy_data`, `homological._relations_gb`,
+# `minimal_free_resolution`, `ext_dual_module` and
+# `rees_constructions._rees_module`.  Unbounded, they held 12.2 of the 13.95
+# MB still live at the end of a blowup round (400 Rees modules in one
+# process), and `groebner_module` kept 3,092 bases for 3 hits.  Peak RSS and
+# misses summed over all caches, one round at seed 7:
+#
+#     bound   blowup peak RSS   blowup misses   corpus/kunneth/dual-route misses
+#     none    32.6 MB           6,991           1,122 / 1,364 / 1,796
+#     128     22.4 MB           7,446           unchanged
+#     256     24.0 MB           7,235           unchanged
+#     512     25.9 MB (*)       7,076           unchanged
+#
+# (*) read in one process, not through the bench.  128 read slower on
+# blowup wall time, so 256 it is.  Piece bases, multiplication matrices and
+# differential ranks stay unbounded: they are small, and bounding them at
+# 256 added misses on kunneth.  An evicted value is rebuilt exactly, because
+# every public result is canonically sorted.
+BASIS_CACHE_SIZE = 256
+
 
 # ---------------------------------------------------------------------------
 # free modules and presentations
@@ -475,7 +496,7 @@ def _reduced_basis(free: FreeModule, vecs: List[Vec], keyf) -> List[Tuple[Term, 
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def groebner_module(
     free: FreeModule,
     gens: Tuple[Column, ...],
@@ -521,7 +542,7 @@ def column_degrees(free: FreeModule, gens: Sequence[Column]) -> List[Tuple[Degre
     return degs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _syzygy_data(free: FreeModule, gens: Tuple[Column, ...]):
     """GB of {(g_i, e_i)} in F (+) A^s with the F block dominant."""
     ring = free.ring
@@ -575,18 +596,22 @@ def lift_through(free: FreeModule, gens: Sequence[Column], target: Column) -> Op
     return tuple(-e for e in rem[p:])
 
 
-def submodule_contains(free: FreeModule, gens: Sequence[Column], col: Column) -> bool:
+def _contains_all(free: FreeModule, gens: Sequence[Column], cols: Sequence[Column]) -> bool:
+    """Every column of `cols` lies in the submodule generated by `gens`; the
+    basis of `gens` is built once, and only when some column needs it."""
     gens = tuple(g for g in gens if any(not e.is_zero() for e in g))
-    if not gens:
-        return all(e.is_zero() for e in col)
+    if not gens or not cols:
+        return all(e.is_zero() for col in cols for e in col)
     gb = groebner_module(free, gens)
-    return all(e.is_zero() for e in normal_form_column(gb, col))
+    return all(all(e.is_zero() for e in normal_form_column(gb, col)) for col in cols)
+
+
+def submodule_contains(free: FreeModule, gens: Sequence[Column], col: Column) -> bool:
+    return _contains_all(free, gens, (col,))
 
 
 def submodules_equal(free: FreeModule, gens_a: Sequence[Column], gens_b: Sequence[Column]) -> bool:
-    return all(submodule_contains(free, gens_b, c) for c in gens_a) and all(
-        submodule_contains(free, gens_a, c) for c in gens_b
-    )
+    return _contains_all(free, gens_b, gens_a) and _contains_all(free, gens_a, gens_b)
 
 
 def module_kernel(

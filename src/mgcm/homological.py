@@ -36,6 +36,7 @@ from .graded_poly import (
     deg_zero,
 )
 from .groebner_engine import (
+    BASIS_CACHE_SIZE,
     Column,
     FreeModule,
     GroebnerBasis,
@@ -181,7 +182,7 @@ def _minimal_generators(free: FreeModule, cols: Sequence[Column]) -> Tuple[Colum
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def minimal_free_resolution(module: ModulePresentation) -> Resolution:
     """Minimal graded free resolution.
 
@@ -242,7 +243,7 @@ def check_complex(res: Resolution) -> bool:
 # components c of J_c e_c, J_c the monomial ideal of c's lead terms.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _relations_gb(module: ModulePresentation) -> GroebnerBasis:
     rels = tuple(c for c in module.relations if not _column_is_zero(c))
     return groebner_module(module.free(), rels)
@@ -504,7 +505,7 @@ def _zero_presentation(ring: GradedRing) -> ModulePresentation:
     return ModulePresentation(ring, (), (), ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def ext_dual_module(module: ModulePresentation, i: int) -> ModulePresentation:
     """Presentation of Ext^i(M, P(-w_total)), the graded dual of local
     cohomology at the maximal graded ideal in complementary index."""

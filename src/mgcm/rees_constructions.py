@@ -27,6 +27,7 @@ from .graded_poly import (
     substitute,
 )
 from .groebner_engine import (
+    BASIS_CACHE_SIZE,
     ModulePresentation,
     basis_multiples,
     eliminate_module,
@@ -174,7 +175,7 @@ def rees_module_presentation(N: ModulePresentation, ideals) -> ModulePresentatio
     return _rees_module(N, _check_blocks(N.ring, ideals))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _rees_module(N: ModulePresentation, blocks) -> ModulePresentation:
     if any(any(d) for d in N.ring.degrees):
         raise InputError("Rees base must be graded-local: variable multidegrees all zero")

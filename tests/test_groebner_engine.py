@@ -1,5 +1,6 @@
 """Groebner bases, syzygies, kernels, colons, elimination."""
 
+import gc
 import itertools
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial, substitute
 from mgcm.groebner_engine import (
+    BASIS_CACHE_SIZE,
     FreeModule,
+    GroebnerBasis,
     _col_to_vec,
+    _syzygy_data,
     colon_in_quotient,
     cyclic_presentation,
     eliminate_module,
@@ -26,6 +30,8 @@ from mgcm.groebner_engine import (
     syzygy_basis,
     presentation,
 )
+from mgcm.homological import _relations_gb, ext_dual_module, minimal_free_resolution
+from mgcm.rees_constructions import _rees_module, rees_module_presentation
 
 
 def std_ring(char=0, names=("x", "y")):
@@ -377,3 +383,75 @@ def test_groebner_module_cache_hits():
     a = groebner_module(free, ((x,), (y,)))
     b = groebner_module(free, ((x,), (y,)))
     assert a is b
+
+
+# ---------------------------------------------------------------------------
+# the caches bounded by BASIS_CACHE_SIZE
+
+
+def _cache_keys(cached):
+    """The keys an lru_cache holds: the one dict among its referents that is
+    not its __dict__ (CPython's C implementation)."""
+    dicts = [d for d in gc.get_referents(cached) if isinstance(d, dict) and "__wrapped__" not in d]
+    assert len(dicts) == 1
+    return list(dicts[0])
+
+
+def _reaches_a_basis(obj):
+    seen, stack = set(), [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, GroebnerBasis):
+            return True
+        if isinstance(o, type) or id(o) in seen:
+            continue
+        seen.add(id(o))
+        stack.extend(gc.get_referents(o))
+    return False
+
+
+def test_bounded_caches_rebuild_what_they_evict():
+    """Build more than BASIS_CACHE_SIZE distinct values in three of the six
+    bounded caches, then rebuild the first after its eviction: the rebuild
+    equals the first build.
+
+    `GroebnerBasis` compares by identity, so a key that held a basis would
+    miss for good once that basis was evicted and built again, and would keep
+    the old basis alive; so no key of the six caches may reach a basis."""
+    R = std_ring()
+    x, y = R.var("x"), R.var("y")
+    fm = free_module(R, (((0,), 0),))
+    exps = [(i, j) for i in range(17) for j in range(17)]
+    assert len(exps) > BASIS_CACHE_SIZE
+
+    def cached_twice(cached, build, first_arg, args):
+        first = build(first_arg)
+        for a in args:
+            build(a)
+        assert cached.cache_info().currsize <= BASIS_CACHE_SIZE
+        misses = cached.cache_info().misses
+        again = build(first_arg)
+        assert cached.cache_info().misses == misses + 1
+        return first, again
+
+    mono = lambda e: ((x ** e[0] * y ** e[1],),)
+    first, again = cached_twice(groebner_module, lambda e: groebner_module(fm, mono(e)), exps[0], exps[1:])
+    assert again is not first
+    assert again.reducers == first.reducers and again.elements == first.elements
+
+    first, again = cached_twice(minimal_free_resolution, minimal_free_resolution,
+                                cyclic_presentation(R, (x * x, x * y)),
+                                [cyclic_presentation(R, (x ** i, y ** j)) for i, j in exps])
+    assert (again.shifts, again.differentials) == (first.shifts, first.differentials)
+
+    A = GradedRing(field_for_char(0), ("a", "b"), ((0,), (0,)), (1, 1))
+    a, b = A.var("a"), A.var("b")
+    N = free_presentation(A, (((0,), 0),))
+    rees = lambda e: rees_module_presentation(N, ((a ** (e[0] + 1), b ** (e[1] + 1)),))
+    first, again = cached_twice(_rees_module, rees, exps[0], exps[1:])
+    assert again == first
+
+    for cached in (groebner_module, _syzygy_data, _relations_gb, minimal_free_resolution,
+                   ext_dual_module, _rees_module):
+        assert cached.cache_info().maxsize == BASIS_CACHE_SIZE
+        assert not _reaches_a_basis(_cache_keys(cached)), cached.__name__
