@@ -6,7 +6,9 @@ Design points, fixed once for the whole package:
     index; module terms tie-break by component (lower index wins);
   * elimination uses a block order (total degree in the eliminated block
     first), which stays a well order even when eliminated tag variables have
-    weight 0;
+    weight 0.  Only the elements free of the eliminated variables are
+    interreduced, and elimination bases are not cached: hardly any is asked
+    for twice;
   * pair queue ordered by (S-pair weight degree, creation index): fully
     deterministic, sugar = true degree because all inputs are homogeneous.
     Pairs are formed within a component and pruned by the Gebauer-Moeller
@@ -15,12 +17,15 @@ Design points, fixed once for the whole package:
     term, and `_reduced_basis` reduces every tail once at the end;
   * syzygies, kernels and colons all run through one code path: a Groebner
     basis of the elimination embedding F (+) A^s with the F block dominant.
-    A colon (U :_F (f_1..f_s)) is the kernel of F -> (+)_k F(-deg f_k)/U,
-    e_j |-> (f_k e_j)_k, whose block k lowers F's shifts by deg f_k so the
-    map has degree 0; no exact division is involved;
+    A kernel to a quotient F/R is Singular's `modulo`: the images ride with
+    unit tails and the relations with zero tails, and the elements with no F
+    part are the kernel.  A colon (U :_F (f_1..f_s)) is the kernel of
+    F -> (+)_k F(-deg f_k)/U, e_j |-> (f_k e_j)_k, whose block k lowers F's
+    shifts by deg f_k so the map has degree 0; no exact division is
+    involved.  `submodules_equal` compares reduced bases, which are unique;
   * a basis keeps one form: the (lead term, vec) pairs Buchberger ends
     with, sorted by lead.  Normal forms, standard-monomial enumeration and
-    piece counts read them as they are; syzygies and elimination pick their
+    piece counts read them as they are; syzygies and kernels pick their
     elements by lead term alone, and columns of polynomials are built only
     for what a public function returns.  Bases compare by identity;
   * vec arithmetic runs on plain field values, as `sparse_rank` does: over
@@ -38,7 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import add, le, mul, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -303,12 +308,11 @@ class GroebnerBasis:
 
     free: FreeModule
     reducers: Tuple[Tuple[Term, Vec], ...]
-    elim: Tuple[int, ...] = ()
     split: Optional[int] = None
 
     def term_key(self):
         """A key function of the basis's order, with a table of its own."""
-        return _TermKeys(self.free, self.elim, self.split).__getitem__
+        return _TermKeys(self.free, (), self.split).__getitem__
 
     @property
     def lead_terms(self) -> Tuple[Term, ...]:
@@ -401,10 +405,10 @@ def _k_polynomial(gens, degs) -> Dict[Tuple[int, ...], int]:
 
 
 def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], keyf,
-                     split: Optional[int]) -> List[Vec]:
-    """A Groebner basis, not reduced: seeds and S-pairs are reduced only
-    until no lead divides their leading term, and `_reduced_basis` reduces
-    the tails once at the end."""
+                     split: Optional[int]) -> List[Tuple[Term, Vec]]:
+    """A Groebner basis as monic (lead term, vec) pairs, not reduced: seeds
+    and S-pairs are reduced only until no lead divides their leading term,
+    and `_reduced_basis` reduces the tails once at the end."""
     field = free.ring.field
     p = field.char
     rank1 = free.rank == 1 and split is None
@@ -476,17 +480,16 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], keyf,
         if h:
             push_element(h)
 
-    return [v for _, v in basis]
+    return basis
 
 
-def _reduced_basis(free: FreeModule, vecs: List[Vec], keyf) -> List[Tuple[Term, Vec]]:
+def _reduced_basis(free: FreeModule, pairs: List[Tuple[Term, Vec]], keyf) -> List[Tuple[Term, Vec]]:
     field = free.ring.field
-    leads = [max(v, key=keyf) for v in vecs]
     # drop a vec if another lead properly divides its lead, or if an earlier
     # vec has the same lead
-    kept = [(lt, v) for i, (lt, v) in enumerate(zip(leads, vecs))
+    kept = [(lt, v) for i, (lt, v) in enumerate(pairs)
             if not any(lt2[0] == lt[0] and _divides(lt2[1], lt[1]) and (lt2 != lt or j < i)
-                       for j, lt2 in enumerate(leads))]
+                       for j, (lt2, _) in enumerate(pairs))]
     out: List[Tuple[Term, Vec]] = []
     for i, (lt, v) in enumerate(kept):
         # no other kept lead divides lt, so lt stays the lead of the remainder
@@ -500,14 +503,13 @@ def _reduced_basis(free: FreeModule, vecs: List[Vec], keyf) -> List[Tuple[Term, 
 def groebner_module(
     free: FreeModule,
     gens: Tuple[Column, ...],
-    elim_names: Tuple[str, ...] = (),
     split: Optional[int] = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by `gens`."""
-    elim = tuple(free.ring.var_index(nm) for nm in elim_names)
-    keyf = _TermKeys(free, elim, split).__getitem__
-    vecs = _buchberger_vecs(free, gens, keyf, split)
-    return GroebnerBasis(free, tuple(_reduced_basis(free, vecs, keyf)), elim, split)
+    """Reduced Groebner basis of the submodule generated by `gens`; with a
+    split, the first `split` components dominate the rest."""
+    keyf = _TermKeys(free, (), split).__getitem__
+    pairs = _buchberger_vecs(free, gens, keyf, split)
+    return GroebnerBasis(free, tuple(_reduced_basis(free, pairs, keyf)), split)
 
 
 def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial]) -> GroebnerBasis:
@@ -542,21 +544,27 @@ def column_degrees(free: FreeModule, gens: Sequence[Column]) -> List[Tuple[Degre
     return degs
 
 
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _syzygy_data(free: FreeModule, gens: Tuple[Column, ...]):
-    """GB of {(g_i, e_i)} in F (+) A^s with the F block dominant."""
+def _modulo_basis(free: FreeModule, gens: Sequence[Column], degs: Sequence[Tuple[Degree, int]],
+                  rels: Sequence[Column] = ()) -> Tuple[FreeModule, GroebnerBasis]:
+    """GB of {(g_i, e_i)} and {(r, 0) : r in rels} in F (+) A^s with the F
+    block dominant, e_i of shift degs[i]: its elements with no F part
+    generate the kernel of A^s -> F/(rels), e_i |-> g_i."""
     ring = free.ring
-    degs = column_degrees(free, gens)
-    p, s = free.rank, len(gens)
     big = FreeModule(
         ring,
         free.mdeg_shifts + tuple(d for d, _ in degs),
         free.weight_shifts + tuple(w for _, w in degs),
     )
-    units = basis_multiples(ring.one(), s)
-    emb = tuple(tuple(col) + unit for col, unit in zip(gens, units))
-    gb = groebner_module(big, emb, (), p)
-    return big, gb
+    zero_tail = (ring.zero(),) * len(gens)
+    emb = tuple(tuple(col) + unit for col, unit in zip(gens, basis_multiples(ring.one(), len(gens))))
+    emb += tuple(tuple(col) + zero_tail for col in rels)
+    return big, groebner_module(big, emb, split=free.rank)
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _syzygy_data(free: FreeModule, gens: Tuple[Column, ...]):
+    """GB of {(g_i, e_i)} in F (+) A^s with the F block dominant."""
+    return _modulo_basis(free, gens, column_degrees(free, gens))
 
 
 def syzygy_basis(free: FreeModule, gens: Sequence[Column]) -> Tuple[FreeModule, Tuple[Column, ...]]:
@@ -611,7 +619,13 @@ def submodule_contains(free: FreeModule, gens: Sequence[Column], col: Column) ->
 
 
 def submodules_equal(free: FreeModule, gens_a: Sequence[Column], gens_b: Sequence[Column]) -> bool:
-    return _contains_all(free, gens_b, gens_a) and _contains_all(free, gens_a, gens_b)
+    """The two generator lists span one submodule: their reduced bases, which
+    are unique, are equal."""
+    a = tuple(g for g in gens_a if any(not e.is_zero() for e in g))
+    b = tuple(g for g in gens_b if any(not e.is_zero() for e in g))
+    if not a or not b:
+        return not a and not b
+    return groebner_module(free, a).reducers == groebner_module(free, b).reducers
 
 
 def module_kernel(
@@ -631,24 +645,24 @@ def module_kernel(
             d, w = tfree.column_degree(col)
             if (d, w) != (source.mdeg_shifts[j], source.weight_shifts[j]):
                 raise InputError("map is not degree 0")
-    rels = tuple(c for c in target.relations if any(not e.is_zero() for e in c))
-    # syzygy coordinates on zero columns are meaningless; replace them by
-    # explicit unit kernel elements instead
+    # a zero image puts its unit column in the kernel; the others go through
+    # one `modulo` basis, which with a free target is `_syzygy_data`'s
     zero_idx = [j for j, col in enumerate(image_cols) if all(e.is_zero() for e in col)]
     nonzero_idx = [j for j in range(len(image_cols)) if j not in zero_idx]
     ring = source.ring
-    zero = ring.zero()
     units = basis_multiples(ring.one(), source.rank)
     out: List[Column] = [units[j] for j in zero_idx]
-    live = tuple(image_cols[j] for j in nonzero_idx) + rels
     if nonzero_idx:
-        _, syz = syzygy_basis(tfree, live)
-        for col in syz:
-            full = [zero] * source.rank
-            for pos, j in enumerate(nonzero_idx):
-                full[j] = col[pos]
-            if any(not e.is_zero() for e in full):
-                out.append(tuple(full))
+        rels = [c for c in target.relations if any(not e.is_zero() for e in c)]
+        degs = [(source.mdeg_shifts[j], source.weight_shifts[j]) for j in nonzero_idx]
+        _, gb = _modulo_basis(tfree, [image_cols[j] for j in nonzero_idx], degs, rels)
+        p = tfree.rank
+        for (lc, _), v in gb.reducers:
+            # the target components rank first, so a lead past them means
+            # no target part
+            if lc >= p:
+                full: Vec = {(nonzero_idx[c - p], e): x for (c, e), x in v.items()}
+                out.append(_vec_to_col(ring, source.rank, full))
     return tuple(out)
 
 
@@ -704,20 +718,13 @@ def ideal_power_product(
             raise InputError("power of the zero ideal")
         if e == 0:
             continue
-        prods = []
-        for combo in itertools.combinations_with_replacement(range(len(gens)), e):
-            p = ring.one()
-            for i in combo:
-                p = p * gens[i]
-            prods.append(p)
-        factors.append(prods)
+        factors.append([reduce(mul, (gens[i] for i in combo))
+                        for combo in itertools.combinations_with_replacement(range(len(gens)), e)])
     if not factors:
         return (ring.one(),)
     out: List[Polynomial] = []
     for combo in itertools.product(*factors):
-        p = ring.one()
-        for q in combo:
-            p = p * q
+        p = reduce(mul, combo)
         if not p.is_zero():
             out.append(p)
     # dedupe; for monomial generators also drop divisible redundancies
@@ -766,14 +773,21 @@ def subring_without(ring: GradedRing, drop: Sequence[str]) -> Tuple[GradedRing, 
 def eliminate_module(
     free: FreeModule, gens: Sequence[Column], drop: Sequence[str]
 ) -> Tuple[FreeModule, Tuple[Column, ...]]:
-    """Module elimination: basis elements of (gens) not involving `drop`."""
-    gb = groebner_module(free, tuple(gens), tuple(drop))
+    """Module elimination: the reduced basis of (gens) intersected with the
+    free module over the ring without `drop`.
+
+    Under the block order the tag-free elements of a Groebner basis are a
+    Groebner basis of the elimination, so only they are interreduced."""
+    elim = tuple(free.ring.var_index(nm) for nm in drop)
+    keyf = _TermKeys(free, elim, None).__getitem__
+    # tag degree is compared first, so a lead without `drop` means none at all
+    kept = [(lt, v) for lt, v in _buchberger_vecs(free, gens, keyf, None)
+            if not any(lt[1][i] for i in elim)]
     sub, keep = subring_without(free.ring, drop)
     subfree = FreeModule(sub, free.mdeg_shifts, free.weight_shifts)
-    # tag degree is compared first, so a lead without `drop` means none at all
     out = tuple(
         _vec_to_col(sub, free.rank, {(c, tuple(e[i] for i in keep)): x
                                      for (c, e), x in v.items()})
-        for (_, lead), v in gb.reducers if not any(lead[i] for i in gb.elim)
+        for _, v in _reduced_basis(free, kept, keyf)
     )
     return subfree, out

@@ -461,9 +461,9 @@ def verify_colon_identities(
     if which == "pushforward-colon":
         window = (deg_zero(r), bound)
         for n in degree_box(deg_zero(r), bound):
+            power_n = _power_cols(N, blocks, n)
             for m in degree_box(deg_zero(r), n):
                 lhs = _power_cols(N, blocks, tuple(x - y for x, y in zip(n, m)))
-                power_n = _power_cols(N, blocks, n)
                 colon_ideal = ideal_power_product(blocks, m)
                 rhs = colon_in_quotient(N, power_n, colon_ideal)
                 ok = submodules_equal(free, lhs, rhs)

@@ -6,13 +6,22 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial, substitute
+from mgcm.graded_poly import (
+    GradedRing,
+    InputError,
+    deg_add,
+    field_for_char,
+    parse_polynomial,
+    substitute,
+)
 from mgcm.groebner_engine import (
     BASIS_CACHE_SIZE,
     FreeModule,
     GroebnerBasis,
     _col_to_vec,
+    _divides,
     _syzygy_data,
+    basis_multiples,
     colon_in_quotient,
     cyclic_presentation,
     eliminate_module,
@@ -32,6 +41,7 @@ from mgcm.groebner_engine import (
 )
 from mgcm.homological import _relations_gb, ext_dual_module, minimal_free_resolution
 from mgcm.rees_constructions import _rees_module, rees_module_presentation
+from test_homological import _binomial_modules
 
 
 def std_ring(char=0, names=("x", "y")):
@@ -261,6 +271,94 @@ def test_kernel_into_quotient():
     assert submodules_equal(source, ker, ((x * x,), (x * y,)))
 
 
+def _term_degree(free, c, e):
+    ring = free.ring
+    return (deg_add(ring.monomial_mdeg(e), free.mdeg_shifts[c]),
+            ring.monomial_weight(e) + free.weight_shifts[c])
+
+
+@st.composite
+def _homogeneous_column(draw, free, max_exp=2):
+    """A nonzero homogeneous column of the free module: a monomial times a
+    basis element, plus up to two terms of the same degree."""
+    ring = free.ring
+    monos = list(itertools.product(range(max_exp + 1), repeat=ring.nvars))
+    c, e = draw(st.integers(0, free.rank - 1)), draw(st.sampled_from(monos))
+    deg = _term_degree(free, c, e)
+    same = [(c2, e2) for c2 in range(free.rank) for e2 in monos
+            if (c2, e2) != (c, e) and _term_degree(free, c2, e2) == deg]
+    extra = draw(st.lists(st.sampled_from(same), max_size=2, unique=True)) if same else []
+    col = [ring.zero()] * free.rank
+    for c2, e2 in [(c, e)] + extra:
+        col[c2] = col[c2] + ring.monomial(e2, draw(st.integers(1, 5)))
+    return tuple(col)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A target drawn from `_binomial_quotients` (through `_binomial_modules`:
+    rank 1-2, with relations) and 1-4 image columns: zero, a drawn
+    homogeneous column, or a monomial times a relation."""
+    target = draw(_binomial_modules())
+    tfree, ring = target.free(), target.ring
+    images, shifts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("zero", "column", "column", "relation")))
+        if kind == "relation" and target.relations:
+            e = draw(st.tuples(*[st.integers(0, 1)] * ring.nvars))
+            col = tuple(ring.monomial(e) * f for f in draw(st.sampled_from(target.relations)))
+        else:
+            col = draw(_homogeneous_column(tfree))
+        shift = tfree.column_degree(col)
+        if kind == "zero":
+            col = (ring.zero(),) * tfree.rank
+        images.append(col)
+        shifts.append(shift)
+    return free_module(ring, shifts), tuple(images), target
+
+
+def _kernel_by_syzygies(source, images, target):
+    """The kernel the long way: the first coordinates of every syzygy of the
+    nonzero images together with the relations; a zero image gives its unit
+    column."""
+    ring = source.ring
+    zero = ring.zero()
+    live = [j for j, col in enumerate(images) if any(not e.is_zero() for e in col)]
+    rels = [col for col in target.relations if any(not e.is_zero() for e in col)]
+    units = basis_multiples(ring.one(), source.rank)
+    out = [units[j] for j in range(source.rank) if j not in live]
+    if live:
+        _, syz = syzygy_basis(target.free(), [images[j] for j in live] + rels)
+        for col in syz:
+            full = [zero] * source.rank
+            for pos, j in enumerate(live):
+                full[j] = col[pos]
+            if any(not e.is_zero() for e in full):
+                out.append(tuple(full))
+    return out
+
+
+def _reduced_basis_of(free, cols):
+    cols = tuple(c for c in cols if any(not e.is_zero() for e in c))
+    return groebner_module(free, cols).reducers if cols else ()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_kernel_cases())
+def test_module_kernel_matches_the_syzygy_route(case):
+    source, images, target = case
+    tfree, ring = target.free(), target.ring
+    got = module_kernel(source, images, target)
+    assert _reduced_basis_of(source, got) == \
+        _reduced_basis_of(source, _kernel_by_syzygies(source, images, target))
+    for col in got:
+        source.validate_column(col)
+        assert any(not e.is_zero() for e in col)
+        image = tuple(sum((a * img[c] for a, img in zip(col, images)), ring.zero())
+                      for c in range(tfree.rank))
+        assert submodule_contains(tfree, target.relations, image)
+
+
 def test_colon_ideal():
     R = std_ring()
     x, y = R.gens()
@@ -353,6 +451,116 @@ def test_ideal_power_zero_exponent():
     x, y = R.gens()
     got = ideal_power_product(((x, y),), (0,))
     assert [str(g) for g in got] == [str(R.one())]
+
+
+def _power_product_reference(ideals, exps):
+    """`ideal_power_product` as it was first written: every product starts
+    at 1 and takes its factors one at a time."""
+    ring = next(g.ring for gens in ideals for g in gens)
+    factors = []
+    for gens, e in zip(ideals, exps):
+        gens = [g for g in gens if not g.is_zero()]
+        if e == 0:
+            continue
+        prods = []
+        for combo in itertools.combinations_with_replacement(range(len(gens)), e):
+            p = ring.one()
+            for i in combo:
+                p = p * gens[i]
+            prods.append(p)
+        factors.append(prods)
+    if not factors:
+        return (ring.one(),)
+    out = []
+    for combo in itertools.product(*factors):
+        p = ring.one()
+        for q in combo:
+            p = p * q
+        if not p.is_zero():
+            out.append(p)
+    seen = {}
+    for p in out:
+        seen[p.terms] = p
+    polys = list(seen.values())
+    if all(len(p.terms) == 1 for p in polys):
+        monos = [p.lead_exps() for p in polys]
+        polys = [polys[i] for i, m in enumerate(monos)
+                 if not any(j != i and _divides(monos[j], m) and monos[j] != m
+                            for j in range(len(monos)))]
+    polys.sort(key=lambda p: ring.term_sort_key(p.lead_exps()))
+    return tuple(polys)
+
+
+@st.composite
+def _power_product_cases(draw):
+    """1-3 ideals of 1-3 monomial or binomial generators each over k[x,y,z],
+    over Q or F_32003, with exponents 0..3."""
+    R = std_ring(draw(st.sampled_from((0, 32003))), ("x", "y", "z"))
+    mono = st.tuples(*[st.integers(0, 2)] * 3)
+    ideals = []
+    for _ in range(draw(st.integers(1, 3))):
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            g = R.monomial(draw(mono), draw(st.integers(1, 4)))
+            other = draw(mono)
+            if draw(st.booleans()) and other != g.lead_exps():
+                g = g - R.monomial(other, draw(st.integers(1, 4)))
+            gens.append(g)
+        ideals.append(tuple(gens))
+    return tuple(ideals), tuple(draw(st.integers(0, 3)) for _ in ideals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_power_product_cases())
+def test_ideal_power_product_matches_its_first_form(case):
+    ideals, exps = case
+    got = ideal_power_product(ideals, exps)
+    want = _power_product_reference(ideals, exps)
+    assert [[(e, type(c), c) for e, c in p.terms] for p in got] == \
+        [[(e, type(c), c) for e, c in p.terms] for p in want]
+    assert [str(p) for p in got] == [str(p) for p in want]
+
+
+@st.composite
+def _submodule_pairs(draw):
+    """Two generator lists in a free module of rank 1-2 over k[x,y,z]: the
+    second is the first shuffled with redundant generators and zero columns
+    added, the first with one coefficient changed (often the same lead
+    terms, another submodule), or a fresh draw; either may be empty."""
+    R = std_ring(32003, ("x", "y", "z"))
+    rank = draw(st.integers(1, 2))
+    free = free_module(R, tuple(((s,), s) for s in (draw(st.integers(0, 1)) for _ in range(rank))))
+    zero_col = (R.zero(),) * rank
+    a = draw(st.lists(_homogeneous_column(free, max_exp=1), max_size=3))
+    how = draw(st.sampled_from(("redundant", "tweaked", "fresh"))) if a else "fresh"
+    if how == "tweaked":
+        b = list(a)
+        j = draw(st.integers(0, len(a) - 1))
+        c = draw(st.sampled_from([c for c, f in enumerate(a[j]) if not f.is_zero()]))
+        e, _ = draw(st.sampled_from(a[j][c].terms))
+        b[j] = tuple(f + R.monomial(e) if i == c else f for i, f in enumerate(a[j]))
+    elif how == "redundant":
+        b = list(a)
+        for _ in range(draw(st.integers(0, 2))):
+            col = draw(st.sampled_from(a))
+            e = draw(st.tuples(*[st.integers(0, 1)] * 3))
+            b.append(tuple(R.monomial(e, draw(st.integers(1, 5))) * f for f in col))
+        b = draw(st.permutations(b))
+    else:
+        b = draw(st.lists(_homogeneous_column(free, max_exp=1), max_size=3))
+    a = a + [zero_col] * draw(st.integers(0, 1))
+    b = list(b) + [zero_col] * draw(st.integers(0, 1))
+    return free, tuple(a), tuple(b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_submodule_pairs())
+def test_submodules_equal_is_containment_both_ways(case):
+    free, a, b = case
+    both = (all(submodule_contains(free, b, col) for col in a)
+            and all(submodule_contains(free, a, col) for col in b))
+    assert submodules_equal(free, a, b) == both
+    assert submodules_equal(free, b, a) == both
 
 
 def test_eliminate_monomial_curve():

@@ -12,11 +12,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from mgcm.graded_poly import GradedRing, field_for_char, parse_polynomial
 from mgcm.groebner_engine import (
+    _buchberger_vecs,
+    _col_to_vec,
+    _reduced_basis,
+    _TermKeys,
     cyclic_presentation,
+    eliminate_module,
     free_module,
     groebner_basis,
     groebner_module,
     normal_form,
+    submodules_equal,
 )
 from mgcm.homological import graded_piece_dim
 
@@ -230,7 +236,74 @@ def test_module_basis_matches_naive_buchberger(case):
     shifts, split, elim, cols = case
     free = free_module(RING, tuple(((s,), s) for s in shifts))
     gens = tuple(tuple(RING.from_dict(entry) for entry in col) for col in cols)
-    gb = groebner_module(free, gens, elim, split)
-    key = _order_key(shifts, tuple(NAMES.index(nm) for nm in elim), split)
+    elim_idx = tuple(NAMES.index(nm) for nm in elim)
+    if elim:
+        # the Buchberger run and interreduction that eliminate_module builds
+        # on, under the block order
+        keyf = _TermKeys(free, elim_idx, split).__getitem__
+        got = _reduced_basis(free, _buchberger_vecs(free, gens, keyf, split), keyf)
+    else:
+        got = groebner_module(free, gens, split).reducers
+    key = _order_key(shifts, elim_idx, split)
     vecs = [{(c, e): x for c, entry in enumerate(col) for e, x in entry.items()} for col in cols]
-    assert [(lt, dict(v)) for lt, v in gb.reducers] == _reference_basis(vecs, key)
+    want = _reference_basis(vecs, key)
+    assert [(lt, dict(v)) for lt, v in got] == want
+    if elim and split is None:
+        # eliminate_module returns the reference's tag-free elements
+        keep = [i for i in range(len(NAMES)) if i not in elim_idx]
+        _, kernel = eliminate_module(free, gens, elim)
+        assert [_col_to_vec(col) for col in kernel] == [
+            {(c, tuple(e[i] for i in keep)): x for (c, e), x in v.items()}
+            for (_, lead), v in want if not any(lead[i] for i in elim_idx)]
+
+
+# ---------------------------------------------------------------------------
+# elimination against sympy's lex basis
+
+
+@st.composite
+def _graph_cases(draw):
+    """1-3 nonzero forms g_i of degree 1-2 over k[a,b,c], as {exps: coeff}."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(_homogeneous(draw(st.integers(1, 2)), 3, max_terms=2))
+        gens.append({e[:3]: c for e, c in g.items()} or {(1, 0, 0): 1})
+    return gens
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_graph_cases())
+def test_eliminate_module_matches_the_t_free_part_of_sympy_lex(gens):
+    """The graphs T_i - g_i*t over k[a,b,c][T, t], t of weight 0: eliminating
+    t leaves the ideal that the t-free elements of sympy's lex basis, t
+    first, generate over GF(32003), and a reduced basis of it."""
+    k = len(gens)
+    tnames = tuple(f"T{i + 1}" for i in range(k))
+    names = ("a", "b", "c") + tnames + ("t",)
+    weights = (1, 1, 1) + tuple(sum(next(iter(g))) for g in gens) + (0,)
+    ring = GradedRing(field_for_char(PRIME), names, ((0,),) * 3 + ((1,),) * (k + 1),
+                      weights, _allow_zero_weight=True)
+    free = free_module(ring, (((0,), 0),))
+    t = ring.var("t")
+    polys = [ring.var(nm) - ring.from_dict({e + (0,) * (k + 1): c for e, c in g.items()}) * t
+             for nm, g in zip(tnames, gens)]
+    sub_free, cols = eliminate_module(free, [(f,) for f in polys], ("t",))
+    sub = sub_free.ring
+    assert sub.names == names[:-1]
+
+    symbols = sympy.symbols(names)
+    ref = sympy.groebner([sympy.Poly.from_dict(dict(f.terms), *symbols, modulus=PRIME)
+                          for f in polys], symbols[-1], *symbols[:-1], order="lex",
+                         modulus=PRIME)
+    t_free = [sub.from_dict({e[1:]: int(c) for e, c in p.as_dict().items()})
+              for p in ref.polys if not any(e[0] for e in p.monoms())]
+    # sympy's generators come with t first
+    assert submodules_equal(sub_free, cols, [(f,) for f in t_free])
+
+    keyf = _TermKeys(sub_free, (), None).__getitem__
+    leads = [max(_col_to_vec(col), key=keyf) for col in cols]
+    for (_, lead), col in zip(leads, cols):
+        assert col[0].terms[0] == (lead, 1)
+        for other in cols:
+            terms = other[0].terms[1:] if other is col else other[0].terms
+            assert not any(all(a <= b for a, b in zip(lead, e)) for e, _ in terms)
