@@ -411,7 +411,14 @@ def verify_colon_identities(
     """Exact generator-membership colon checks over the base, one family.
 
     "pushforward-colon" (lem45): (product^(n-m)) N equals
-    ((product^n) N : product^m) for all 0 <= m <= n <= bound.
+    ((product^n) N : product^m) for all 0 <= m <= n <= bound.  Each
+    right-hand side is one colon by a single ideal away from an earlier one:
+    (U : IJ) = ((U : I) : J) for a submodule U and ideals I, J
+    (Atiyah-Macdonald, Ex. 1.12(iii); the proof for modules is the same), so
+    with P^m = I_1^m_1 ... I_r^m_r, (U : P^m) = ((U : P^(m - e_j)) : I_j) for
+    any j with m_j > 0, and (U : P^0) = U.  The chain is exact:
+    `colon_in_quotient` returns (U + R :_F I), which contains the relations
+    R, so the next colon sees the same submodule of N.
     "subset-colon" (thm46): for every nonempty index subset K and l in K,
     (prod_K) N : I_l equals (prod_{K minus l}) N.
     """
@@ -460,13 +467,20 @@ def verify_colon_identities(
 
     if which == "pushforward-colon":
         window = (deg_zero(r), bound)
-        for n in degree_box(deg_zero(r), bound):
-            power_n = _power_cols(N, blocks, n)
+        box = degree_box(deg_zero(r), bound)
+        power = {e: _power_cols(N, blocks, e) for e in box}
+        for n in box:
+            # degree_box is lexicographic, so m - e_j is in colons before m
+            colons = {}
             for m in degree_box(deg_zero(r), n):
-                lhs = _power_cols(N, blocks, tuple(x - y for x, y in zip(n, m)))
-                colon_ideal = ideal_power_product(blocks, m)
-                rhs = colon_in_quotient(N, power_n, colon_ideal)
-                ok = submodules_equal(free, lhs, rhs)
+                if any(m):
+                    j = max(i for i, x in enumerate(m) if x)
+                    prev = m[:j] + (m[j] - 1,) + m[j + 1:]
+                    colons[m] = colon_in_quotient(N, colons[prev], blocks[j])
+                else:
+                    colons[m] = power[n]
+                lhs = power[tuple(x - y for x, y in zip(n, m))]
+                ok = submodules_equal(free, lhs, colons[m])
                 checks.append(
                     _bool_row("pushforward-colon", None, tuple(n) + tuple(m), ok)
                 )

@@ -1,7 +1,9 @@
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mgcm.homological as hom
 import mgcm.theorem_harness as th
@@ -13,7 +15,14 @@ from mgcm.graded_poly import (
     field_for_char,
     parse_polynomial,
 )
-from mgcm.groebner_engine import cyclic_presentation, free_presentation, ideal_power_product
+from mgcm.cohomology import degree_box
+from mgcm.groebner_engine import (
+    colon_in_quotient,
+    cyclic_presentation,
+    free_presentation,
+    ideal_power_product,
+    submodules_equal,
+)
 from mgcm.rees_constructions import rees_module_presentation
 from mgcm.theorem_harness import (
     AggregateReport,
@@ -29,8 +38,10 @@ from mgcm.theorem_harness import (
     verify_regraded_vanishing,
     verify_spread_vanishing,
 )
+from test_homological import _binomial_quotient
 
 F = field_for_char(32003)
+SESSIONS = Path(__file__).parent / "sessions"
 
 
 def p(ring, text):
@@ -348,6 +359,83 @@ def test_colon_identities_violated_by_a_colon_that_returns_its_submodule(monkeyp
         assert c.verdict == ("pass" if unit else "fail"), c
 
 
+def test_pushforward_colon_takes_one_colon_by_one_ideal_per_row(monkeypatch):
+    # each right-hand side (U : P^m) with m != 0 is one colon by a single
+    # ideal from an earlier one, and (U : P^0) = U needs no colon: 27 calls
+    # at bound (2, 2), against 36 for one colon per row
+    A = local_plane(rank=2)
+    N = free_presentation(A, (((0, 0), 0),))
+    blocks = ((p(A, "a"),), (p(A, "b"),))
+    ideals = []
+    real = th.colon_in_quotient
+
+    def counting(module, sub_gens, ideal):
+        ideals.append(tuple(ideal))
+        return real(module, sub_gens, ideal)
+
+    monkeypatch.setattr(th, "colon_in_quotient", counting)
+    rep = verify_colon_identities(N, blocks, (2, 2), "pushforward-colon")
+    assert len(rep.checks) == 36 and all(c.verdict == "pass" for c in rep.checks)
+    assert len(ideals) == 27
+    assert set(ideals) == set(blocks)
+
+
+@st.composite
+def _colon_cases(draw):
+    """(N, ideals, bound) over k[x_0..x_{v-1}] with every multidegree 0, as
+    a Rees base must be: one or two proper ideals, N free of rank 1 or
+    cyclic, and a bound <= (2, 2).  N's relations and the ideals are drawn
+    by `_binomial_quotient` (monomials and binomials, exponents at most 2)."""
+    r = draw(st.integers(1, 2))
+    nvars = draw(st.integers(2, 3))
+    degrees = [(0,) * r] * nvars
+    weights = [draw(st.integers(1, 2)) for _ in range(nvars)]
+
+    def ideal(max_gens):
+        Q = _binomial_quotient(draw, degrees, weights, st.integers(0, 2), max_gens)
+        return tuple(col[0] for col in Q.relations if col[0].degree_pair()[1] > 0)
+
+    blocks = tuple(ideal(3) for _ in range(r))
+    assume(all(blocks))
+    N = cyclic_presentation(blocks[0][0].ring, ideal(2) if draw(st.booleans()) else ())
+    bound = tuple(draw(st.integers(0, 2)) for _ in range(r))
+    return N, blocks, bound
+
+
+_RATLIFF_RUSH = (
+    free_presentation(local_plane(), (((0,), 0),)),
+    (tuple(p(local_plane(), t) for t in ("a^4", "a^3*b", "a*b^3", "b^4")),),
+    (2,),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_colon_cases())
+@example(_RATLIFF_RUSH)
+def test_chained_colons_equal_one_colon_by_the_power_product(case):
+    # the right-hand side each pushforward-colon row compares is
+    # (P^n N : P^m), taken here in one colon by the whole power product
+    N, blocks, bound = case
+    real = th.submodules_equal
+    seen = []
+
+    def recording(free, lhs, rhs):
+        seen.append(rhs)
+        return real(free, lhs, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(th, "submodules_equal", recording)
+        rep = verify_colon_identities(N, blocks, bound, "pushforward-colon")
+    zero = (0,) * len(bound)
+    rows = [(n, m) for n in degree_box(zero, bound) for m in degree_box(zero, n)]
+    assert [c.degree for c in rep.checks] == [n + m for n, m in rows]
+    assert len(seen) == len(rows)
+    for (n, m), rhs in zip(rows, seen):
+        power_n = th._power_cols(N, blocks, n)
+        oracle = colon_in_quotient(N, power_n, ideal_power_product(blocks, m))
+        assert submodules_equal(N.free(), rhs, oracle), (n, m)
+
+
 def test_colon_identities_bad_family_rejected():
     A = local_plane(rank=2)
     N = free_presentation(A, (((0, 0), 0),))
@@ -387,17 +475,29 @@ def _session_report(text):
     return rep, {h.name: h for h in rep.hypotheses}
 
 
+def _failed_rows(rep, check):
+    return [c.degree for c in rep.checks if c.check == check and c.verdict != "pass"]
+
+
 def test_pushforward_colon_needs_certified_sections():
-    # the Rees algebra of (a^4, a^3 b, a b^3, b^4) is not CM, so sections are
-    # not certified to be power pieces; a failing colon check here is
-    # outside the lemma's hypothesis, not a counterexample
-    rep, hyps = _session_report(
-        "ring A = poly(char=default; a,b : deg=(0), weight=1);"
-        " ideal I = (a^4, a^3*b, a*b^3, b^4); module N = free(A);"
-        " rees R = rees(N; I); verify lem45 R;")
+    # the Rees algebra of I = (a^4, a^3 b, a b^3, b^4) is not CM, so sections
+    # are not certified to be power pieces; a failing colon check here is
+    # outside the lemma's hypothesis, not a counterexample.  I^2 : I holds
+    # a^2 b^2, which I does not, so exactly the row n = 2, m = 1 fails
+    rep, hyps = _session_report((SESSIONS / "lem45-ratliff-rush.mgcm").read_text())
     row = hyps["sections-are-power-pieces"]
     assert not row.passed and "not certified" in row.witness
     assert rep.verdict == "hypothesis-not-met"
+    assert len(rep.checks) == 6
+    assert _failed_rows(rep, "pushforward-colon") == [(2, 1)]
+    # beside J = (a), the rows that fail are the three that take one I off I^2
+    rep, _ = _session_report(
+        "ring A = poly(char=default; a,b : deg=(0,0), weight=1);"
+        " ideal I = (a^4, a^3*b, a*b^3, b^4); ideal J = (a); module N = free(A);"
+        " multirees R = rees(N; I, J); verify lem45 R bound=(2,1);")
+    assert rep.verdict == "hypothesis-not-met"
+    assert len(rep.checks) == 18
+    assert _failed_rows(rep, "pushforward-colon") == [(2, 0, 1, 0), (2, 1, 1, 0), (2, 1, 1, 1)]
 
 
 # ---------------------------------------------------------------------------
