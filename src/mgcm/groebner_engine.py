@@ -53,13 +53,14 @@ Column = Tuple[Polynomial, ...]
 Term = Tuple[int, Tuple[int, ...]]  # (component, exponent vector)
 Vec = Dict[Term, object]
 
-# One bound for the six caches whose values are Groebner bases or are built
-# from them: `groebner_module`, `_syzygy_data`, `homological._relations_gb`,
+# One bound for the five caches whose values are Groebner bases or are built
+# from them: `groebner_module`, `homological._relations_gb`,
 # `minimal_free_resolution`, `ext_dual_module` and
 # `rees_constructions._rees_module`.  Unbounded, they held 12.2 of the 13.95
 # MB still live at the end of a blowup round (400 Rees modules in one
 # process), and `groebner_module` kept 3,092 bases for 3 hits.  Peak RSS and
-# misses summed over all caches, one round at seed 7:
+# misses summed over all caches, one round at seed 7, measured when a sixth
+# cache (of syzygy bases) shared the bound:
 #
 #     bound   blowup peak RSS   blowup misses   corpus/kunneth/dual-route misses
 #     none    32.6 MB           6,991           1,122 / 1,364 / 1,796
@@ -545,7 +546,7 @@ def column_degrees(free: FreeModule, gens: Sequence[Column]) -> List[Tuple[Degre
 
 
 def _modulo_basis(free: FreeModule, gens: Sequence[Column], degs: Sequence[Tuple[Degree, int]],
-                  rels: Sequence[Column] = ()) -> Tuple[FreeModule, GroebnerBasis]:
+                  rels: Sequence[Column] = ()) -> GroebnerBasis:
     """GB of {(g_i, e_i)} and {(r, 0) : r in rels} in F (+) A^s with the F
     block dominant, e_i of shift degs[i]: its elements with no F part
     generate the kernel of A^s -> F/(rels), e_i |-> g_i."""
@@ -558,50 +559,25 @@ def _modulo_basis(free: FreeModule, gens: Sequence[Column], degs: Sequence[Tuple
     zero_tail = (ring.zero(),) * len(gens)
     emb = tuple(tuple(col) + unit for col, unit in zip(gens, basis_multiples(ring.one(), len(gens))))
     emb += tuple(tuple(col) + zero_tail for col in rels)
-    return big, groebner_module(big, emb, split=free.rank)
-
-
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _syzygy_data(free: FreeModule, gens: Tuple[Column, ...]):
-    """GB of {(g_i, e_i)} in F (+) A^s with the F block dominant."""
-    return _modulo_basis(free, gens, column_degrees(free, gens))
+    return groebner_module(big, emb, split=free.rank)
 
 
 def syzygy_basis(free: FreeModule, gens: Sequence[Column]) -> Tuple[FreeModule, Tuple[Column, ...]]:
-    """Generators of Syz(gens) with their natural shifts (degrees of gens)."""
+    """Generators of Syz(gens) with their natural shifts (degrees of gens);
+    none, and no basis, for one nonzero column, since P is a domain."""
     gens = tuple(gens)
-    if not gens:
-        return FreeModule(free.ring, (), ()), ()
-    big, gb = _syzygy_data(free, gens)
+    degs = column_degrees(free, gens)
+    syzfree = FreeModule(free.ring, tuple(d for d, _ in degs), tuple(w for _, w in degs))
+    if len(gens) < 2:
+        return syzfree, ()
+    gb = _modulo_basis(free, gens, degs)
     p = free.rank
-    syzfree = FreeModule(free.ring, big.mdeg_shifts[p:], big.weight_shifts[p:])
     # F's components rank first, so a lead at or past p means no F part
     out = tuple(
         _vec_to_col(free.ring, len(gens), {(c - p, e): x for (c, e), x in v.items()})
         for (lc, _), v in gb.reducers if lc >= p
     )
     return syzfree, out
-
-
-def lift_through(free: FreeModule, gens: Sequence[Column], target: Column) -> Optional[Column]:
-    """Coefficients (a_1..a_s) with sum a_i g_i = target, or None.
-
-    The representation is the canonical one given by the reduced elimination
-    basis, so lifts are deterministic.
-    """
-    gens = tuple(gens)
-    if not gens:
-        return None if any(not e.is_zero() for e in target) else ()
-    big, gb = _syzygy_data(free, gens)
-    p = free.rank
-    s = len(gens)
-    ring = free.ring
-    zero = ring.zero()
-    emb = tuple(target) + tuple(zero for _ in range(s))
-    rem = normal_form_column(gb, emb)
-    if any(not e.is_zero() for e in rem[:p]):
-        return None
-    return tuple(-e for e in rem[p:])
 
 
 def _contains_all(free: FreeModule, gens: Sequence[Column], cols: Sequence[Column]) -> bool:
@@ -646,7 +622,7 @@ def module_kernel(
             if (d, w) != (source.mdeg_shifts[j], source.weight_shifts[j]):
                 raise InputError("map is not degree 0")
     # a zero image puts its unit column in the kernel; the others go through
-    # one `modulo` basis, which with a free target is `_syzygy_data`'s
+    # one `modulo` basis, which with a free target is `syzygy_basis`'s
     zero_idx = [j for j, col in enumerate(image_cols) if all(e.is_zero() for e in col)]
     nonzero_idx = [j for j in range(len(image_cols)) if j not in zero_idx]
     ring = source.ring
@@ -655,7 +631,7 @@ def module_kernel(
     if nonzero_idx:
         rels = [c for c in target.relations if any(not e.is_zero() for e in c)]
         degs = [(source.mdeg_shifts[j], source.weight_shifts[j]) for j in nonzero_idx]
-        _, gb = _modulo_basis(tfree, [image_cols[j] for j in nonzero_idx], degs, rels)
+        gb = _modulo_basis(tfree, [image_cols[j] for j in nonzero_idx], degs, rels)
         p = tfree.rank
         for (lc, _), v in gb.reducers:
             # the target components rank first, so a lead past them means

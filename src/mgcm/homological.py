@@ -14,8 +14,12 @@ need a basis.  The grade of an ideal on P is its height (#vars - dim P/I).
 
 Duality: ext_dual_module(M, i) presents Ext^i(M, P(-w_total)) where w_total
 is the sum of all variable degrees.  Its graded pieces are the k-duals of
-local cohomology pieces at the maximal graded ideal, which is how a-invariants
-and the duality route of the cohomology layer are computed.
+local cohomology pieces at the maximal graded ideal (graded local duality;
+Bruns-Herzog, Cohen-Macaulay Rings, Sec. 3.6), which is how a-invariants and
+the duality route of the cohomology layer are computed.  Three exact facts
+spare Groebner bases there: Ext^pd is the cokernel of the transposed last
+differential; a submodule of mF, m the ideal of the variables, has no unit
+lead term; and over the domain P one nonzero column has no syzygies.
 """
 
 from __future__ import annotations
@@ -41,11 +45,10 @@ from .groebner_engine import (
     FreeModule,
     GroebnerBasis,
     ModulePresentation,
-    basis_multiples,
     cyclic_presentation,
+    free_module,
     free_presentation,
     groebner_module,
-    lift_through,
     module_kernel,
     presentation,
     submodule_contains,
@@ -250,7 +253,11 @@ def _relations_gb(module: ModulePresentation) -> GroebnerBasis:
 
 
 def _unit_lead_components(module: ModulePresentation) -> FrozenSet[int]:
-    """Components c with e_c itself a lead term, i.e. J_c = P."""
+    """Components c with e_c itself a lead term, i.e. J_c = P.  None, and no
+    basis built, when no relation entry has a constant term: then U lies in
+    mF, m the ideal of the variables, and no element of U has one."""
+    if not any(not any(e) for col in module.relations for entry in col for e, _ in entry.terms):
+        return frozenset()
     return frozenset(c for c, exps in _relations_gb(module).lead_terms if not any(exps))
 
 
@@ -508,7 +515,14 @@ def _zero_presentation(ring: GradedRing) -> ModulePresentation:
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def ext_dual_module(module: ModulePresentation, i: int) -> ModulePresentation:
     """Presentation of Ext^i(M, P(-w_total)), the graded dual of local
-    cohomology at the maximal graded ideal in complementary index."""
+    cohomology at the maximal graded ideal in complementary index.
+
+    D^j = Hom(F_j, P(-w_total)), mapped by the transposed differentials.
+    Nothing leaves D^pd, so Ext^pd is the cokernel of the transposed d_pd,
+    presented by its nonzero columns as they are.  Below pd, K = ker(D^i ->
+    D^{i+1}) on generators k_j, and the relations of K/image are the kernel
+    of e_j |-> k_j into D^i/image: one `modulo` basis, in place of syzygies
+    plus a lift per image column.  That the image lies in K is checked."""
     ring = module.ring
     if i < 0 or i > ring.nvars:
         raise InputError(f"ext index {i} out of range 0..{ring.nvars}")
@@ -517,48 +531,36 @@ def ext_dual_module(module: ModulePresentation, i: int) -> ModulePresentation:
         return _zero_presentation(ring)
     cm, cw = _dual_twist(ring)
 
-    def dual_free(j: int) -> FreeModule:
+    def dual_shifts(j: int) -> Tuple[Tuple[Degree, int], ...]:
         md, w = res.shifts[j]
-        return FreeModule(
-            ring,
-            tuple(deg_sub(cm, s) for s in md),
-            tuple(cw - x for x in w),
-        )
+        return tuple((deg_sub(cm, s), cw - x) for s, x in zip(md, w))
 
-    d_i = dual_free(i)
-    # kernel of the transposed map D^i -> D^{i+1}
-    if i < res.length:
-        delta_next = _transpose_columns(res.differentials[i], res.rank(i))
-        # columns of delta_next live in D^{i+1}
-        target = free_presentation(
-            ring,
-            tuple(zip(dual_free(i + 1).mdeg_shifts, dual_free(i + 1).weight_shifts)),
-        )
-        kernel = module_kernel(d_i, delta_next, target)
-    else:
-        kernel = basis_multiples(ring.one(), d_i.rank)
+    image: Tuple[Column, ...] = ()
+    if i >= 1:
+        image = tuple(c for c in _transpose_columns(res.differentials[i - 1], res.rank(i - 1))
+                      if not _column_is_zero(c))
+    quotient = presentation(ring, dual_shifts(i), image)  # D^i / image
+    if i == res.length:
+        return quotient
+    delta_next = _transpose_columns(res.differentials[i], res.rank(i))
+    for col in image:
+        if not _column_is_zero(_apply_matrix(ring, res.rank(i + 1), delta_next, col)):
+            raise AssertionError("image does not lie in kernel (not a complex?)")
+    d_i = quotient.free()
+    kernel = module_kernel(d_i, delta_next, free_presentation(ring, dual_shifts(i + 1)))
     if not kernel:
         return _zero_presentation(ring)
-
-    gen_degs = [d_i.column_degree(c) for c in kernel]
-    syz_free, syz = syzygy_basis(d_i, kernel)
-    relations: List[Column] = [c for c in syz if not _column_is_zero(c)]
-    if i >= 1:
-        delta_prev = _transpose_columns(res.differentials[i - 1], res.rank(i - 1))
-        for col in delta_prev:
-            if _column_is_zero(col):
-                continue
-            lifted = lift_through(d_i, kernel, col)
-            if lifted is None:
-                raise AssertionError("image does not lie in kernel (not a complex?)")
-            if not _column_is_zero(lifted):
-                relations.append(lifted)
-    return presentation(ring, tuple(gen_degs), tuple(relations))
+    gen_degs = tuple(d_i.column_degree(c) for c in kernel)
+    relations = module_kernel(free_module(ring, gen_degs), kernel, quotient)
+    return presentation(ring, gen_degs, relations)
 
 
 def a_invariant(module: ModulePresentation) -> Degree:
     """a_j(M) = max top-local-cohomology degree in coordinate j, computed as
-    -(min generator multidegree coordinate j) of the dual Ext module."""
+    -(min generator multidegree coordinate j) of the dual Ext module.  For a
+    Cohen-Macaulay M its index nvars - dim is pd, where Ext is a cokernel
+    that takes no basis to present, and v_of takes none either when no
+    relation entry has a constant term."""
     rec = is_cohen_macaulay(module)
     if rec.is_zero:
         raise InputError("a-invariant of the zero module")

@@ -216,6 +216,11 @@ def _grade_hypotheses(ring, blocks, labels=None) -> List[HypothesisCheck]:
     return out
 
 
+def _refuse_zero_source(N: ModulePresentation) -> None:
+    if is_zero_module(N):
+        raise InputError("N is the zero module; its Rees modules are zero and have no top degree")
+
+
 def _normalize_blocks(ideals) -> Tuple[Tuple, ...]:
     return tuple(tuple(gens) for gens in ideals)
 
@@ -339,6 +344,7 @@ def verify_rees_a_invariant(
 ) -> VerificationReport:
     """The per-coordinate top nonvanishing degree of the top local
     cohomology of a multi-Rees module equals -1 in every coordinate."""
+    _refuse_zero_source(N)
     blocks = _normalize_blocks(ideals)
     hyps = _grade_hypotheses(N.ring, blocks)
     char = N.ring.field.char
@@ -424,6 +430,7 @@ def verify_colon_identities(
     """
     if which not in ("pushforward-colon", "subset-colon"):
         raise InputError(f"unknown colon family {which!r}")
+    _refuse_zero_source(N)
     blocks = _normalize_blocks(ideals)
     r = len(blocks)
     bound = tuple(int(x) for x in bound)

@@ -20,7 +20,6 @@ from mgcm.groebner_engine import (
     GroebnerBasis,
     _col_to_vec,
     _divides,
-    _syzygy_data,
     basis_multiples,
     colon_in_quotient,
     cyclic_presentation,
@@ -30,7 +29,6 @@ from mgcm.groebner_engine import (
     groebner_basis,
     groebner_module,
     ideal_power_product,
-    lift_through,
     module_kernel,
     normal_form,
     normal_form_column,
@@ -196,7 +194,7 @@ def test_normal_form_is_linear():
 
 
 # ---------------------------------------------------------------------------
-# syzygies and lifting
+# syzygies
 
 
 def test_koszul_syzygy():
@@ -218,25 +216,40 @@ def test_syzygy_of_redundant_generators():
     assert submodule_contains(syz_free, syz, (R.one(), R.const(-1)))
 
 
-def test_lift_through_verifies():
+def test_one_nonzero_column_has_no_syzygies_and_takes_no_basis():
+    # P is a domain, so a (x^2 e_0 + y e_1) = 0 forces a = 0
     R = std_ring()
     x, y = R.gens()
-    free = free_module(R, (((0,), 0),))
-    gens = ((x * x,), (x * y,))
-    target = (x * x * y,)
-    lift = lift_through(free, gens, target)
-    assert lift is not None
-    total = R.zero()
-    for c, g in zip(lift, gens):
-        total = total + c * g[0]
-    assert total == target[0]
+    free = free_module(R, (((0,), 0), ((1,), 1)))
+    misses = groebner_module.cache_info().misses
+    syz_free, syz = syzygy_basis(free, ((x * x, y),))
+    assert syz == ()
+    assert (syz_free.mdeg_shifts, syz_free.weight_shifts) == (((2,),), (2,))
+    assert groebner_module.cache_info().misses == misses
+    with pytest.raises(InputError, match="zero generator"):
+        syzygy_basis(free, ((R.zero(), R.zero()),))
+    # two columns, even equal ones, still go through the basis
+    line = free_module(R, (((0,), 0),))
+    syz_free, syz = syzygy_basis(line, ((x,), (x,)))
+    assert syz and submodules_equal(syz_free, syz, ((R.one(), R.const(-1)),))
 
 
-def test_lift_through_fails_outside():
+def test_module_kernel_to_a_quotient_contains_one_for_a_target_in_the_image():
+    # x^2 y lies in (x^2, xy), so every multiple of it does
     R = std_ring()
     x, y = R.gens()
-    free = free_module(R, (((0,), 0),))
-    assert lift_through(free, ((x,),), (y * y,)) is None
+    source = free_module(R, (((3,), 3),))
+    quotient = presentation(R, (((0,), 0),), ((x * x,), (x * y,)))
+    assert module_kernel(source, ((x * x * y,),), quotient) == ((R.one(),),)
+
+
+def test_module_kernel_to_a_quotient_misses_a_target_outside_the_image():
+    # y^2 is not in (x), and a y^2 is exactly when x divides a
+    R = std_ring()
+    x, y = R.gens()
+    source = free_module(R, (((2,), 2),))
+    quotient = presentation(R, (((0,), 0),), ((x,),))
+    assert module_kernel(source, ((y * y,),), quotient) == ((x,),)
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +632,13 @@ def _reaches_a_basis(obj):
 
 
 def test_bounded_caches_rebuild_what_they_evict():
-    """Build more than BASIS_CACHE_SIZE distinct values in three of the six
+    """Build more than BASIS_CACHE_SIZE distinct values in three of the five
     bounded caches, then rebuild the first after its eviction: the rebuild
     equals the first build.
 
     `GroebnerBasis` compares by identity, so a key that held a basis would
     miss for good once that basis was evicted and built again, and would keep
-    the old basis alive; so no key of the six caches may reach a basis."""
+    the old basis alive; so no key of the five caches may reach a basis."""
     R = std_ring()
     x, y = R.var("x"), R.var("y")
     fm = free_module(R, (((0,), 0),))
@@ -659,7 +672,7 @@ def test_bounded_caches_rebuild_what_they_evict():
     first, again = cached_twice(_rees_module, rees, exps[0], exps[1:])
     assert again == first
 
-    for cached in (groebner_module, _syzygy_data, _relations_gb, minimal_free_resolution,
-                   ext_dual_module, _rees_module):
+    for cached in (groebner_module, _relations_gb, minimal_free_resolution, ext_dual_module,
+                   _rees_module):
         assert cached.cache_info().maxsize == BASIS_CACHE_SIZE
         assert not _reaches_a_basis(_cache_keys(cached)), cached.__name__

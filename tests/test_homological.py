@@ -1,16 +1,39 @@
 """Resolutions, Betti numbers, dimension, depth, duals, a-invariants, grade."""
 
 import itertools
+from dataclasses import replace
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mgcm.cohomology import degree_box, mdeg_layer_nonzero
-from mgcm.graded_poly import GradedRing, InputError, deg_min, field_for_char, parse_polynomial
-from mgcm.groebner_engine import cyclic_presentation, groebner_basis, presentation
+import mgcm.homological as hom
+from mgcm.graded_poly import (
+    GradedRing,
+    InputError,
+    deg_add,
+    deg_min,
+    deg_sub,
+    field_for_char,
+    parse_polynomial,
+)
+from mgcm.groebner_engine import (
+    basis_multiples,
+    cyclic_presentation,
+    free_module,
+    free_presentation,
+    groebner_basis,
+    groebner_module,
+    module_kernel,
+    presentation,
+    syzygy_basis,
+)
 from mgcm.homological import (
+    _dual_twist,
     _relations_gb,
+    _transpose_columns,
+    _unit_lead_components,
     a_invariant,
     check_complex,
     ext_dual_module,
@@ -23,6 +46,7 @@ from mgcm.homological import (
     piece_basis,
     v_of,
 )
+from mgcm.rees_constructions import rees_module_presentation
 from test_acceptance import _corpus_modules
 
 
@@ -475,6 +499,168 @@ def test_ext_of_free_is_twisted_free():
     e0 = ext_dual_module(free, 0)
     assert minimal_free_resolution(e0).shifts[0][0] == ((2,),)
     assert v_of(e0) == (2,)
+
+
+def test_ext_top_of_koszul_residue_field_is_k_in_degree_zero():
+    # Ext^3(k, P(-3)) = k on k[x,y,z]: Ext^3(k, P) is k(3), one copy of k in
+    # degree -3, and the twist by -3 moves it to degree 0
+    R = std_ring(names=("x", "y", "z"))
+    k = cyc(R, "x", "y", "z")
+    top = ext_dual_module(k, 3)
+    assert [graded_piece_dim(top, (n,)) for n in range(-3, 4)] == [0, 0, 0, 1, 0, 0, 0]
+    assert all(is_zero_module(ext_dual_module(k, i)) for i in range(3))
+
+
+@pytest.fixture
+def fresh_ext_cache():
+    ext_dual_module.cache_clear()
+    yield
+    ext_dual_module.cache_clear()
+
+
+def test_ext_refuses_a_resolution_that_is_not_a_complex(monkeypatch, fresh_ext_cache):
+    # d_2 = (a, b) with a x + b y = 0; negating a leaves d_1 d_2 = -2 a x
+    R = std_ring()
+    k = cyc(R, "x", "y")
+    res = minimal_free_resolution(k)
+    assert is_zero_module(ext_dual_module(k, 1))
+    ext_dual_module.cache_clear()
+    (a, b), = res.differentials[1]
+    broken = replace(res, differentials=(res.differentials[0], ((-a, b),)))
+    assert not check_complex(broken)
+    monkeypatch.setattr(hom, "minimal_free_resolution", lambda module: broken)
+    with pytest.raises(AssertionError, match="not a complex"):
+        ext_dual_module(k, 1)
+
+
+def _ext_by_syzygies_and_lifts(M, i):
+    """Ext^i(M, P(-w_total)) as it was presented before the cokernel and
+    modulo routes: generated by the kernel K of the transposed d_{i+1}, or by
+    all of D^i at the top index, with the syzygies of K's generators and the
+    lifts of the image columns as relations.  Both are read off the
+    syzygies of (K's generators, image columns), as their first coordinates.
+    None where Ext^i is presented as the zero module."""
+    ring = M.ring
+    res = minimal_free_resolution(M)
+    if res.rank(0) == 0 or i > res.length:
+        return None
+    cm, cw = _dual_twist(ring)
+
+    def dual(j):
+        md, w = res.shifts[j]
+        return [(deg_sub(cm, d), cw - x) for d, x in zip(md, w)]
+
+    d_i = free_module(ring, dual(i))
+    if i < res.length:
+        delta_next = _transpose_columns(res.differentials[i], res.rank(i))
+        kernel = module_kernel(d_i, delta_next, free_presentation(ring, dual(i + 1)))
+    else:
+        kernel = basis_multiples(ring.one(), d_i.rank)
+    if not kernel:
+        return None
+    image = ()
+    if i >= 1:
+        image = tuple(c for c in _transpose_columns(res.differentials[i - 1], res.rank(i - 1))
+                      if any(not e.is_zero() for e in c))
+    _, syz = syzygy_basis(d_i, tuple(kernel) + image)
+    s = len(kernel)
+    rels = [col[:s] for col in syz if any(not e.is_zero() for e in col[:s])]
+    return presentation(ring, [d_i.column_degree(c) for c in kernel], rels)
+
+
+def _check_ext_matches_syzygies_and_lifts(M):
+    for i in range(M.ring.nvars + 1):
+        got, want = ext_dual_module(M, i), _ext_by_syzygies_and_lifts(M, i)
+        if want is None:
+            assert got.rank == 0, (M, i)
+            continue
+        assert (got.mdeg_shifts, got.weight_shifts) == (want.mdeg_shifts, want.weight_shifts), (M, i)
+        assert _relations_gb(got).reducers == _relations_gb(want).reducers, (M, i)
+
+
+def test_ext_matches_syzygies_and_lifts_on_corpus():
+    modules = [M for _label, M in _corpus_modules()]
+    assert len(modules) == 21
+    for M in modules:
+        _check_ext_matches_syzygies_and_lifts(M)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_binomial_modules())
+def test_ext_matches_syzygies_and_lifts_on_binomial_modules(M):
+    # most draws are not Cohen-Macaulay, so Ext below the top index, where
+    # the image is not all of the relations, is nonzero in many of them
+    _check_ext_matches_syzygies_and_lifts(M)
+
+
+@st.composite
+def _cm_rees_modules(draw):
+    """Rees modules of one or two ideals over k[a,b,c], every variable of
+    multidegree 0 and weight 1, of N free of rank 1 or N = A/(a): each ideal
+    has one or two generators, monomials or binomials of degree 1 or 2.
+    Only Cohen-Macaulay ones are kept."""
+    r = draw(st.integers(1, 2))
+    A = GradedRing(field_for_char(32003), ("a", "b", "c"), ((0,) * r,) * 3, (1, 1, 1))
+    monos = [e for d in (1, 2) for e in itertools.product(range(3), repeat=3) if sum(e) == d]
+    ideals = []
+    for _ in range(r):
+        gens = []
+        for _ in range(draw(st.integers(1, 2))):
+            e = draw(st.sampled_from(monos))
+            f = A.monomial(e)
+            same = [e2 for e2 in monos if sum(e2) == sum(e) and e2 != e]
+            if draw(st.booleans()):
+                f = f - A.monomial(draw(st.sampled_from(same)), draw(st.integers(1, 5)))
+            gens.append(f)
+        ideals.append(tuple(gens))
+    N = free_presentation(A, (((0,) * r, 0),))
+    if draw(st.booleans()):
+        N = cyclic_presentation(A, (A.var("a"),))
+    T = rees_module_presentation(N, tuple(ideals))
+    assume(is_cohen_macaulay(T).cm)
+    return T
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(_cm_rees_modules())
+def test_ext_matches_syzygies_and_lifts_on_cm_rees_modules(T):
+    _check_ext_matches_syzygies_and_lifts(T)
+
+
+@st.composite
+def _presentations_with_constants(draw):
+    """A `_binomial_modules` draw with up to two more relation columns, each a
+    constant at a drawn component plus, at each other component, a monomial
+    of the same degree or nothing."""
+    M = draw(_binomial_modules())
+    ring, free = M.ring, M.free()
+    monos = list(itertools.product(range(3), repeat=ring.nvars))
+
+    def degree(c, e):
+        return (deg_add(ring.monomial_mdeg(e), free.mdeg_shifts[c]),
+                ring.monomial_weight(e) + free.weight_shifts[c])
+
+    cols = list(M.relations)
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(0, M.rank - 1))
+        col = [ring.zero()] * M.rank
+        col[c] = ring.const(draw(st.integers(1, 5)))
+        for c2 in range(M.rank):
+            same = [e for e in monos if degree(c2, e) == degree(c, (0,) * ring.nvars)]
+            if c2 != c and same and draw(st.booleans()):
+                col[c2] = ring.monomial(draw(st.sampled_from(same)), draw(st.integers(1, 5)))
+        cols.append(tuple(col))
+    return presentation(ring, tuple(zip(free.mdeg_shifts, free.weight_shifts)), cols)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_presentations_with_constants())
+def test_unit_lead_components_match_the_basis(M):
+    # the components e_c that lead a basis element; without a constant entry
+    # the answer comes with no basis at all
+    rels = tuple(c for c in M.relations if any(not e.is_zero() for e in c))
+    leads = groebner_module(M.free(), rels).lead_terms if rels else ()
+    assert _unit_lead_components(M) == frozenset(c for c, e in leads if not any(e))
 
 
 def test_a_invariants():

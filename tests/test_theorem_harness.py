@@ -217,6 +217,39 @@ def test_rees_a_invariant_two_ideals():
     assert rep.checks[0].value == "(-1|-1)"
 
 
+ZERO_SOURCE = """\
+ring A = poly(char=default; a,b : deg=(0), weight=1);
+ideal I = (a);
+ideal J = (a, b);
+module N = quotient(A; 1);
+multirees M = rees(N; I, J);
+verify lem41 M;
+verify thm42 M;
+verify lem45 M;
+verify thm46 M;
+"""
+
+
+def test_zero_source_module_is_refused_up_front():
+    # a zero N has zero Rees modules; lem41, lem45 and thm46 read its top
+    # degree and say so, while thm42 only asks whether they are CM
+    agg = cli_io.execute_session(cli_io.parse_session(ZERO_SOURCE))
+    lem41, thm42, lem45, thm46 = agg.entries
+    for rep in (lem41, lem45, thm46):
+        assert rep.verdict == "input-error", rep.instance
+        assert [c.value for c in rep.checks if c.check == "input-error"] == [
+            "N is the zero module; its Rees modules are zero and have no top degree"], rep.instance
+    assert (thm42.theorem, thm42.verdict) == ("thm42", "holds")
+    A = local_plane()
+    N = cyclic_presentation(A, (p(A, "1"),))
+    ideals = ((p(A, "a"),),)
+    for check in (lambda: verify_rees_a_invariant(N, ideals),
+                  lambda: verify_colon_identities(N, ideals, (1,), "pushforward-colon"),
+                  lambda: verify_colon_identities(N, ideals, (1,), "subset-colon")):
+        with pytest.raises(InputError, match="N is the zero module"):
+            check()
+
+
 def test_rees_a_invariant_quotient_module():
     A = local_plane()
     N = cyclic_presentation(A, (p(A, "b"),))
