@@ -214,6 +214,14 @@ class GradedRing:
     weights, _allow_zero_weight) return the same object, so rings compare by
     identity and equal rings share their count tables.  The registry is
     unbounded; it holds one entry per distinct ring built in the process.
+
+    Two tables live on the ring and are as unbounded: `_counts`, the
+    monomial counts of `count_from`, and `k_polynomials`, which
+    `GroebnerBasis.hilbert_numerators` fills with the K-polynomial of P/J
+    for each monomial ideal J it meets, keyed by J's sorted minimal
+    generators.  A K-polynomial depends only on J and the grading (Bigatti
+    1997), and the grading is the ring's, so every basis over the ring with
+    the same lead ideal reads one entry.
     """
 
     __slots__ = (
@@ -225,6 +233,7 @@ class GradedRing:
         "_columns",
         "_name_index",
         "_counts",
+        "k_polynomials",
         "_blocks",
     )
 
@@ -275,6 +284,7 @@ class GradedRing:
         ring._columns = tuple(zip(*degrees))  # one tuple per multidegree coordinate
         ring._name_index = {nm: i for i, nm in enumerate(names)}
         ring._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
+        ring.k_polynomials = {}
         ring._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
         cls._registry[key] = ring
         return ring
@@ -540,6 +550,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise InputError("negative power")
+        if n == 1:
+            # polynomials are immutable, so x ** 1 can be x itself
+            return self
         out = self.ring.one()
         base = self
         while n:

@@ -329,20 +329,66 @@ class GroebnerBasis:
         """Normal form of a vec of the free module."""
         return _reduce_vec(self.free.ring.field.char, v, self.reducers, self.term_key())
 
-    @cached_property
-    def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
-        """Per component c, the K-polynomial of P/J_c, J_c the monomial ideal
-        of c's lead terms, in the (multidegree, weight) grading: a tuple of
-        (multidegree, weight, coefficient) terms.  Built on first use."""
-        ring = self.free.ring
-        degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
+    def _component_leads(self) -> List[List[Tuple[int, ...]]]:
+        """Per component c, the exponents of c's lead terms: the generators
+        of the monomial ideal J_c."""
         gens: List[List[Tuple[int, ...]]] = [[] for _ in range(self.free.rank)]
         for c, exps in self.lead_terms:
             gens[c].append(exps)
-        return tuple(
-            tuple((a[:-1], a[-1], k) for a, k in sorted(_k_polynomial(g, degs).items()))
-            for g in gens
-        )
+        return gens
+
+    @cached_property
+    def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
+        """Per component c, the K-polynomial of P/J_c in the (multidegree,
+        weight) grading: a tuple of (multidegree, weight, coefficient) terms.
+        Built on first use, each from the ring's `k_polynomials` table, so a
+        lead ideal met before over the same ring costs one lookup."""
+        ring = self.free.ring
+        table = ring.k_polynomials
+        degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
+        out = []
+        for g in self._component_leads():
+            key = _minimal_monomials(g)
+            terms = table.get(key)
+            if terms is None:
+                terms = table[key] = tuple(
+                    (a[:-1], a[-1], k) for a, k in sorted(_k_polynomial(key, degs).items()))
+            out.append(terms)
+        return tuple(out)
+
+    @cached_property
+    def krull_dim(self) -> int:
+        """max over the components c of dim P/J_c, read off the supports of
+        the lead terms alone; -1 when every J_c is P.  Built on first use."""
+        nvars = self.free.ring.nvars
+        return max((_free_vars([sum(1 << v for v, k in enumerate(exps) if k) for exps in g], nvars)
+                    for g in self._component_leads()), default=-1)
+
+
+def _free_vars(supports: Sequence[int], nvars: int) -> int:
+    """dim P/J for a monomial ideal J given by its generators' variable
+    supports (bitmasks): the most variables that contain no support, -1 when
+    J = P.  Branches on a support inside the allowed set; the answer depends
+    on that set alone, so it is memoised and there are at most 2^nvars states.
+    """
+    supports = sorted(set(supports), key=lambda s: bin(s).count("1"))
+    memo: Dict[int, int] = {}
+
+    def most(allowed: int) -> int:
+        hit = memo.get(allowed)
+        if hit is None:
+            inside = next((s for s in supports if s & allowed == s), None)
+            if inside is None:
+                hit = bin(allowed).count("1")
+            else:
+                hit = max(
+                    (most(allowed & ~(1 << v)) for v in range(nvars) if inside >> v & 1),
+                    default=-1,
+                )
+            memo[allowed] = hit
+        return hit
+
+    return most((1 << nvars) - 1)
 
 
 def _minimal_monomials(gens) -> Tuple[Tuple[int, ...], ...]:
@@ -414,12 +460,7 @@ def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], keyf,
     p = field.char
     rank1 = free.rank == 1 and split is None
 
-    seed: List[Vec] = []
-    for col in gens:
-        free.validate_column(col)
-        v = _col_to_vec(col)
-        if v:
-            seed.append(v)
+    seed = [v for v in map(_col_to_vec, gens) if v]
 
     basis: List[Tuple[Term, Vec]] = []
     pairs: List[Tuple[int, int, int]] = []  # heap of (degree, counter, component)
@@ -507,7 +548,15 @@ def groebner_module(
     split: Optional[int] = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by `gens`; with a
-    split, the first `split` components dominate the rest."""
+    split, the first `split` components dominate the rest.
+
+    The columns must already be validated (`FreeModule.validate_column`):
+    Buchberger does not check them again.  Each is checked once, where it
+    enters the package: `ModulePresentation` checks its relations;
+    `groebner_basis`, `eliminate_module`, `submodule_contains` and
+    `submodules_equal` check the raw columns they are given; `module_kernel`
+    and `column_degrees` check theirs, and the embedding `_modulo_basis`
+    builds from checked columns is homogeneous by its shifts."""
     keyf = _TermKeys(free, (), split).__getitem__
     pairs = _buchberger_vecs(free, gens, keyf, split)
     return GroebnerBasis(free, tuple(_reduced_basis(free, pairs, keyf)), split)
@@ -516,7 +565,14 @@ def groebner_module(
 def groebner_basis(ring: GradedRing, polys: Sequence[Polynomial]) -> GroebnerBasis:
     """Reduced GB of an ideal (rank-1 module at shift 0)."""
     fm = FreeModule(ring, ((0,) * ring.rank,), (0,))
-    return groebner_module(fm, tuple((p,) for p in polys if not p.is_zero()))
+    gens = tuple((p,) for p in polys if not p.is_zero())
+    _validate(fm, gens)
+    return groebner_module(fm, gens)
+
+
+def _validate(free: FreeModule, cols: Sequence[Column]) -> None:
+    for col in cols:
+        free.validate_column(col)
 
 
 def normal_form_column(gb: GroebnerBasis, col: Column) -> Column:
@@ -580,18 +636,14 @@ def syzygy_basis(free: FreeModule, gens: Sequence[Column]) -> Tuple[FreeModule, 
     return syzfree, out
 
 
-def _contains_all(free: FreeModule, gens: Sequence[Column], cols: Sequence[Column]) -> bool:
-    """Every column of `cols` lies in the submodule generated by `gens`; the
-    basis of `gens` is built once, and only when some column needs it."""
-    gens = tuple(g for g in gens if any(not e.is_zero() for e in g))
-    if not gens or not cols:
-        return all(e.is_zero() for col in cols for e in col)
-    gb = groebner_module(free, gens)
-    return all(all(e.is_zero() for e in normal_form_column(gb, col)) for col in cols)
-
-
 def submodule_contains(free: FreeModule, gens: Sequence[Column], col: Column) -> bool:
-    return _contains_all(free, gens, (col,))
+    """`col` lies in the submodule generated by `gens`; no basis is built
+    when every generator is zero."""
+    gens = tuple(g for g in gens if any(not e.is_zero() for e in g))
+    _validate(free, gens)
+    if not gens:
+        return all(e.is_zero() for e in col)
+    return all(e.is_zero() for e in normal_form_column(groebner_module(free, gens), col))
 
 
 def submodules_equal(free: FreeModule, gens_a: Sequence[Column], gens_b: Sequence[Column]) -> bool:
@@ -599,6 +651,7 @@ def submodules_equal(free: FreeModule, gens_a: Sequence[Column], gens_b: Sequenc
     are unique, are equal."""
     a = tuple(g for g in gens_a if any(not e.is_zero() for e in g))
     b = tuple(g for g in gens_b if any(not e.is_zero() for e in g))
+    _validate(free, a + b)
     if not a or not b:
         return not a and not b
     return groebner_module(free, a).reducers == groebner_module(free, b).reducers
@@ -755,6 +808,7 @@ def eliminate_module(
     Under the block order the tag-free elements of a Groebner basis are a
     Groebner basis of the elimination, so only they are interreduced."""
     elim = tuple(free.ring.var_index(nm) for nm in drop)
+    _validate(free, gens)
     keyf = _TermKeys(free, elim, None).__getitem__
     # tag degree is compared first, so a lead without `drop` means none at all
     kept = [(lt, v) for lt, v in _buchberger_vecs(free, gens, keyf, None)

@@ -281,38 +281,11 @@ def v_of(module: ModulePresentation) -> Degree:
     return reduce(deg_min, gens)
 
 
-def _free_vars(supports: Sequence[int], nvars: int) -> int:
-    """dim P/J for a monomial ideal J given by its generators' variable
-    supports (bitmasks): the most variables that contain no support, -1 when
-    J = P.  Branches on a support inside the allowed set; the answer depends
-    on that set alone, so it is memoised and there are at most 2^nvars states.
-    """
-    supports = sorted(set(supports), key=lambda s: bin(s).count("1"))
-    memo: Dict[int, int] = {}
-
-    def most(allowed: int) -> int:
-        hit = memo.get(allowed)
-        if hit is None:
-            inside = next((s for s in supports if s & allowed == s), None)
-            if inside is None:
-                hit = bin(allowed).count("1")
-            else:
-                hit = max(
-                    (most(allowed & ~(1 << v)) for v in range(nvars) if inside >> v & 1),
-                    default=-1,
-                )
-            memo[allowed] = hit
-        return hit
-
-    return most((1 << nvars) - 1)
-
-
 def krull_dim(module: ModulePresentation) -> int:
-    """max over the components c of dim P/J_c; -1 for the zero module."""
-    supports: List[List[int]] = [[] for _ in range(module.rank)]
-    for c, exps in _relations_gb(module).lead_terms:
-        supports[c].append(sum(1 << v for v, k in enumerate(exps) if k))
-    return max((_free_vars(s, module.ring.nvars) for s in supports), default=-1)
+    """max over the components c of dim P/J_c; -1 for the zero module.  Kept
+    on the relations' basis (`GroebnerBasis.krull_dim`), so it lives as long
+    as the basis cache keeps that basis."""
+    return _relations_gb(module).krull_dim
 
 
 @dataclass(frozen=True)

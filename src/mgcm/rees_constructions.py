@@ -38,7 +38,7 @@ from .groebner_engine import (
     presentation,
     submodule_contains,
 )
-from .homological import grade_of, graded_piece_dim, krull_dim, piece_basis
+from .homological import graded_piece_dim, krull_dim, piece_basis
 from .cohomology import irrelevant_support, matrix_rank
 
 
@@ -65,15 +65,20 @@ def _check_blocks(base: GradedRing, ideals) -> Tuple[Tuple[Polynomial, ...], ...
     return tuple(blocks)
 
 
-def _grade_gate(blocks, unit: str = "unit ideal cannot be blown up",
-                zero: str = "ideal has grade zero on the base"):
-    """Refuse to blow up an ideal that is the unit ideal or has grade zero."""
-    for gens in blocks:
-        g = grade_of(gens)
-        if g is None:
-            raise InputError(unit)
-        if g < 1:
-            raise InputError(zero)
+def _grade_gate(blocks, refusal: str = "unit ideal cannot be blown up"):
+    """Refuse to blow up the unit ideal; every other ideal here has grade at
+    least 1, so no basis is needed to tell.
+
+    `_check_blocks` has refused zero and inhomogeneous generators (those of
+    the irrelevant ideal are variable products), and every variable of a
+    public ring has weight at least 1.  So a generator of
+    weight 0 is a nonzero constant, and the ideal is the unit ideal.  If
+    every generator has positive weight, every term of every generator has a
+    variable, so the ideal lies in the ideal of the variables and is proper;
+    being nonzero in the domain P, it contains a nonzerodivisor on P and has
+    grade at least 1 (Bruns-Herzog, Cohen-Macaulay Rings, Sec. 1.2)."""
+    if any(g.degree_pair()[1] == 0 for gens in blocks for g in gens):
+        raise InputError(refusal)
 
 
 def _fresh(taken, stem: str) -> str:
@@ -283,8 +288,7 @@ def irrelevant_rees(M: ModulePresentation) -> ModulePresentation:
     """
     S = M.ring
     gens = irrelevant_support(S).generators
-    refusal = "irrelevant ideal must have positive grade"
-    _grade_gate((gens,), unit=refusal, zero=refusal)
+    _grade_gate((gens,), "irrelevant ideal must have positive grade")
     r = S.rank
     shifts = tuple(
         (tuple(d) + (0,), w) for d, w in zip(M.mdeg_shifts, M.weight_shifts)

@@ -526,6 +526,7 @@ def verify_spread_vanishing(
     vanishes.  The fiber-supported line is checked only on field bases and
     is otherwise skipped with a mode tag.  The hypothesis that N is locally
     free is checked only as N free (projective dimension 0)."""
+    _refuse_zero_source(N)
     gens = tuple(ideal_gens)
     blocks = (gens,)
     hyps = _grade_hypotheses(N.ring, blocks)

@@ -132,6 +132,15 @@ def test_power_and_subtraction():
     assert (x ** 3) * (x ** 0) == x * x * x
 
 
+def test_first_power_is_the_polynomial_itself():
+    # polynomials are immutable, so x ** 1 returns x without a product
+    R = std_ring()
+    for text in ("x", "x^2 - 3*x*y", "7"):
+        f = parse_polynomial(R, text)
+        assert f ** 1 is f
+        assert f ** 0 == R.one()
+
+
 def test_degree_pair_homogeneous():
     R = bigraded_ring()
     x, y = R.gens()

@@ -176,6 +176,29 @@ def test_groebner_requires_homogeneous():
         groebner_basis(R, (P(R, "x^2 + y"),))
 
 
+VALIDATING_ENTRY_POINTS = {
+    "presentation": lambda R, fm, good, col: presentation(R, (((0,), 0),), (col,)),
+    "groebner_basis": lambda R, fm, good, col: groebner_basis(R, col),
+    "eliminate_module": lambda R, fm, good, col: eliminate_module(fm, (good, col), ("x",)),
+    "submodule_contains": lambda R, fm, good, col: submodule_contains(fm, (good, col), good),
+    "submodules_equal": lambda R, fm, good, col: submodules_equal(fm, (good,), (good, col)),
+    "module_kernel": lambda R, fm, good, col: module_kernel(
+        fm, (col,), free_presentation(R, (((0,), 0),))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VALIDATING_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["x^2 + y", "u"], ids=["inhomogeneous", "foreign-ring"])
+def test_every_entry_point_validates_its_columns(entry, bad):
+    # Buchberger does not check columns, so every public entry point that
+    # takes raw columns must refuse a bad one before a basis is built
+    R = std_ring()
+    col = (P(std_ring(names=("u", "v")) if bad == "u" else R, bad),)
+    fm = free_module(R, (((0,), 0),))
+    with pytest.raises(InputError):
+        VALIDATING_ENTRY_POINTS[entry](R, fm, (P(R, "x"),), col)
+
+
 def test_groebner_deterministic_and_monic():
     R = std_ring(char=32003)
     gens = (P(R, "3*x^2 - y^2"), P(R, "5*x*y"))

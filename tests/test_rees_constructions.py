@@ -1,9 +1,12 @@
 """Blow-up presentations checked against hand-computed relation ideals,
 piece counts from generator products, and classical invariant values."""
 
+import itertools
+
 import pytest
 
 import mgcm.rees_constructions as rc
+from mgcm.cohomology import custom_support
 from mgcm.graded_poly import GradedRing, InputError, RationalField, parse_polynomial
 from mgcm.groebner_engine import (
     ModulePresentation,
@@ -17,6 +20,7 @@ from mgcm.groebner_engine import (
 )
 from mgcm.homological import (
     a_invariant,
+    grade_of,
     graded_piece_dim,
     is_cohen_macaulay,
     krull_dim,
@@ -86,8 +90,41 @@ def test_ambient_is_public_ring(A):
 
 
 def test_unit_ideal_rejected(A):
-    with pytest.raises(InputError):
-        multi_rees_algebra_presentation(A, ((A.one(),),))
+    N = free_presentation(A, (((0,), 0),))
+    for call in (lambda: multi_rees_algebra_presentation(A, ((A.one(),),)),
+                 lambda: rees_module_presentation(N, ((A.var("a"),), (A.var("b"), A.one())))):
+        with pytest.raises(InputError, match="unit ideal cannot be blown up"):
+            call()
+
+
+GATE_GRID = ("a", "b^2", "a*b - 2*c^2", "a + b", "3", "1")
+
+
+def test_grade_gate_refuses_exactly_where_grade_is_below_one():
+    # the gate reads weights alone; over k[a,b,c] it must agree with the
+    # grade read off a Groebner basis, on every ideal of up to three
+    # generators from the grid, some of them constants
+    B = local_base("a", "b", "c")
+    polys = [parse_polynomial(B, t) for t in GATE_GRID]
+    for size in range(1, 4):
+        for gens in itertools.combinations(polys, size):
+            g = grade_of(gens)
+            try:
+                rc._grade_gate(rc._check_blocks(B, (gens,)))
+                refused = False
+            except InputError as err:
+                assert str(err) == "unit ideal cannot be blown up"
+                refused = True
+            assert refused == (g is None or g < 1), (gens, g)
+
+
+def test_irrelevant_gate_names_its_ideal(monkeypatch):
+    # the irrelevant ideal of a public ring is generated by variable
+    # products, so only a planted constant generator trips the gate
+    S = GradedRing(QQ, ("x", "y"), [(1,), (1,)], [1, 1])
+    monkeypatch.setattr(rc, "irrelevant_support", lambda ring: custom_support((ring.one(),)))
+    with pytest.raises(InputError, match="irrelevant ideal must have positive grade"):
+        irrelevant_rees(free_presentation(S, (((0,), 0),)))
 
 
 def test_zero_generator_rejected(A):

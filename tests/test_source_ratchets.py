@@ -17,6 +17,10 @@ MAX_UNBOUNDED_CACHES = 3
 # Groebner bases built for one a-invariant of a Rees algebra over k[a,b,c];
 # lower them as the duality route takes fewer, never raise them
 MAX_A_INVARIANT_BASES = {("a", "b^2"): 1, ("a", "b", "c^2"): 5}
+# Groebner bases built for the Rees algebra of a free module over k[a,b,c],
+# one tuple of generators per ideal; the grade gate reads weights and the
+# elimination is not cached, so none is built.  Never raise them
+MAX_REES_BUILD_BASES = {(("a", "b^2"),): 0, (("a", "b", "c^2"),): 0, (("a",), ("b", "c^2")): 0}
 
 
 def _source_count(needle):
@@ -57,5 +61,22 @@ def test_a_invariant_of_a_rees_algebra_takes_few_bases(gens):
         assert a_invariant(T) == (-1,)
         misses = groebner_module.cache_info().misses
         assert misses <= MAX_A_INVARIANT_BASES[gens], f"{misses} bases for the a-invariant"
+    finally:
+        _clear_caches()
+
+
+@pytest.mark.parametrize("ideals", sorted(MAX_REES_BUILD_BASES))
+def test_rees_algebra_of_a_free_module_takes_few_bases(ideals):
+    # the blowup workload's build, with every cache cleared first, counted
+    # as `groebner_module` misses
+    r = len(ideals)
+    A = GradedRing(field_for_char(32003), ("a", "b", "c"), ((0,) * r,) * 3, (1, 1, 1))
+    N = free_presentation(A, (((0,) * r, 0),))
+    blocks = tuple(tuple(parse_polynomial(A, g) for g in gens) for gens in ideals)
+    _clear_caches()
+    try:
+        rees_module_presentation(N, blocks)
+        misses = groebner_module.cache_info().misses
+        assert misses <= MAX_REES_BUILD_BASES[ideals], f"{misses} bases for the Rees algebra"
     finally:
         _clear_caches()

@@ -223,19 +223,22 @@ ideal I = (a);
 ideal J = (a, b);
 module N = quotient(A; 1);
 multirees M = rees(N; I, J);
+multirees L = rees(N; J);
 verify lem41 M;
 verify thm42 M;
 verify lem45 M;
 verify thm46 M;
+verify lem44 L;
 """
 
 
 def test_zero_source_module_is_refused_up_front():
     # a zero N has zero Rees modules; lem41, lem45 and thm46 read its top
-    # degree and say so, while thm42 only asks whether they are CM
+    # degree and lem44 its spread line, and say so, while thm42 only asks
+    # whether they are CM
     agg = cli_io.execute_session(cli_io.parse_session(ZERO_SOURCE))
-    lem41, thm42, lem45, thm46 = agg.entries
-    for rep in (lem41, lem45, thm46):
+    lem41, thm42, lem45, thm46, lem44 = agg.entries
+    for rep in (lem41, lem45, thm46, lem44):
         assert rep.verdict == "input-error", rep.instance
         assert [c.value for c in rep.checks if c.check == "input-error"] == [
             "N is the zero module; its Rees modules are zero and have no top degree"], rep.instance
@@ -245,7 +248,8 @@ def test_zero_source_module_is_refused_up_front():
     ideals = ((p(A, "a"),),)
     for check in (lambda: verify_rees_a_invariant(N, ideals),
                   lambda: verify_colon_identities(N, ideals, (1,), "pushforward-colon"),
-                  lambda: verify_colon_identities(N, ideals, (1,), "subset-colon")):
+                  lambda: verify_colon_identities(N, ideals, (1,), "subset-colon"),
+                  lambda: verify_spread_vanishing(N, ideals[0])):
         with pytest.raises(InputError, match="N is the zero module"):
             check()
 
