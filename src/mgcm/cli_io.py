@@ -37,7 +37,7 @@ from .graded_poly import (
 )
 from .groebner_engine import cyclic_presentation, free_presentation
 from .homological import a_invariant, is_cohen_macaulay, is_zero_module, v_of
-from .cohomology import cohomology_table, default_window, degree_box
+from .cohomology import cohomology_table
 from .rees_constructions import diagonal_of, rees_module_presentation
 from .theorem_harness import (
     AggregateReport,
@@ -45,6 +45,8 @@ from .theorem_harness import (
     VerificationReport,
     VERDICT_EXIT,
     _cell,
+    _finish,
+    _window_box,
     run_corpus,
     verify_cm_biconditional,
     verify_colon_identities,
@@ -682,12 +684,6 @@ def _one_ideal(obj: ReesData) -> Tuple[object, ...]:
     return obj.ideals[0]
 
 
-def _info_report(theorem: str, instance: str, char: int, rows, window=None) -> VerificationReport:
-    return VerificationReport(
-        theorem, instance, (), None, True, "holds", window, char, (), tuple(rows)
-    )
-
-
 def _run_check(mod, instance) -> VerificationReport:
     inv = is_cohen_macaulay(mod)
     rows = [
@@ -701,23 +697,18 @@ def _run_check(mod, instance) -> VerificationReport:
         a = a_invariant(mod)
         rows.append(CheckRecord("v", None, v, str(v), "", "info"))
         rows.append(CheckRecord("a", None, a, str(a), "", "info"))
-    return _info_report("check", instance, mod.ring.field.char, rows)
+    return _finish("check", instance, mod.ring, (), rows)
 
 
 def _run_table(obj, args: Dict[str, str], instance) -> VerificationReport:
     i_range = _arg(args, "i", _parse_range_arg, range(0, 3))
-    if "window" in args:
-        lo, hi = _parse_window_arg(args["window"])
-        window = degree_box(lo, hi)
-    else:
-        window = default_window(obj)
-        lo, hi = window[0], window[-1]
-    table = cohomology_table(obj, i_range, window)
+    box, lo, hi = _window_box(obj, _arg(args, "window", _parse_window_arg, None))
+    table = cohomology_table(obj, i_range, box)
     rows = [
         CheckRecord("sheaf-dim", i, n, str(dim), "", "info", table.mode)
         for (i, n, dim) in table.entries
     ]
-    return _info_report("table", instance, obj.ring.field.char, rows, (lo, hi))
+    return _finish("table", instance, obj.ring, (), rows, (lo, hi))
 
 
 _REES = ("rees", "multirees")
@@ -1176,14 +1167,16 @@ def _dispatch(ns) -> int:
     if ns.cmd == "parse":
         bad = False
         for path in ns.files:
-            text = _read_text(path)
             try:
-                parse_session(text)
+                parse_session(_read_text(path))
                 print(f"ok {path}")
             except SessionDiagnostics as e:
                 bad = True
                 for d in e.diagnostics:
                     print(d.render(path))
+            except InputError as e:
+                bad = True
+                print(f"error: {e}", file=sys.stderr)
         return 2 if bad else 0
 
     flags = _flags_from(ns)

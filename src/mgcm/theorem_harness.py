@@ -1,9 +1,14 @@
 """Window-relative verdicts for the statements the engine can check.
 
-Each verifier builds a report with an explicit hypothesis checklist, one
-check row per (index, degree) probed, and an overall verdict.  Verdicts for
-implications are only "violated" when every hypothesis passed and the
-conclusion computably failed; everything window-relative records its window.
+Each verifier builds a report with an explicit hypothesis checklist and one
+check row per (index, degree) probed, and `_finish` alone turns them into a
+verdict: the conclusion holds iff no check row fails.  A failed hypothesis
+gives "hypothesis-not-met"; one that fails before the conclusion is
+evaluated leaves no rows and `right` None.  Otherwise the verdict is "holds"
+or "violated", and thm31, a biconditional, compares its two sides.  A zero
+module is an input error for thm31, lem-vanish, lem41, lem44, lem45 and thm46,
+which read its generator or top degrees; thm42 reads it as Cohen-Macaulay.
+Everything window-relative records its window.
 """
 
 import itertools
@@ -148,32 +153,24 @@ def _row(check, i, degree, value, expected, mode="") -> CheckRecord:
 
 
 def _bool_row(check, i, degree, ok: bool, mode="") -> CheckRecord:
-    return CheckRecord(check, i, degree, str(ok), str(True),
-                       "pass" if ok else "fail", mode)
+    return _row(check, i, degree, ok, True, mode)
 
 
 def _finish(
-    theorem, instance, hyps, left, right, window, char, modes, checks
+    theorem, instance, ring, hyps=(), checks=None, window=None, modes=(), left=None
 ) -> VerificationReport:
-    hyp_ok = all(h.passed for h in hyps)
-    if not hyp_ok:
+    """The one verdict rule.  The conclusion (`right`) holds iff no check row
+    reads "fail"; `checks=None` means a hypothesis failed before the
+    conclusion was evaluated, and `right` is None.  A failed hypothesis
+    gives "hypothesis-not-met"; otherwise the verdict is "holds" iff the
+    conclusion holds or, for a biconditional, iff it agrees with `left`."""
+    right = None if checks is None else all(c.verdict != "fail" for c in checks)
+    if not all(h.passed for h in hyps):
         verdict = "hypothesis-not-met"
-    elif left is None:
-        verdict = "holds" if right else "violated"
     else:
-        verdict = "holds" if left == right else "violated"
-    return VerificationReport(
-        theorem,
-        instance,
-        tuple(hyps),
-        left,
-        right,
-        verdict,
-        window,
-        char,
-        tuple(sorted(set(modes))),
-        tuple(checks),
-    )
+        verdict = "holds" if right == (True if left is None else left) else "violated"
+    return VerificationReport(theorem, instance, tuple(hyps), left, right, verdict, window,
+                              ring.field.char, tuple(sorted(set(modes))), tuple(checks or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +218,13 @@ def _refuse_zero_source(N: ModulePresentation) -> None:
         raise InputError("N is the zero module; its Rees modules are zero and have no top degree")
 
 
-def _normalize_blocks(ideals) -> Tuple[Tuple, ...]:
-    return tuple(tuple(gens) for gens in ideals)
+def _rees_opening(N: ModulePresentation, ideals):
+    """The ideals as tuples, their positive-grade hypotheses, and the Rees
+    module of N along them, or None when some grade fails."""
+    blocks = tuple(tuple(gens) for gens in ideals)
+    hyps = _grade_hypotheses(N.ring, blocks)
+    passed = all(h.passed for h in hyps)
+    return blocks, hyps, rees_module_presentation(N, blocks) if passed else None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,6 @@ def verify_cm_biconditional(
         raise InputError("the zero module has no biconditional content")
     box, lo, hi = _window_box(M, window)
     r = ring.rank
-    char = ring.field.char
     modes: List[str] = []
     checks: List[CheckRecord] = []
 
@@ -273,7 +274,6 @@ def verify_cm_biconditional(
 
     dim_m = inv.dim
     imax_sheaf = max(1, dim_m - r + 1)
-    right = True
     for n in box:
         above = deg_leq(v, n)
         below = deg_lt(n, v)
@@ -281,19 +281,16 @@ def verify_cm_biconditional(
             for w in weights:
                 iso = sections_natural_iso(M, n, w)
                 checks.append(_bool_row("sections-match", 0, n, iso))
-                right = right and iso
             for i in range(1, imax_sheaf + 1):
                 for w in weights:
                     val = sheaf_cohomology_dim(M, i, n, w)
                     checks.append(_row("sheaf-vanishing", i, n, val, 0))
-                    right = right and val == 0
         elif below:
             for i in range(0, dim_m - r):
                 ok, mode = support_E_vanishes(M, i, n)
                 modes.append(mode)
                 checks.append(_bool_row("fiber-support-vanishing", i, n, ok, mode))
-                right = right and ok
-    return _finish("thm31", instance, hyps, left, right, (lo, hi), char, modes, checks)
+    return _finish("thm31", instance, ring, hyps, checks, (lo, hi), modes, left)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +308,8 @@ def verify_regraded_vanishing(
     M, for every nonnegative blow-up exponent in range."""
     if any(k < 0 for k in k_range):
         raise InputError("blow-up exponents must be nonnegative")
+    if is_zero_module(M):
+        raise InputError("the zero module has no generator degrees to vanish below")
     planned = M.ring.nvars + len(irrelevant_support(M.ring).generators)
     if planned > REGRADED_VAR_LIMIT:
         raise ResourceLimit("instance too large for the regraded vanishing check")
@@ -319,7 +318,6 @@ def verify_regraded_vanishing(
     v = v_of(M)
     dim_t = krull_dim(T)
     checks: List[CheckRecord] = []
-    right = True
     for n in box:
         if not deg_lt(n, v):
             continue
@@ -328,11 +326,7 @@ def verify_regraded_vanishing(
             for i in range(0, max(dim_t, 0) + 1):
                 ok = local_cohomology_layer_vanishes(T, i, layer)
                 checks.append(_bool_row("regraded-vanishing", i, layer, ok, "duality"))
-                right = right and ok
-    return _finish(
-        "lem-vanish", instance, [], None, right, (lo, hi),
-        M.ring.field.char, ["duality"], checks,
-    )
+    return _finish("lem-vanish", instance, M.ring, (), checks, (lo, hi), ["duality"])
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +339,12 @@ def verify_rees_a_invariant(
     """The per-coordinate top nonvanishing degree of the top local
     cohomology of a multi-Rees module equals -1 in every coordinate."""
     _refuse_zero_source(N)
-    blocks = _normalize_blocks(ideals)
-    hyps = _grade_hypotheses(N.ring, blocks)
-    char = N.ring.field.char
-    if not all(h.passed for h in hyps):
-        return _finish("lem41", instance, hyps, None, None, None, char, [], [])
-    mod = rees_module_presentation(N, blocks)
+    _, hyps, mod = _rees_opening(N, ideals)
+    if mod is None:
+        return _finish("lem41", instance, N.ring, hyps)
     a = a_invariant(mod)
-    expected = tuple(-1 for _ in a)
-    checks = [_row("a-invariant", None, a, a, expected, "duality")]
-    return _finish(
-        "lem41", instance, hyps, None, a == expected, None, char, ["duality"], checks
-    )
+    checks = [_row("a-invariant", None, a, a, tuple(-1 for _ in a), "duality")]
+    return _finish("lem41", instance, N.ring, hyps, checks, modes=["duality"])
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +356,12 @@ def verify_rees_transfer(
 ) -> VerificationReport:
     """If the multi-Rees module is Cohen-Macaulay then so is the Rees module
     of the product ideal (its diagonal)."""
-    blocks = _normalize_blocks(ideals)
-    hyps = _grade_hypotheses(N.ring, blocks)
-    char = N.ring.field.char
-    if not all(h.passed for h in hyps):
-        return _finish("thm42", instance, hyps, None, None, None, char, [], [])
-    mod = rees_module_presentation(N, blocks)
-    inv = is_cohen_macaulay(mod)
-    hyps.append(
-        HypothesisCheck(
-            "multi-rees-cm", inv.cm, f"dim={inv.dim} depth={inv.depth}"
-        )
-    )
-    if not inv.cm:
-        return _finish("thm42", instance, hyps, None, None, None, char, [], [])
+    blocks, hyps, mod = _rees_opening(N, ideals)
+    if mod is not None:
+        inv = is_cohen_macaulay(mod)
+        hyps.append(HypothesisCheck("multi-rees-cm", inv.cm, f"dim={inv.dim} depth={inv.depth}"))
+    if mod is None or not inv.cm:
+        return _finish("thm42", instance, N.ring, hyps)
     value, cert = diagonal_of(N, blocks)
     dinv = is_cohen_macaulay(value)
     checks = [
@@ -390,9 +370,7 @@ def verify_rees_transfer(
         CheckRecord("diagonal-certificate", None, None, str(len(cert)),
                     "", "info", "window-identity"),
     ]
-    return _finish(
-        "thm42", instance, hyps, None, dinv.cm, None, char, [], checks
-    )
+    return _finish("thm42", instance, N.ring, hyps, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +409,16 @@ def verify_colon_identities(
     if which not in ("pushforward-colon", "subset-colon"):
         raise InputError(f"unknown colon family {which!r}")
     _refuse_zero_source(N)
-    blocks = _normalize_blocks(ideals)
-    r = len(blocks)
     bound = tuple(int(x) for x in bound)
-    if len(bound) != r or any(x < 0 for x in bound):
+    if len(bound) != len(ideals) or any(x < 0 for x in bound):
         raise InputError("bound must be a nonnegative exponent per ideal")
     base = N.ring
-    hyps = _grade_hypotheses(base, blocks)
-    char = base.field.char
+    blocks, hyps, mod = _rees_opening(N, ideals)
     theorem = "lem45" if which == "pushforward-colon" else "thm46"
-    if not all(h.passed for h in hyps):
-        return _finish(theorem, instance, hyps, None, None, None, char, [], [])
+    if mod is None:
+        return _finish(theorem, instance, base, hyps)
 
-    mod = rees_module_presentation(N, blocks)
+    r = len(blocks)
     inv = is_cohen_macaulay(mod)
     ident = inv.cm and deg_lt(a_invariant(mod), v_of(mod))
     hyps.append(
@@ -470,7 +445,6 @@ def verify_colon_identities(
 
     free = N.free()
     checks: List[CheckRecord] = []
-    right = True
 
     if which == "pushforward-colon":
         window = (deg_zero(r), bound)
@@ -491,7 +465,6 @@ def verify_colon_identities(
                 checks.append(
                     _bool_row("pushforward-colon", None, tuple(n) + tuple(m), ok)
                 )
-                right = right and ok
     else:
         window = None
         for size in range(1, r + 1):
@@ -506,9 +479,8 @@ def verify_colon_identities(
                     checks.append(
                         _bool_row("subset-colon", l + 1, exps_k, ok)
                     )
-                    right = right and ok
 
-    return _finish(theorem, instance, hyps, None, right, window, char, [], checks)
+    return _finish(theorem, instance, base, hyps, checks, window)
 
 
 # ---------------------------------------------------------------------------
@@ -527,51 +499,38 @@ def verify_spread_vanishing(
     is otherwise skipped with a mode tag.  The hypothesis that N is locally
     free is checked only as N free (projective dimension 0)."""
     _refuse_zero_source(N)
-    gens = tuple(ideal_gens)
-    blocks = (gens,)
-    hyps = _grade_hypotheses(N.ring, blocks)
-    char = N.ring.field.char
-    if not all(h.passed for h in hyps):
-        return _finish("lem44", instance, hyps, None, None, None, char, [], [])
+    (gens,), hyps, L = _rees_opening(N, (ideal_gens,))
+    if L is not None:
+        inv = is_cohen_macaulay(L)
+        pd = is_cohen_macaulay(N).pd
+        hyps += [
+            HypothesisCheck("blowup-cm", inv.cm, f"dim={inv.dim} depth={inv.depth}"),
+            HypothesisCheck("locally-free", pd == 0,
+                            "assumed by corpus construction (module is free)" if pd == 0
+                            else f"not free (pd={pd}); only freeness is checked"),
+        ]
+    if L is None or not inv.cm:
+        return _finish("lem44", instance, N.ring, hyps)
+
     ell = fiber_cone_spread(gens)
     d = krull_dim(N)
-    L = rees_module_presentation(N, blocks)
-    inv = is_cohen_macaulay(L)
-    hyps.append(
-        HypothesisCheck("blowup-cm", inv.cm, f"dim={inv.dim} depth={inv.depth}")
-    )
-    pd = is_cohen_macaulay(N).pd
-    hyps.append(
-        HypothesisCheck(
-            "locally-free",
-            pd == 0,
-            "assumed by corpus construction (module is free)" if pd == 0
-            else f"not free (pd={pd}); only freeness is checked",
-        )
-    )
-    if not inv.cm:
-        return _finish("lem44", instance, hyps, None, None, None, char, [], [])
-
     modes = [f"spread={ell}", f"weight-window[{weight_range[0]}..{weight_range[-1]}]"]
     checks: List[CheckRecord] = []
-    right = True
     imax = max(1, krull_dim(L) - 1) + 1
     for i in range(1, imax + 1):
         n = (ell - 1 - i,)
         for w in weight_range:
             val = sheaf_cohomology_dim(L, i, n, w)
             checks.append(_row("twist-vanishing", i, n, val, 0))
-            right = right and val == 0
     if L.ring.is_field_base():
         for i in range(0, d):
             n = (d - ell - i,)
             ok, mode = support_E_vanishes(L, i, n)
             modes.append(mode)
             checks.append(_bool_row("fiber-line-vanishing", i, n, ok, mode))
-            right = right and ok
     else:
         modes.append("fiber-line-skipped-nonfield-base")
-    return _finish("lem44", instance, hyps, None, right, None, char, modes, checks)
+    return _finish("lem44", instance, N.ring, hyps, checks, modes=modes)
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +556,16 @@ def dual_route_report(
     dual = maximal_support(ring)
     kozs = custom_support(ring.gens())
     checks: List[CheckRecord] = []
-    right = True
     for n in box:
         for i in i_range:
             for w in weights:
                 dv = local_cohomology_dim(module, dual, i, n, w)
                 kv = local_cohomology_dim(module, kozs, i, n, w)
-                ok = dv.value == kv.value
-                checks.append(
-                    CheckRecord(
-                        "dual-route", i, n if w is None else tuple(n) + (w,),
-                        str(kv.value), str(dv.value),
-                        "pass" if ok else "fail",
-                        f"{dv.mode}|{kv.mode}",
-                    )
-                )
-                right = right and ok
-    return _finish(
-        "dual-route", instance, [], None, right, (lo, hi),
-        ring.field.char, ["duality", "koszul-colimit"], checks,
-    )
+                degree = n if w is None else tuple(n) + (w,)
+                checks.append(_row("dual-route", i, degree, kv.value, dv.value,
+                                   f"{dv.mode}|{kv.mode}"))
+    return _finish("dual-route", instance, ring, (), checks, (lo, hi),
+                   ["duality", "koszul-colimit"])
 
 
 def fiber_identity_report(
@@ -638,25 +587,15 @@ def fiber_identity_report(
     v = v_of(M)
     dual = maximal_support(ring)
     checks: List[CheckRecord] = []
-    right = True
     for n in box:
         if not deg_lt(n, v):
             continue
         for i in i_range:
             dv = local_cohomology_dim(M, dual, i, n).value
             sv = sheaf_cohomology_dim(M, i - r, n) if i >= r else 0
-            ok = dv == sv
-            checks.append(
-                CheckRecord(
-                    "fiber-identity", i, n, str(dv), str(sv),
-                    "pass" if ok else "fail", "duality|koszul-colimit",
-                )
-            )
-            right = right and ok
-    return _finish(
-        "fiber-identity", instance, [], None, right, (lo, hi),
-        ring.field.char, ["duality", "koszul-colimit"], checks,
-    )
+            checks.append(_row("fiber-identity", i, n, dv, sv, "duality|koszul-colimit"))
+    return _finish("fiber-identity", instance, ring, (), checks, (lo, hi),
+                   ["duality", "koszul-colimit"])
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,17 @@ def test_main_parse_diagnostics(tmp_path, capsys):
     assert str(f) in out
 
 
+def test_main_parse_reads_on_past_an_unreadable_file(tmp_path, capsys):
+    ok, missing, bad = (tmp_path / name for name in ("ok.mgcm", "missing.mgcm", "bad.mgcm"))
+    ok.write_text(SMALL)
+    bad.write_text("ideal I = (a, );\n")
+    assert main(["parse", str(ok), str(missing), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == f"ok {ok}"
+    assert "empty generator at line 1" in out and str(bad) in out
+    assert err.startswith("error: cannot read") and "missing.mgcm" in err
+
+
 def test_main_run(tmp_path, capsys):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL)
@@ -567,12 +578,16 @@ def test_main_run_window_of_the_wrong_rank(tmp_path, capsys):
         "module M = free(S);\n"
         "verify thm31 M{};\n"
     )
+    table = session.replace("verify thm31", "table")
     for text, argv in ((session.format(" window=(0,0)..(1,1)"), []),
-                       (session.format(""), ["--window", "(0,0)..(1,1)"])):
+                       (session.format(""), ["--window", "(0,0)..(1,1)"]),
+                       (table.format(" window=(0,0)..(1,1)"), [])):
         f.write_text(text)
         assert main(["run", str(f)] + argv) == 2
         entry = json.loads(capsys.readouterr().out)["entries"][0]
-        assert entry["verdict"] == "input-error" and "rank" in entry["checks"][0]["value"]
+        assert entry["verdict"] == "input-error"
+        assert entry["checks"][0]["value"] == (
+            "window (0, 0)..(1, 1) does not have the module's rank 1")
 
 
 def test_main_run_zero_denominator(tmp_path, capsys):

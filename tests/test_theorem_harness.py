@@ -108,15 +108,21 @@ def test_biconditional_shifted_free_product():
     assert rep.left is True and rep.right is True
 
 
+def _shipped_report(stem, theorem):
+    """The one report of `verify <theorem>` in the shipped session <stem>."""
+    path = cli_io.shipped_manifest_path().replace("manifest.json", f"{stem}.mgcm")
+    with open(path, encoding="utf-8") as fh:
+        session = cli_io.parse_session(fh.read())
+    (rep,) = cli_io.execute_session(session, stem=stem, only=(theorem, None)).entries
+    return rep
+
+
 def test_biconditional_violated_by_nonzero_sheaf_cohomology(monkeypatch):
     # the shipped Cohen-Macaulay line: with every sheaf dimension off by one
     # the right side fails while the left side still holds
-    path = cli_io.shipped_manifest_path().replace("manifest.json", "cox-p1-free.mgcm")
-    with open(path, encoding="utf-8") as fh:
-        session = cli_io.parse_session(fh.read())
     real = th.sheaf_cohomology_dim
     monkeypatch.setattr(th, "sheaf_cohomology_dim", lambda *a: real(*a) + 1)
-    (rep,) = cli_io.execute_session(session, stem="cox-p1-free", only=("thm31", None)).entries
+    rep = _shipped_report("cox-p1-free", "thm31")
     assert rep.verdict == "violated"
     assert rep.left is True and rep.right is False
     assert {c.check for c in rep.failures} == {"sheaf-vanishing"}
@@ -188,6 +194,22 @@ def test_regraded_vanishing_size_gate():
     M = free_presentation(S, (((0, 0, 0), 0),))
     with pytest.raises(ResourceLimit):
         verify_regraded_vanishing(M)
+
+
+def test_regraded_vanishing_zero_module_refused_before_the_blowup(monkeypatch):
+    # v is undefined for the zero module; its blow-up, an elimination, is never built
+    monkeypatch.setattr(th, "irrelevant_rees", lambda M: pytest.fail("blow-up built"))
+    S = line_ring()
+    M = cyclic_presentation(S, (S.one(),))
+    with pytest.raises(InputError, match="the zero module has no generator degrees"):
+        verify_regraded_vanishing(M)
+
+
+def test_regraded_vanishing_violated_by_a_nonvanishing_layer(monkeypatch):
+    monkeypatch.setattr(th, "local_cohomology_layer_vanishes", lambda *a: False)
+    rep = _shipped_report("cox-p1-free", "lem-vanish")
+    assert rep.verdict == "violated" and rep.right is False
+    assert rep.checks and rep.failures == rep.checks
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +289,8 @@ def test_rees_a_invariant_unit_ideal_gate():
     rep = verify_rees_a_invariant(N, ((p(A, "a"), A.one()),))
     assert rep.verdict == "hypothesis-not-met"
     assert rep.hypotheses[0].passed is False
+    # the conclusion is not evaluated
+    assert rep.right is None and rep.checks == ()
     # an ideal of another ring is an input error, not a failed hypothesis
     B = line_ring()
     with pytest.raises(InputError, match="ideal and module over different rings"):
@@ -578,6 +602,14 @@ def test_spread_vanishing_needs_a_free_module():
     assert rep.verdict == "hypothesis-not-met"
 
 
+def test_spread_vanishing_violated_by_nonzero_twist_cohomology(monkeypatch):
+    monkeypatch.setattr(th, "sheaf_cohomology_dim", lambda *a: 1)
+    rep = _shipped_report("r1-maximal", "lem44")
+    assert rep.verdict == "violated"
+    assert all(h.passed for h in rep.hypotheses)
+    assert {c.check for c in rep.failures} == {"twist-vanishing"}
+
+
 # ---------------------------------------------------------------------------
 # cross-route agreement
 
@@ -626,6 +658,17 @@ def test_fiber_identity_on_field_base():
     assert rep.checks
 
 
+def test_fiber_identity_violated_by_a_shifted_sheaf_value(monkeypatch):
+    # sheaf cohomology is read only for i >= r = 1; below it the value is 0
+    real = th.sheaf_cohomology_dim
+    monkeypatch.setattr(th, "sheaf_cohomology_dim", lambda *a: real(*a) + 1)
+    S = line_ring()
+    M = cyclic_presentation(S, (p(S, "x0^2"), p(S, "x0*x1")))
+    rep = fiber_identity_report(M, window=((-3,), (2,)))
+    assert rep.verdict == "violated"
+    assert rep.failures == tuple(c for c in rep.checks if c.i >= 1)
+
+
 def test_fiber_identity_needs_field_base():
     A = local_plane()
     N = free_presentation(A, (((0,), 0),))
@@ -635,6 +678,22 @@ def test_fiber_identity_needs_field_base():
 
 # ---------------------------------------------------------------------------
 # corpus driver
+
+
+def test_every_shipped_report_follows_the_verdict_rule():
+    # right is None only when a hypothesis failed before the conclusion was
+    # evaluated; otherwise the conclusion holds iff no check row fails
+    reports = []
+    for path, _expected in cli_io.load_manifest(cli_io.shipped_manifest_path()):
+        with open(path, encoding="utf-8") as fh:
+            session = cli_io.parse_session(fh.read())
+        reports += cli_io.execute_session(session, stem=Path(path).stem).entries
+    assert len(reports) > 15
+    for rep in reports:
+        if rep.right is None:
+            assert rep.verdict == "hypothesis-not-met", rep.instance
+        else:
+            assert rep.right == (not rep.failures), rep.instance
 
 
 def _fake(verdict):
