@@ -700,9 +700,9 @@ def _run_check(mod, instance) -> VerificationReport:
     return _finish("check", instance, mod.ring, (), rows)
 
 
-def _run_table(obj, args: Dict[str, str], instance) -> VerificationReport:
+def _run_table(obj, args: Dict[str, str], flags: "RunFlags", instance) -> VerificationReport:
     i_range = _arg(args, "i", _parse_range_arg, range(0, 3))
-    box, lo, hi = _window_box(obj, _arg(args, "window", _parse_window_arg, None))
+    box, lo, hi = _window_box(obj, _window(args, flags))
     table = cohomology_table(obj, i_range, box)
     rows = [
         CheckRecord("sheaf-dim", i, n, str(dim), "", "info", table.mode)
@@ -719,7 +719,7 @@ _REES = ("rees", "multirees")
 DIRECTIVES = {
     "check": (("module", "rees", "multirees", "diagonal"), (),
               lambda k, o, a, f, i: _run_check(o.module if k in _REES else o, i)),
-    "table": (("module",), ("i", "window"), lambda k, o, a, f, i: _run_table(o, a, i)),
+    "table": (("module",), ("i", "window"), lambda k, o, a, f, i: _run_table(o, a, f, i)),
     "thm31": (("module",), ("window",),
               lambda k, o, a, f, i: verify_cm_biconditional(o, _window(a, f), i)),
     "lem-vanish": (("module",), ("window", "k"), lambda k, o, a, f, i: verify_regraded_vanishing(
@@ -1106,7 +1106,7 @@ def _add_common(sub):
     sub.add_argument("--char", type=int, default=None,
                      help="characteristic for rings declared char=default")
     sub.add_argument("--window", type=str, default=None,
-                     help="degree window '(a,..)..(b,..)' for verify directives")
+                     help="degree window override '(a,..)..(b,..)'")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
 
 

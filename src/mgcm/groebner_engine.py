@@ -15,11 +15,13 @@ Design points, fixed once for the whole package:
     (1988) criteria B_k, M and F, then by the coprime criterion on ideals;
     seeds and S-pairs are reduced only until no lead divides their leading
     term, and `_reduced_basis` reduces every tail once at the end;
-  * syzygies, kernels and colons all run through one code path: a Groebner
-    basis of the elimination embedding F (+) A^s with the F block dominant.
-    A kernel to a quotient F/R is Singular's `modulo`: the images ride with
-    unit tails and the relations with zero tails, and the elements with no F
-    part are the kernel.  A colon (U :_F (f_1..f_s)) is the kernel of
+  * syzygies, kernels and colons all run through one routine, `_kernel`:
+    Singular's `modulo`, a Groebner basis of F (+) A^s with the F block
+    dominant, the images riding with unit tails and the relations of a
+    quotient F/R with zero tails.  It picks the elements whose lead lies in
+    A^s; they have no F part and are the kernel's reduced basis.  With no
+    relations one nonzero image has no kernel, since P is a domain, and no
+    basis is built.  A colon (U :_F (f_1..f_s)) is the kernel of
     F -> (+)_k F(-deg f_k)/U, e_j |-> (f_k e_j)_k, whose block k lowers F's
     shifts by deg f_k so the map has degree 0; no exact division is
     involved.  `submodules_equal` compares reduced bases, which are unique;
@@ -115,14 +117,16 @@ class FreeModule:
             raise ValueError("zero column has no degree")
         return deg
 
-    def validate_column(self, col: Column):
+    def validate_column(self, col: Column) -> Optional[Tuple[Degree, int]]:
+        """Check length, ring and homogeneity; the degree, None when zero."""
         if len(col) != self.rank:
             raise InputError(f"column length {len(col)} != rank {self.rank}")
         for entry in col:
             if entry.ring != self.ring:
                 raise InputError("column entry from a different ring")
         if any(not e.is_zero() for e in col):
-            self.column_degree(col)
+            return self.column_degree(col)
+        return None
 
 
 def free_module(ring: GradedRing, shifts: Sequence[Tuple[Sequence[int], int]]) -> FreeModule:
@@ -555,8 +559,8 @@ def groebner_module(
     enters the package: `ModulePresentation` checks its relations;
     `groebner_basis`, `eliminate_module`, `submodule_contains` and
     `submodules_equal` check the raw columns they are given; `module_kernel`
-    and `column_degrees` check theirs, and the embedding `_modulo_basis`
-    builds from checked columns is homogeneous by its shifts."""
+    and `syzygy_basis` check theirs, and the embedding `_kernel` builds from
+    checked columns is homogeneous by its shifts."""
     keyf = _TermKeys(free, (), split).__getitem__
     pairs = _buchberger_vecs(free, gens, keyf, split)
     return GroebnerBasis(free, tuple(_reduced_basis(free, pairs, keyf)), split)
@@ -591,49 +595,38 @@ def normal_form(gb: GroebnerBasis, f: Polynomial) -> Polynomial:
 # syzygies and everything built on them
 
 
-def column_degrees(free: FreeModule, gens: Sequence[Column]) -> List[Tuple[Degree, int]]:
-    degs = []
-    for col in gens:
-        free.validate_column(col)
-        if all(e.is_zero() for e in col):
-            raise InputError("zero generator")
-        degs.append(free.column_degree(col))
-    return degs
-
-
-def _modulo_basis(free: FreeModule, gens: Sequence[Column], degs: Sequence[Tuple[Degree, int]],
-                  rels: Sequence[Column] = ()) -> GroebnerBasis:
-    """GB of {(g_i, e_i)} and {(r, 0) : r in rels} in F (+) A^s with the F
-    block dominant, e_i of shift degs[i]: its elements with no F part
-    generate the kernel of A^s -> F/(rels), e_i |-> g_i."""
-    ring = free.ring
-    big = FreeModule(
-        ring,
-        free.mdeg_shifts + tuple(d for d, _ in degs),
-        free.weight_shifts + tuple(w for _, w in degs),
-    )
-    zero_tail = (ring.zero(),) * len(gens)
-    emb = tuple(tuple(col) + unit for col, unit in zip(gens, basis_multiples(ring.one(), len(gens))))
-    emb += tuple(tuple(col) + zero_tail for col in rels)
-    return groebner_module(big, emb, split=free.rank)
+def _kernel(source: FreeModule, images: Sequence[Column], target: FreeModule,
+            rels: Sequence[Column] = ()) -> Tuple[Column, ...]:
+    """Kernel of source -> target/(rels), e_j |-> images[j], for checked
+    columns of degree 0 and nonzero relations: the unit column of each zero
+    image, then the reduced basis, in the source's own order, of the kernel
+    on the others.  The target components of the `modulo` basis rank first,
+    so a lead past them means no target part."""
+    ring, p = source.ring, target.rank
+    live = [j for j, col in enumerate(images) if any(not e.is_zero() for e in col)]
+    units = basis_multiples(ring.one(), source.rank)
+    out = [units[j] for j in range(source.rank) if j not in live]
+    if len(live) < 2 and not rels:
+        return tuple(out)
+    big = FreeModule(ring, target.mdeg_shifts + tuple(source.mdeg_shifts[j] for j in live),
+                     target.weight_shifts + tuple(source.weight_shifts[j] for j in live))
+    zero_tail = (ring.zero(),) * len(live)
+    emb = tuple(tuple(images[j]) + unit
+                for j, unit in zip(live, basis_multiples(ring.one(), len(live))))
+    gb = groebner_module(big, emb + tuple(tuple(col) + zero_tail for col in rels), split=p)
+    out += [_vec_to_col(ring, source.rank, {(live[c - p], e): x for (c, e), x in v.items()})
+            for (lc, _), v in gb.reducers if lc >= p]
+    return tuple(out)
 
 
 def syzygy_basis(free: FreeModule, gens: Sequence[Column]) -> Tuple[FreeModule, Tuple[Column, ...]]:
-    """Generators of Syz(gens) with their natural shifts (degrees of gens);
-    none, and no basis, for one nonzero column, since P is a domain."""
-    gens = tuple(gens)
-    degs = column_degrees(free, gens)
+    """The reduced basis of Syz(gens), in the free module whose shifts are
+    the degrees of gens."""
+    degs = [free.validate_column(col) for col in gens]
+    if None in degs:
+        raise InputError("zero generator")
     syzfree = FreeModule(free.ring, tuple(d for d, _ in degs), tuple(w for _, w in degs))
-    if len(gens) < 2:
-        return syzfree, ()
-    gb = _modulo_basis(free, gens, degs)
-    p = free.rank
-    # F's components rank first, so a lead at or past p means no F part
-    out = tuple(
-        _vec_to_col(free.ring, len(gens), {(c - p, e): x for (c, e), x in v.items()})
-        for (lc, _), v in gb.reducers if lc >= p
-    )
-    return syzfree, out
+    return syzfree, _kernel(syzfree, gens, free)
 
 
 def submodule_contains(free: FreeModule, gens: Sequence[Column], col: Column) -> bool:
@@ -660,7 +653,8 @@ def submodules_equal(free: FreeModule, gens_a: Sequence[Column], gens_b: Sequenc
 def module_kernel(
     source: FreeModule, image_cols: Sequence[Column], target: ModulePresentation
 ) -> Tuple[Column, ...]:
-    """Kernel of source -> target, the map sending e_j to image_cols[j].
+    """Kernel of source -> target, the map sending e_j to image_cols[j]:
+    the unit column of each zero image, then a reduced basis (`_kernel`).
 
     image_cols live in target's free cover; the map must be degree 0, i.e.
     column j is homogeneous of degree = source shift j (zero columns allowed).
@@ -669,30 +663,10 @@ def module_kernel(
         raise InputError("one image column per source basis element")
     tfree = target.free()
     for j, col in enumerate(image_cols):
-        tfree.validate_column(col)
-        if any(not e.is_zero() for e in col):
-            d, w = tfree.column_degree(col)
-            if (d, w) != (source.mdeg_shifts[j], source.weight_shifts[j]):
-                raise InputError("map is not degree 0")
-    # a zero image puts its unit column in the kernel; the others go through
-    # one `modulo` basis, which with a free target is `syzygy_basis`'s
-    zero_idx = [j for j, col in enumerate(image_cols) if all(e.is_zero() for e in col)]
-    nonzero_idx = [j for j in range(len(image_cols)) if j not in zero_idx]
-    ring = source.ring
-    units = basis_multiples(ring.one(), source.rank)
-    out: List[Column] = [units[j] for j in zero_idx]
-    if nonzero_idx:
-        rels = [c for c in target.relations if any(not e.is_zero() for e in c)]
-        degs = [(source.mdeg_shifts[j], source.weight_shifts[j]) for j in nonzero_idx]
-        gb = _modulo_basis(tfree, [image_cols[j] for j in nonzero_idx], degs, rels)
-        p = tfree.rank
-        for (lc, _), v in gb.reducers:
-            # the target components rank first, so a lead past them means
-            # no target part
-            if lc >= p:
-                full: Vec = {(nonzero_idx[c - p], e): x for (c, e), x in v.items()}
-                out.append(_vec_to_col(ring, source.rank, full))
-    return tuple(out)
+        if tfree.validate_column(col) not in (None, (source.mdeg_shifts[j], source.weight_shifts[j])):
+            raise InputError("map is not degree 0")
+    rels = tuple(c for c in target.relations if any(not e.is_zero() for e in c))
+    return _kernel(source, image_cols, tfree, rels)
 
 
 def colon_in_quotient(
@@ -704,7 +678,8 @@ def colon_in_quotient(
     With I = (f_1, ..., f_s), the colon is the kernel of the degree-0 map
     F -> (+)_k F(-deg f_k)/(U + R) sending e_j to (f_1 e_j, ..., f_s e_j):
     block k repeats F's shifts lowered by deg f_k and carries a copy of the
-    columns of U + R.  One syzygy computation, no exact division.
+    columns of U + R.  No image is zero, so the kernel comes as its reduced
+    basis; no exact division is involved.
     """
     ideal = [f for f in ideal if not f.is_zero()]
     if not ideal:
@@ -719,8 +694,7 @@ def colon_in_quotient(
     rels = [(zero,) * (p * k) + tuple(col) + (zero,) * (p * (s - 1 - k))
             for k in range(s) for col in gens]
     images = tuple(tuple(f if i == j else zero for f in ideal for i in range(p)) for j in range(p))
-    kernel = module_kernel(free, images, presentation(free.ring, shifts, rels))
-    return groebner_module(free, kernel).elements
+    return module_kernel(free, images, presentation(free.ring, shifts, rels))
 
 
 def ideal_power_product(

@@ -177,11 +177,8 @@ def _minimal_generators(free: FreeModule, cols: Sequence[Column]) -> Tuple[Colum
     )
     kept: List[Column] = []
     for j in order:
-        if kept and submodule_contains(free, tuple(kept), cols[j]):
-            continue
-        if not kept and _column_is_zero(cols[j]):
-            continue
-        kept.append(cols[j])
+        if not (kept and submodule_contains(free, tuple(kept), cols[j])):
+            kept.append(cols[j])
     return tuple(kept)
 
 
@@ -203,13 +200,10 @@ def minimal_free_resolution(module: ModulePresentation) -> Resolution:
     while current:
         if step > module.ring.nvars:
             raise AssertionError("resolution longer than the syzygy theorem allows")
-        degs = [current_free.column_degree(c) for c in current]
-        shifts.append(([d for d, _ in degs], [w for _, w in degs]))
-        diffs.append([list(c) for c in current])
         syz_free, syz = syzygy_basis(current_free, current)
-        syz = tuple(c for c in syz if not _column_is_zero(c))
-        syz = _minimal_generators(syz_free, syz)
-        current = syz
+        shifts.append((list(syz_free.mdeg_shifts), list(syz_free.weight_shifts)))
+        diffs.append([list(c) for c in current])
+        current = _minimal_generators(syz_free, syz)
         current_free = syz_free
         step += 1
 

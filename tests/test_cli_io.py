@@ -590,6 +590,24 @@ def test_main_run_window_of_the_wrong_rank(tmp_path, capsys):
             "window (0, 0)..(1, 1) does not have the module's rank 1")
 
 
+def test_main_run_window_flag_reaches_table(tmp_path, capsys):
+    # the flag narrows the table as it does thm31; a `window=` key still wins
+    f = tmp_path / "s.mgcm"
+    f.write_text(
+        "ring S = poly(char=default; x0,x1 : deg=(1), weight=1);\n"
+        "module M = free(S);\n"
+        "table M;\n"
+        "verify thm31 M;\n"
+        "table M window=(1)..(1);\n"
+    )
+    assert main(["run", str(f), "--window", "(0)..(0)", "--format", "csv"]) == 0
+    rows = [r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))
+            if r["check"] == "sheaf-dim"]
+    assert [(r["i"], r["degree"]) for r in rows if ":1:table:" in r["object"]] == \
+        [("0", "(0)"), ("1", "(0)"), ("2", "(0)")]
+    assert {r["degree"] for r in rows if ":3:table:" in r["object"]} == {"(1)"}
+
+
 def test_main_run_zero_denominator(tmp_path, capsys):
     f = tmp_path / "s.mgcm"
     f.write_text(SMALL.replace("ideal I = (a, b);", "ideal I = (a/32003, b);"))

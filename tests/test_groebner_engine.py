@@ -395,6 +395,30 @@ def test_module_kernel_matches_the_syzygy_route(case):
         assert submodule_contains(tfree, target.relations, image)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_kernel_cases())
+def test_module_kernel_is_units_then_a_reduced_basis(case):
+    # with the target block dominant, the elements of a reduced `modulo`
+    # basis that have no target part are the kernel's reduced basis
+    source, images, target = case
+    got = module_kernel(source, images, target)
+    zero = [j for j, col in enumerate(images) if all(e.is_zero() for e in col)]
+    units = basis_multiples(source.ring.one(), source.rank)
+    assert got[:len(zero)] == tuple(units[j] for j in zero)
+    rest = got[len(zero):]
+    assert rest == groebner_module(source, rest).elements
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_generator_cases())
+def test_syzygy_basis_is_the_kernel_to_the_free_target(case):
+    free, gens, _ = case
+    syz_free, syz = syzygy_basis(free, gens)
+    target = free_presentation(free.ring, tuple(zip(free.mdeg_shifts, free.weight_shifts)))
+    assert syz == module_kernel(syz_free, gens, target)
+    assert syz == groebner_module(syz_free, syz).elements
+
+
 def test_colon_ideal():
     R = std_ring()
     x, y = R.gens()
@@ -410,6 +434,28 @@ def test_colon_by_two_elements():
     module = free_presentation(R, (((0,), 0),))
     got = colon_in_quotient(module, ((x * x,),), (x, y))
     assert submodules_equal(module.free(), got, ((x * x,),))
+
+
+@st.composite
+def _colon_cases(draw):
+    """A module drawn by `_binomial_modules`, up to two drawn columns of its
+    free cover as U, and one or two drawn forms as I."""
+    module = draw(_binomial_modules())
+    ring = module.ring
+    sub = draw(st.lists(_homogeneous_column(module.free()), max_size=2))
+    line = free_module(ring, (((0,) * ring.rank, 0),))
+    ideal = draw(st.lists(_homogeneous_column(line), min_size=1, max_size=2))
+    return module, tuple(sub), tuple(f for (f,) in ideal)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_colon_cases())
+def test_colon_is_its_own_reduced_basis(case):
+    module, sub, ideal = case
+    free = module.free()
+    got = colon_in_quotient(module, sub, ideal)
+    assert got == groebner_module(free, got).elements
+    assert all(submodule_contains(free, got, col) for col in sub + module.relations)
 
 
 def _minimal_monomials(monos):

@@ -7,7 +7,7 @@ import pytest
 import mgcm
 from mgcm import groebner_engine, homological, rees_constructions
 from mgcm.graded_poly import GradedRing, field_for_char, parse_polynomial
-from mgcm.groebner_engine import free_presentation, groebner_module
+from mgcm.groebner_engine import free_module, free_presentation, groebner_module, module_kernel
 from mgcm.homological import a_invariant
 from mgcm.rees_constructions import rees_module_presentation
 
@@ -78,5 +78,22 @@ def test_rees_algebra_of_a_free_module_takes_few_bases(ideals):
         rees_module_presentation(N, blocks)
         misses = groebner_module.cache_info().misses
         assert misses <= MAX_REES_BUILD_BASES[ideals], f"{misses} bases for the Rees algebra"
+    finally:
+        _clear_caches()
+
+
+def test_kernel_of_one_nonzero_column_into_a_free_target_takes_no_basis():
+    # P is a domain, so a (x^2 e_0 + y e_1) = 0 forces a = 0; a zero image
+    # gives its unit column, and neither builds a basis
+    A = GradedRing(field_for_char(32003), ("x", "y"), ((1,),) * 2, (1, 1))
+    x, y = A.gens()
+    source = free_module(A, (((2,), 2), ((0,), 0)))
+    target = free_presentation(A, (((0,), 0), ((1,), 1)))
+    _clear_caches()
+    try:
+        kernel = module_kernel(source, ((x * x, y), (A.zero(), A.zero())), target)
+        assert kernel == ((A.zero(), A.one()),)
+        misses = groebner_module.cache_info().misses
+        assert misses == 0, f"{misses} bases for a kernel of one nonzero column"
     finally:
         _clear_caches()
