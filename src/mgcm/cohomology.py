@@ -129,23 +129,33 @@ class SupportSpec:
             raise InputError(f"unknown support kind: {self.kind}")
         if not self.generators:
             raise InputError("support ideal needs at least one generator")
+        # the caches of levels and ranks hash a support on every lookup;
+        # equality stays by value, so an equal support built again hits them
+        object.__setattr__(self, "_hash", hash((self.kind, self.generators)))
+
+    def __hash__(self):
+        return self._hash
+
+
+def _ring_support(ring: GradedRing, kind: str, generators) -> SupportSpec:
+    """The ring's support of this kind, built once from generators() and
+    kept in `ring.supports`; a ring that has none raises every time."""
+    support = ring.supports.get(kind)
+    if support is None:
+        support = ring.supports[kind] = SupportSpec(kind, generators())
+    return support
 
 
 def maximal_support(ring: GradedRing) -> SupportSpec:
-    return SupportSpec("maximal", ring.gens())
+    return _ring_support(ring, "maximal", ring.gens)
 
 
-def _irrelevant_blocks(ring: GradedRing) -> List[List[int]]:
+def _irrelevant_blocks(ring: GradedRing) -> Tuple[Tuple[int, ...], ...]:
     """For each j, the indices of the variables of multidegree e_j."""
-    r = ring.rank
-    blocks: List[List[int]] = []
-    for j in range(r):
-        unit = tuple(1 if t == j else 0 for t in range(r))
-        idx = [v for v in range(ring.nvars) if ring.degrees[v] == unit]
-        if not idx:
+    for j, block in enumerate(ring.unit_blocks):
+        if not block:
             raise InputError(f"no variable of multidegree e_{j + 1}; ring not standard")
-        blocks.append(idx)
-    return blocks
+    return ring.unit_blocks
 
 
 def _power_product(ring: GradedRing, variables: Iterable[int], d: int) -> Polynomial:
@@ -158,7 +168,7 @@ def _power_product(ring: GradedRing, variables: Iterable[int], d: int) -> Polyno
 
 def irrelevant_support(ring: GradedRing) -> SupportSpec:
     """One generator per choice of a multidegree-e_j variable from each block."""
-    return SupportSpec("irrelevant", tuple(
+    return _ring_support(ring, "irrelevant", lambda: tuple(
         _power_product(ring, combo, 1) for combo in itertools.product(*_irrelevant_blocks(ring))
     ))
 
@@ -409,7 +419,7 @@ def _certified_level(
     make the pieces infinite, which `piece_basis` refuses.  Other supports
     and other gradings have no bound here and raise InputError."""
     ring = module.ring
-    if support.kind == "custom" and support.generators != ring.gens():
+    if support.kind == "custom" and support.generators != maximal_support(ring).generators:
         raise InputError("no certified colimit level for a custom support "
                          "other than the variables")
     twists = minimal_free_resolution(module).shifts

@@ -221,7 +221,9 @@ class GradedRing:
     for each monomial ideal J it meets, keyed by J's sorted minimal
     generators.  A K-polynomial depends only on J and the grading (Bigatti
     1997), and the grading is the ring's, so every basis over the ring with
-    the same lead ideal reads one entry.
+    the same lead ideal reads one entry.  A third, `supports`, holds at most
+    two entries: the support ideals `cohomology` builds from the ring alone
+    (the irrelevant ideal and the ideal of all the variables), keyed by kind.
     """
 
     __slots__ = (
@@ -234,7 +236,10 @@ class GradedRing:
         "_name_index",
         "_counts",
         "k_polynomials",
+        "supports",
         "_blocks",
+        "_unit_blocks",
+        "_base_vars",
     )
 
     _registry: Dict[tuple, "GradedRing"] = {}
@@ -285,7 +290,10 @@ class GradedRing:
         ring._name_index = {nm: i for i, nm in enumerate(names)}
         ring._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
         ring.k_polynomials = {}
+        ring.supports = {}
         ring._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
+        ring._unit_blocks: Optional[Tuple[Tuple[int, ...], ...]] = None
+        ring._base_vars: Optional[Tuple[int, ...]] = None
         cls._registry[key] = ring
         return ring
 
@@ -328,6 +336,17 @@ class GradedRing:
                 ((dw, tuple(vs)) for dw, vs in groups.items()), key=lambda b: not any(b[0][0])
             ))
         return self._blocks
+
+    @property
+    def unit_blocks(self) -> Tuple[Tuple[int, ...], ...]:
+        """For each j, the indices of the variables of multidegree e_j; a
+        block is empty when no variable has that degree.  Built on first use."""
+        if self._unit_blocks is None:
+            r = self.rank
+            units = [tuple(int(t == j) for t in range(r)) for j in range(r)]
+            self._unit_blocks = tuple(tuple(v for v, d in enumerate(self.degrees) if d == unit)
+                                      for unit in units)
+        return self._unit_blocks
 
     def monomial_count(self, mdeg: Degree, weight: Optional[int] = None) -> int:
         """Number of monomials of multidegree mdeg (and the weight, if given).
@@ -444,9 +463,12 @@ class GradedRing:
     # -- base block --------------------------------------------------------
 
     def base_variable_indices(self) -> Tuple[int, ...]:
-        """Variables with multidegree 0 (the graded-local base block)."""
-        z = deg_zero(self.rank)
-        return tuple(i for i, d in enumerate(self.degrees) if d == z)
+        """Variables with multidegree 0 (the graded-local base block), built
+        on first use."""
+        if self._base_vars is None:
+            z = deg_zero(self.rank)
+            self._base_vars = tuple(i for i, d in enumerate(self.degrees) if d == z)
+        return self._base_vars
 
     def is_field_base(self) -> bool:
         return not self.base_variable_indices()

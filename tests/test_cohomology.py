@@ -193,6 +193,21 @@ def test_irrelevant_support_requires_block_variables():
         irrelevant_support(R)
 
 
+def test_equal_supports_built_twice_share_the_complex_cache():
+    # equality and hash are by value, so each fresh Koszul support on the
+    # variables (one per dual-route report) reads the levels already built
+    R = p1xp1_ring()
+    S = cyclic_presentation(R, ())
+    first, second = custom_support(R.gens()), custom_support(R.gens())
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    local_cohomology_dim(S, first, 4, (-2, -2))
+    before = _complex.cache_info()
+    assert local_cohomology_dim(S, second, 4, (-2, -2)).value == 1
+    after = _complex.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+
+
 def test_custom_support_rejects_empty():
     R = p1_ring()
     with pytest.raises(InputError):
@@ -503,6 +518,22 @@ def test_line_bundles_on_p1xp2_match_kunneth():
             assert got == _product_h(_line_h, _plane_h, i, n, m), (i, n, m)
             checked += 1
     assert checked == 144
+
+
+def test_shifted_line_bundles_on_p1xp2_match_kunneth():
+    """S(-1,2) + S(3,-2) on P^1 x P^2: h^i(n) = h^i(O(n1-1, n2+2)) +
+    h^i(O(n1+3, n2-2)) by Kunneth and Bott, on 196 cells.  The two
+    summands' twists pull the certified level d0 apart in opposite
+    directions; with d0 planted one too low, 32 of the cells read wrong."""
+    M = free_presentation(p1xp2_ring(), (((1, -2), -1), ((-3, 2), 1)))
+    checked = 0
+    for n, m in degree_box((-4, -4), (2, 2)):
+        for i in range(4):
+            want = (_product_h(_line_h, _plane_h, i, n - 1, m + 2)
+                    + _product_h(_line_h, _plane_h, i, n + 3, m - 2))
+            assert sheaf_cohomology_dim(M, i, (n, m)) == want, (i, n, m)
+            checked += 1
+    assert checked == 196
 
 
 def _p1xp2_quotient():

@@ -6,7 +6,14 @@ import pytest
 
 import mgcm
 from mgcm import groebner_engine, homological, rees_constructions
-from mgcm.graded_poly import GradedRing, field_for_char, parse_polynomial
+from mgcm.cohomology import (
+    SupportSpec,
+    degree_box,
+    irrelevant_support,
+    maximal_support,
+    sheaf_cohomology_dim,
+)
+from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
 from mgcm.groebner_engine import free_module, free_presentation, groebner_module, module_kernel
 from mgcm.homological import a_invariant
 from mgcm.rees_constructions import rees_module_presentation
@@ -21,6 +28,9 @@ MAX_A_INVARIANT_BASES = {("a", "b^2"): 1, ("a", "b", "c^2"): 5}
 # one tuple of generators per ideal; the grade gate reads weights and the
 # elimination is not cached, so none is built.  Never raise them
 MAX_REES_BUILD_BASES = {(("a", "b^2"),): 0, (("a", "b", "c^2"),): 0, (("a",), ("b", "c^2")): 0}
+# support ideals built for a run of sheaf values over one ring: the ring
+# keeps its irrelevant ideal, so never raise it
+MAX_SUPPORTS_PER_RING = 1
 
 
 def _source_count(needle):
@@ -97,3 +107,45 @@ def test_kernel_of_one_nonzero_column_into_a_free_target_takes_no_basis():
         assert misses == 0, f"{misses} bases for a kernel of one nonzero column"
     finally:
         _clear_caches()
+
+
+def _p1xp1():
+    return GradedRing(field_for_char(32003), ("x0", "x1", "y0", "y1"),
+                      ((1, 0), (1, 0), (0, 1), (0, 1)), (1, 1, 1, 1))
+
+
+def test_a_ring_keeps_one_irrelevant_and_one_maximal_support():
+    # an equal ring built again is the same ring, with the same supports
+    R, again = _p1xp1(), _p1xp1()
+    for support in (irrelevant_support, maximal_support):
+        assert support(R) is support(R)
+        assert support(again) is support(R)
+
+
+def test_sheaf_values_build_one_support_per_ring(monkeypatch):
+    # fifty sheaf values on P^1 x P^1 read the ring's irrelevant ideal; a
+    # support built per value rehashes and compares its generators on
+    # every cache lookup
+    built = []
+    post_init = SupportSpec.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(SupportSpec, "__post_init__", counting)
+    R = _p1xp1()
+    R.supports.clear()
+    M = free_presentation(R, (((0, 0), 0),))
+    values = [sheaf_cohomology_dim(M, i, n) for n in degree_box((-3, -3), (1, 1)) for i in (0, 1)]
+    assert len(values) == 50
+    assert len(built) <= MAX_SUPPORTS_PER_RING, f"{len(built)} supports for one ring"
+
+
+def test_a_ring_without_an_irrelevant_ideal_raises_every_time():
+    # a failure is never kept as the ring's support
+    R = GradedRing(field_for_char(0), ("x",), ((2,),), (2,))
+    for _ in range(2):
+        with pytest.raises(InputError):
+            irrelevant_support(R)
+    assert "irrelevant" not in R.supports
