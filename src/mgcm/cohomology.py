@@ -16,7 +16,9 @@ Two independent routes are implemented:
   Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  Each value is
   computed at one certified level, read off the twists of M's minimal free
   resolution; the irrelevant ideal and the ideal of all the variables are
-  the supports with such a level.
+  the supports with such a level.  One record per piece (module, support,
+  n, weight) reads that level once and keeps the complex at it, each F_q's
+  pieces and each differential's rank, so every index i reads the same.
 
 Sheaf cohomology on the Proj of the ambient multigraded ring is read off the
 irrelevant-ideal route.  Dimensions summed over the auxiliary weight grading
@@ -295,10 +297,10 @@ def _complex(support: SupportSpec, k: int):
     block of the k-th powers of the generators, which gives their Koszul
     complex.
 
-    Only recent complexes are kept.  Each value is computed at one certified
-    level, a complex is cheap to build again, and a Koszul complex on s
-    generators has s * 2^(s-1) entries at every level, so keeping all levels
-    of all supports would grow memory for little time."""
+    Only recent complexes are kept here, beyond the ones the kept level
+    records (`_level_complex`) hold.  A complex is cheap to build again, and
+    a Koszul complex on s generators has s * 2^(s-1) entries at every level,
+    so keeping all levels of all supports would grow memory for little time."""
     if support.kind == "irrelevant":
         ring = support.generators[0].ring
         return _block_complex([[_power_product(ring, (v,), k) for v in block]
@@ -310,46 +312,74 @@ def _complex(support: SupportSpec, k: int):
 # cohomology of Hom(F_., M) on one graded piece
 
 
-def _pieces(module: ModulePresentation, shifts, n: Degree, weight: Optional[int]):
-    """The pieces (n, weight) + a, one per twist a, and the offsets of their
-    bases laid end to end, with the total size last.
+class _LevelComplex:
+    """Hom(F_., M) on the (n, weight) piece, F the support's complex at
+    `level`.  Each F_q's pieces, with the offsets of their bases laid end to
+    end, and each differential's rank are built on first use and kept.
 
     Pieces here are sized by `piece_basis`: `_mult_matrix` lists their bases
     anyway, so a separate count would only add work."""
-    pieces = [(deg_add(n, m), None if weight is None else weight + w) for m, w in shifts]
-    offsets = [0]
-    for piece in pieces:
-        offsets.append(offsets[-1] + len(piece_basis(module, *piece)))
-    return pieces, offsets
+
+    def __init__(self, module: ModulePresentation, support: SupportSpec, level: int,
+                 n: Degree, weight: Optional[int]):
+        self.module, self.level, self.n, self.weight = module, level, n, weight
+        self.shifts, self.maps = _complex(support, level)
+        self._pieces: Dict[int, tuple] = {}
+        self._ranks: Dict[int, int] = {}
+
+    def pieces(self, q: int):
+        """The pieces (n, weight) + a of F_q, one per twist a, and the
+        offsets of their bases, with the total size last."""
+        if q not in self._pieces:
+            n, weight = self.n, self.weight
+            pieces = [(deg_add(n, m), None if weight is None else weight + w)
+                      for m, w in self.shifts[q]]
+            offsets = [0]
+            for piece in pieces:
+                offsets.append(offsets[-1] + len(piece_basis(self.module, *piece)))
+            self._pieces[q] = pieces, offsets
+        return self._pieces[q]
+
+    def rank(self, q: int) -> int:
+        """Rank of Hom(F_q, M) -> Hom(F_{q+1}, M); 0 outside the complex."""
+        if q < 0 or q >= len(self.maps):
+            return 0
+        if q not in self._ranks:
+            src, src_off = self.pieces(q)
+            tgt_off = self.pieces(q + 1)[1]
+            rank = 0
+            if src_off[-1] and tgt_off[-1]:
+                field = self.module.ring.field
+                rows: List[Dict[int, object]] = [{} for _ in range(tgt_off[-1])]
+                for a, b, sign, m in self.maps[q]:
+                    cols = _mult_matrix(self.module, m, *src[a])[0]
+                    ro = tgt_off[b]
+                    for ci, col in enumerate(cols, src_off[a]):
+                        for ti, v in col:
+                            rows[ro + ti][ci] = v if sign > 0 else field.neg(v)
+                rank = sparse_rank(field, rows)
+            self._ranks[q] = rank
+        return self._ranks[q]
+
+    def value(self, i: int) -> int:
+        """dim_k of H^i on the piece; 0 past the complex's length."""
+        if i >= len(self.shifts):
+            return 0
+        value = self.pieces(i)[1][-1] - self.rank(i) - self.rank(i - 1)
+        if value < 0:
+            raise AssertionError("negative cohomology dimension (rank bookkeeping bug)")
+        return value
 
 
 @lru_cache(maxsize=None)
-def _differential_rank(
+def _level_complex(
     module: ModulePresentation,
     support: SupportSpec,
-    k: int,
-    q: int,
     n: Degree,
     weight: Optional[int],
-) -> int:
-    """Rank of Hom(F_q, M) -> Hom(F_{q+1}, M) on the (n, weight) piece, F the
-    support's complex at level k."""
-    shifts, maps = _complex(support, k)
-    if q < 0 or q >= len(maps):
-        return 0
-    src, src_off = _pieces(module, shifts[q], n, weight)
-    tgt_off = _pieces(module, shifts[q + 1], n, weight)[1]
-    if src_off[-1] == 0 or tgt_off[-1] == 0:
-        return 0
-    field = module.ring.field
-    rows: List[Dict[int, object]] = [{} for _ in range(tgt_off[-1])]
-    for a, b, sign, m in maps[q]:
-        cols = _mult_matrix(module, m, *src[a])[0]
-        ro = tgt_off[b]
-        for ci, col in enumerate(cols, src_off[a]):
-            for ti, v in col:
-                rows[ro + ti][ci] = v if sign > 0 else field.neg(v)
-    return sparse_rank(field, rows)
+) -> _LevelComplex:
+    """The piece's complex at its certified level, read once for every index."""
+    return _LevelComplex(module, support, _certified_level(module, support, n, weight), n, weight)
 
 
 def _level_value(
@@ -361,16 +391,8 @@ def _level_value(
     weight: Optional[int],
 ) -> int:
     """dim_k of H^i(Hom(F_., M))_(n, weight), F the support's complex at level k;
-    0 past the complex's length."""
-    shifts = _complex(support, k)[0]
-    if i >= len(shifts):
-        return 0
-    dim_ci = _pieces(module, shifts[i], n, weight)[1][-1]
-    value = (dim_ci - _differential_rank(module, support, k, i, n, weight)
-             - _differential_rank(module, support, k, i - 1, n, weight))
-    if value < 0:
-        raise AssertionError("negative cohomology dimension (rank bookkeeping bug)")
-    return value
+    0 past the complex's length.  Nothing is kept."""
+    return _LevelComplex(module, support, k, n, weight).value(i)
 
 
 def _certified_level(
@@ -456,7 +478,9 @@ def local_cohomology_dim(
     """dim_k of the (n[, weight]) piece of H^i against the support ideal.
 
     The colimit route reads one level, the certified level d0 of
-    `_certified_level`, which `stab_k` holds."""
+    `_certified_level`, which `stab_k` holds.  The piece's complex at d0
+    (`_level_complex`) reads d0 once and keeps its pieces and ranks for
+    every index i."""
     if i < 0:
         raise InputError("negative cohomological index")
     ring = module.ring
@@ -474,9 +498,8 @@ def local_cohomology_dim(
         w = None if weight is None else -weight
         return CohomologyValue(graded_piece_dim(ext, deg_neg(n), w), "duality", None)
 
-    d0 = _certified_level(module, support, n, weight)
-    value = _level_value(module, support, d0, i, n, weight)
-    return CohomologyValue(value, "koszul-colimit", d0)
+    level = _level_complex(module, support, n, weight)
+    return CohomologyValue(level.value(i), "koszul-colimit", level.level)
 
 
 def local_cohomology_layer_vanishes(

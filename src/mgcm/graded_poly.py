@@ -128,7 +128,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 mod p")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def render(self, a) -> str:
         return str(a)

@@ -72,9 +72,9 @@ Vec = Dict[Term, object]
 #
 # (*) read in one process, not through the bench.  128 read slower on
 # blowup wall time, so 256 it is.  Piece bases, multiplication matrices and
-# differential ranks stay unbounded: they are small, and bounding them at
-# 256 added misses on kunneth.  An evicted value is rebuilt exactly, because
-# every public result is canonically sorted.
+# the colimit's level complexes stay unbounded: they are small, and bounding
+# them at 256 added misses on kunneth.  An evicted value is rebuilt exactly,
+# because every public result is canonically sorted.
 BASIS_CACHE_SIZE = 256
 
 
@@ -155,6 +155,13 @@ class ModulePresentation:
         fm = FreeModule(self.ring, self.mdeg_shifts, self.weight_shifts)
         for col in self.relations:
             fm.validate_column(col)
+        # every cache keyed by a module hashes it on each lookup; equality
+        # stays by value, so an equal module built again hits them
+        object.__setattr__(self, "_hash", hash(
+            (self.ring, self.mdeg_shifts, self.weight_shifts, self.relations)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -359,6 +366,13 @@ class GroebnerBasis:
                     (a[:-1], a[-1], k) for a, k in sorted(_k_polynomial(key, degs).items()))
             out.append(terms)
         return tuple(out)
+
+    @cached_property
+    def walk_plans(self) -> Dict[bool, tuple]:
+        """`homological.standard_monomials`' walk plans over this basis,
+        keyed by whether the multidegree-0 variables are held; each is
+        built on first use."""
+        return {}
 
     @cached_property
     def krull_dim(self) -> int:

@@ -320,9 +320,11 @@ def standard_monomials(
     may stop at the first hit.
 
     The walk goes through the ring's `blocks` of variables of equal degree
-    and weight.  The held variables form the last blocks; they are not
-    walked, and without a weight the ring's count table holds them at 0
-    too, so the held case needs no table of its own.  At each block the walk
+    and weight, on a plan that `_walk_plan` builds once per relations basis
+    and mode (held or weighted) and the basis keeps.  The held variables
+    form the last blocks; they are not walked, and without a weight the
+    ring's count table holds them at 0 too, so the held case needs no table
+    of its own.  At each block the walk
     takes only the totals that `GradedRing.block_totals` allows, those after
     which the count table says the later blocks can still be filled
     exactly, and it lists the compositions of that total over the block's
@@ -344,16 +346,12 @@ def standard_monomials(
     ring = module.ring
     if len(n) != ring.rank:
         raise InputError("degree rank mismatch")
-    leads = _relations_gb(module).lead_terms
-    blocks = ring.blocks
-    if weight is None:
-        # the held blocks come last, so the walked ones keep their indices
-        blocks = tuple(b for b in blocks if any(b[0][0]))
-    order = [v for _dw, vs in blocks for v in vs]
-    slot = {v: pos for pos, v in enumerate(order)}
-    # the block of each walked position, and whether it is the block's last
-    block_of = [i for i, (_dw, vs) in enumerate(blocks) for _v in vs]
-    closes = [j == len(vs) - 1 for _dw, vs in blocks for j in range(len(vs))]
+    gb = _relations_gb(module)
+    held = weight is None
+    plan = gb.walk_plans.get(held)
+    if plan is None:
+        plan = gb.walk_plans[held] = _walk_plan(gb, held)
+    order, block_of, closes, comp_buckets = plan
     end = len(order)
     exps = [0] * ring.nvars
 
@@ -381,32 +379,45 @@ def standard_monomials(
                 yield from walk(pos + 1, left - e, rem_m, rem_w, buckets)
         exps[v] = 0
 
-    def lead_buckets(comp: int):
-        """The component's lead terms as (variable, exponent) supports, listed
-        under the position of their last walked variable; None if one is 1."""
-        buckets: List[List[Tuple[Tuple[int, int], ...]]] = [[] for _ in order]
-        for c, lt in leads:
-            if c != comp:
-                continue
-            support = tuple((v, k) for v, k in enumerate(lt) if k)
-            if any(v not in slot for v, _k in support):
-                continue
-            if not support:
-                return None
-            buckets[max(slot[v] for v, _k in support)].append(support)
-        return buckets
-
-    for comp in range(module.rank):
+    for comp, buckets in enumerate(comp_buckets):
         target_m = deg_sub(n, module.mdeg_shifts[comp])
         target_w = None if weight is None else weight - module.weight_shifts[comp]
         if any(x < 0 for x in target_m) or (target_w is not None and target_w < 0):
             continue
         if not ring.count_from(0, target_m, target_w):
             continue
-        buckets = lead_buckets(comp)
         if buckets is not None:
             for mono in walk(0, -1, target_m, target_w, buckets):
                 yield comp, mono
+
+
+def _walk_plan(gb: GroebnerBasis, held: bool):
+    """What `standard_monomials` walks over the basis, built once per mode
+    and kept in `gb.walk_plans`: the walked variables in block order, the
+    ring block of each position, whether the position closes its block, and
+    per component its lead terms as (variable, exponent) supports, listed
+    under the position of their last walked variable, or None when one of
+    them is 1 and the component is empty."""
+    blocks = gb.free.ring.blocks
+    if held:
+        # the held blocks come last, so the walked ones keep their indices
+        blocks = tuple(b for b in blocks if any(b[0][0]))
+    order = tuple(v for _dw, vs in blocks for v in vs)
+    slot = {v: pos for pos, v in enumerate(order)}
+    block_of = tuple(i for i, (_dw, vs) in enumerate(blocks) for _v in vs)
+    closes = tuple(j == len(vs) - 1 for _dw, vs in blocks for j in range(len(vs)))
+    comp_buckets: List[Optional[List[List[Tuple[Tuple[int, int], ...]]]]] = [
+        [[] for _ in order] for _ in range(gb.free.rank)]
+    for c, lt in gb.lead_terms:
+        buckets = comp_buckets[c]
+        support = tuple((v, k) for v, k in enumerate(lt) if k)
+        if buckets is None or any(v not in slot for v, _k in support):
+            continue
+        if not support:
+            comp_buckets[c] = None
+        else:
+            buckets[max(slot[v] for v, _k in support)].append(support)
+    return order, block_of, closes, tuple(comp_buckets)
 
 
 def _refuse_weightless_base(ring: GradedRing, weight: Optional[int]) -> None:

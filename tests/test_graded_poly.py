@@ -3,7 +3,7 @@
 import pytest
 import sympy
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mgcm.graded_poly import (
     DEFAULT_PRIME,
@@ -44,6 +44,23 @@ def test_prime_field_inverse():
     F = PrimeField(32003)
     for a in (1, 2, 17, 32002):
         assert a * F.inv(a) % F.p == 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((32003, 4294967311)), st.integers(-10**12, 10**12))
+def test_prime_field_inverse_of_drawn_residues(p, a):
+    # at the default prime and at a prime above 2^32; a negative or
+    # unreduced representative inverts as its residue does
+    assume(a % p)
+    inv = PrimeField(p).inv(a)
+    assert a * inv % p == 1 and 0 < inv < p
+
+
+@pytest.mark.parametrize("p", [32003, 4294967311])
+def test_prime_field_inverse_of_zero_raises(p):
+    for zero in (0, p, -2 * p):
+        with pytest.raises(ZeroDivisionError):
+            PrimeField(p).inv(zero)
 
 
 def test_prime_field_rejects_composites():

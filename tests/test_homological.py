@@ -386,6 +386,32 @@ def test_standard_monomials_match_brute_force_on_interleaved_blocks(M):
     _check_enumerator(M, degree_box((0,) * r, (4 - r,) * r), range(0, 5))
 
 
+def _check_stored_plan(M, degrees, weights):
+    """Both walk modes against the brute-force filter, each walk run twice:
+    the first builds the mode's plan on the relations basis (unless an
+    earlier caller did), the second runs on the plan stored there.  The held
+    mode (no weight) holds the multidegree-0 variables at 0."""
+    ring = M.ring
+    gb = _relations_gb(M)
+    term_order = lambda t: (t[0], ring.term_sort_key(t[1]))
+    for n in degrees:
+        for w in [None] + list(weights):
+            want = sorted(_brute_standard(M, n, w, held_cap=0))
+            first = sorted(hom.standard_monomials(M, n, w))
+            plan = gb.walk_plans[w is None]
+            assert sorted(hom.standard_monomials(M, n, w)) == first == want, (M, n, w)
+            assert gb.walk_plans[w is None] is plan
+            if w is not None or ring.is_field_base():
+                assert list(piece_basis(M, n, w)) == sorted(want, key=term_order), (M, n, w)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_binomial_quotients(), _interleaved_quotients()))
+def test_stored_walk_plans_match_brute_force(M):
+    r = M.ring.rank
+    _check_stored_plan(M, degree_box((0,) * r, (3 - r,) * r), range(0, 5))
+
+
 # ---------------------------------------------------------------------------
 # the piece counter against the basis it no longer lists
 

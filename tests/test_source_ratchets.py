@@ -5,17 +5,24 @@ import pathlib
 import pytest
 
 import mgcm
-from mgcm import groebner_engine, homological, rees_constructions
+from mgcm import cohomology, groebner_engine, homological, rees_constructions
 from mgcm.cohomology import (
     SupportSpec,
     degree_box,
     irrelevant_support,
+    local_cohomology_dim,
     maximal_support,
     sheaf_cohomology_dim,
 )
 from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
-from mgcm.groebner_engine import free_module, free_presentation, groebner_module, module_kernel
-from mgcm.homological import a_invariant
+from mgcm.groebner_engine import (
+    cyclic_presentation,
+    free_module,
+    free_presentation,
+    groebner_module,
+    module_kernel,
+)
+from mgcm.homological import a_invariant, graded_piece_dim, piece_basis
 from mgcm.rees_constructions import rees_module_presentation
 
 # lower these as caches move onto owners or get a bound; never raise them
@@ -31,6 +38,12 @@ MAX_REES_BUILD_BASES = {(("a", "b^2"),): 0, (("a", "b", "c^2"),): 0, (("a",), ("
 # support ideals built for a run of sheaf values over one ring: the ring
 # keeps its irrelevant ideal, so never raise it
 MAX_SUPPORTS_PER_RING = 1
+# certified levels read for every index of one colimit piece: the piece's
+# level complex keeps its level, so never raise it
+MAX_LEVEL_READS_PER_PIECE = 1
+# walk plans built for pieces of one module in one mode: the relations
+# basis keeps its plan, so never raise it
+MAX_WALK_PLANS_PER_MODE = 1
 
 
 def _source_count(needle):
@@ -52,7 +65,7 @@ def test_no_more_than_three_unbounded_caches():
 
 
 def _clear_caches():
-    for module in (groebner_engine, homological, rees_constructions):
+    for module in (cohomology, groebner_engine, homological, rees_constructions):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
@@ -149,3 +162,49 @@ def test_a_ring_without_an_irrelevant_ideal_raises_every_time():
         with pytest.raises(InputError):
             irrelevant_support(R)
     assert "irrelevant" not in R.supports
+
+
+def test_every_index_of_one_piece_reads_its_certified_level_once(monkeypatch):
+    # H^0..H^4 of S at (-2, -2) on P^1 x P^1, cold caches: one level d0 for
+    # the piece, read off the resolution once and not once per index
+    reads = []
+    certified = cohomology._certified_level
+
+    def counting(*args):
+        reads.append(args)
+        return certified(*args)
+
+    monkeypatch.setattr(cohomology, "_certified_level", counting)
+    R = _p1xp1()
+    S = free_presentation(R, (((0, 0), 0),))
+    _clear_caches()
+    try:
+        values = [local_cohomology_dim(S, irrelevant_support(R), i, (-2, -2)).value
+                  for i in range(R.nvars + 1)]
+        assert values == [0, 0, 0, 1, 0]
+        assert len(reads) <= MAX_LEVEL_READS_PER_PIECE, f"{len(reads)} level reads"
+    finally:
+        _clear_caches()
+
+
+def test_pieces_of_one_module_in_two_degrees_build_one_walk_plan(monkeypatch):
+    # S/(x0 y0 - x1 y1) on P^1 x P^1, cold caches: the second piece walks on
+    # the plan the relations basis keeps from the first
+    built = []
+    plan = homological._walk_plan
+
+    def counting(*args):
+        built.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(homological, "_walk_plan", counting)
+    R = _p1xp1()
+    x0, x1, y0, y1 = R.gens()
+    M = cyclic_presentation(R, (x0 * y0 - x1 * y1,))
+    _clear_caches()
+    try:
+        for n in ((1, 1), (2, 1)):
+            assert len(piece_basis(M, n)) == graded_piece_dim(M, n)
+        assert len(built) <= MAX_WALK_PLANS_PER_MODE, f"{len(built)} walk plans"
+    finally:
+        _clear_caches()
