@@ -5,20 +5,21 @@ Two independent routes are implemented:
 * duality: pieces of local cohomology at the full graded maximal ideal are
   k-duals of pieces of the dual Ext module in complementary index (graded
   local duality over the polynomial cover),
-* colimit: local cohomology against any finitely generated support ideal
-  is the colimit over levels k of the cohomology of Hom(F_., M), one graded
-  piece at a time.  One producer builds every F_.: S followed by the tensor
-  product of Koszul complexes on blocks of polynomials.  A custom support is
-  one block, the k-th powers of its generators, which gives their Koszul
-  complex.  The irrelevant ideal B = B_1 ... B_r gives one block of x^k per
-  variable block, which gives the minimal free resolution of S/B^[k],
-  B^[k] = (g^k : g generates B), as H^i_B(M) is the colimit of
-  Ext^i(S/B^[k], M) (Eisenbud-Mustata-Stillman 2000).  Each value is
-  computed at one certified level, read off the twists of M's minimal free
-  resolution; the irrelevant ideal and the ideal of all the variables are
-  the supports with such a level.  One record per piece (module, support,
-  n, weight) reads that level once and keeps the complex at it, each F_q's
-  pieces and each differential's rank, so every index i reads the same.
+* colimit: local cohomology at the irrelevant ideal B = B_1 ... B_r, or at
+  the ideal of all the variables, is the colimit over levels of the
+  cohomology of Hom(F_., M), one graded piece at a time.  A level is one
+  exponent d_v per variable, and F_. is S followed by the tensor product of
+  Koszul complexes on blocks of the monomials x_v^(d_v): one block per
+  variable block for B, which resolves S/(B_1^[d_1] ... B_r^[d_r]), cofinal
+  with the B^[d] whose Ext^i(S/B^[d], M) have colimit H^i_B(M)
+  (Eisenbud-Mustata-Stillman 2000), and one block of all the variables for
+  their ideal.  Each value is computed at one certified level, read off the
+  twists of M's minimal free resolution.  One record per piece (module,
+  support, n, weight) reads that level once and keeps the complex at it,
+  each F_q's pieces and each differential's rank, so every index i reads
+  the same.  The three supports (`maximal_support`, `irrelevant_support`,
+  `variables_support`) are built from the ring alone and kept on it; none
+  takes generators from the caller.
 
 Sheaf cohomology on the Proj of the ambient multigraded ring is read off the
 irrelevant-ideal route.  Dimensions summed over the auxiliary weight grading
@@ -120,14 +121,14 @@ class SupportSpec:
 
     kind "maximal" means the full graded maximal ideal (duality route);
     "irrelevant" the Proj-irrelevant ideal generated by block products;
-    "custom" an explicit generator list (Koszul route).
+    "variables" the ideal of all the variables, by the colimit route.
     """
 
     kind: str
     generators: Tuple[Polynomial, ...]
 
     def __post_init__(self):
-        if self.kind not in ("maximal", "irrelevant", "custom"):
+        if self.kind not in ("maximal", "irrelevant", "variables"):
             raise InputError(f"unknown support kind: {self.kind}")
         if not self.generators:
             raise InputError("support ideal needs at least one generator")
@@ -152,6 +153,11 @@ def maximal_support(ring: GradedRing) -> SupportSpec:
     return _ring_support(ring, "maximal", ring.gens)
 
 
+def variables_support(ring: GradedRing) -> SupportSpec:
+    """The ideal of all the variables, read as a colimit (Koszul route)."""
+    return _ring_support(ring, "variables", ring.gens)
+
+
 def _irrelevant_blocks(ring: GradedRing) -> Tuple[Tuple[int, ...], ...]:
     """For each j, the indices of the variables of multidegree e_j."""
     for j, block in enumerate(ring.unit_blocks):
@@ -173,15 +179,6 @@ def irrelevant_support(ring: GradedRing) -> SupportSpec:
     return _ring_support(ring, "irrelevant", lambda: tuple(
         _power_product(ring, combo, 1) for combo in itertools.product(*_irrelevant_blocks(ring))
     ))
-
-
-def custom_support(gens: Sequence[Polynomial]) -> SupportSpec:
-    gens = tuple(g for g in gens if not g.is_zero())
-    if not gens:
-        raise InputError("support ideal needs at least one nonzero generator")
-    for g in gens:
-        g.degree_pair()
-    return SupportSpec("custom", gens)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +237,19 @@ def _degree_sum(pairs) -> Tuple[Degree, int]:
 
 def _block_complex(blocks: Sequence[Sequence[Polynomial]]):
     """S in homological degree 0, followed by the tensor product over blocks
-    j of the Koszul complex on block j's polynomials without its S term.
+    j of the Koszul complex on block j's monic monomials without its S term.
 
     F_q has one summand e_J per tuple J = (J_1, ..., J_r) of nonempty index
     sets J_j into block j with 1 + sum_j (|J_j| - 1) = q, twisted by the
-    degree of the product of the polynomials over J.  An e_J of singletons
+    degree of the product of the monomials over J.  An e_J of singletons
     goes to that product in S; any other goes to the sum over blocks j with
     |J_j| >= 2 and over t in J_j of
     (-1)^(sum_{i<j} (|J_i| - 1) + position of t in J_j) g_jt e_(J - t).
 
-    One block is the Koszul complex on its polynomials.  With several
-    blocks the polynomials must be monic monomials, and when the blocks lie
-    in disjoint variables the complex is the minimal free resolution of S
-    mod the product of the block ideals."""
+    One block is the Koszul complex on its monomials.  When each block holds
+    powers of distinct variables and no variable is in two blocks, the
+    complex is the minimal free resolution of S mod the product of the
+    block ideals."""
     ring = blocks[0][0].ring
     degrees = []
     for block in blocks:
@@ -267,12 +264,9 @@ def _block_complex(blocks: Sequence[Sequence[Polynomial]]):
     shifts = [((deg_zero(ring.rank), 0),)]
     shifts += [tuple(_degree_sum([degrees[j][Jj] for j, Jj in enumerate(J)]) for J in level)
                for level in levels[1:]]
-    if len(blocks) == 1:
-        products = [blocks[0][t] for ((t,),) in levels[1]]
-    else:
-        products = [ring.monomial(tuple(map(sum, zip(*(blocks[j][t].terms[0][0]
-                                                      for j, (t,) in enumerate(J))))))
-                    for J in levels[1]]
+    products = [ring.monomial(tuple(map(sum, zip(*(blocks[j][t].terms[0][0]
+                                                  for j, (t,) in enumerate(J))))))
+                for J in levels[1]]
     maps = [tuple((0, b, 1, m) for b, m in enumerate(products))]
     for q in range(1, len(levels) - 1):
         index = {J: a for a, J in enumerate(levels[q])}
@@ -290,22 +284,20 @@ def _block_complex(blocks: Sequence[Sequence[Polynomial]]):
 
 
 @lru_cache(maxsize=16)
-def _complex(support: SupportSpec, k: int):
-    """The free complex whose dual gives level k of the colimit: for the
-    irrelevant ideal B = B_1 ... B_r, one block of x^k per variable block,
-    which gives the minimal resolution of S/B^[k]; for a custom support, one
-    block of the k-th powers of the generators, which gives their Koszul
-    complex.
+def _complex(support: SupportSpec, level: Tuple[int, ...]):
+    """The free complex whose dual gives the colimit at `level`, one
+    exponent d_v per variable: `_block_complex` on the x_v^(d_v), one block
+    per variable block for the irrelevant ideal and one block of all the
+    variables for their ideal.
 
     Only recent complexes are kept here, beyond the ones the kept level
     records (`_level_complex`) hold.  A complex is cheap to build again, and
     a Koszul complex on s generators has s * 2^(s-1) entries at every level,
     so keeping all levels of all supports would grow memory for little time."""
-    if support.kind == "irrelevant":
-        ring = support.generators[0].ring
-        return _block_complex([[_power_product(ring, (v,), k) for v in block]
-                               for block in _irrelevant_blocks(ring)])
-    return _block_complex([[g ** k for g in support.generators]])
+    ring = support.generators[0].ring
+    powers = [_power_product(ring, (v,), d) for v, d in enumerate(level)]
+    blocks = _irrelevant_blocks(ring) if support.kind == "irrelevant" else (range(ring.nvars),)
+    return _block_complex([[powers[v] for v in block] for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +305,17 @@ def _complex(support: SupportSpec, k: int):
 
 
 class _LevelComplex:
-    """Hom(F_., M) on the (n, weight) piece, F the support's complex at
-    `level`.  Each F_q's pieces, with the offsets of their bases laid end to
+    """Hom(F_., M) on the (n, weight) piece, F = (shifts, maps) a free
+    complex.  Each F_q's pieces, with the offsets of their bases laid end to
     end, and each differential's rank are built on first use and kept.
 
     Pieces here are sized by `piece_basis`: `_mult_matrix` lists their bases
     anyway, so a separate count would only add work."""
 
-    def __init__(self, module: ModulePresentation, support: SupportSpec, level: int,
-                 n: Degree, weight: Optional[int]):
-        self.module, self.level, self.n, self.weight = module, level, n, weight
-        self.shifts, self.maps = _complex(support, level)
+    def __init__(self, module: ModulePresentation, complex_, n: Degree,
+                 weight: Optional[int]):
+        self.module, self.n, self.weight = module, n, weight
+        self.shifts, self.maps = complex_
         self._pieces: Dict[int, tuple] = {}
         self._ranks: Dict[int, int] = {}
 
@@ -377,22 +369,11 @@ def _level_complex(
     support: SupportSpec,
     n: Degree,
     weight: Optional[int],
-) -> _LevelComplex:
-    """The piece's complex at its certified level, read once for every index."""
-    return _LevelComplex(module, support, _certified_level(module, support, n, weight), n, weight)
-
-
-def _level_value(
-    module: ModulePresentation,
-    support: SupportSpec,
-    k: int,
-    i: int,
-    n: Degree,
-    weight: Optional[int],
-) -> int:
-    """dim_k of H^i(Hom(F_., M))_(n, weight), F the support's complex at level k;
-    0 past the complex's length.  Nothing is kept."""
-    return _LevelComplex(module, support, k, n, weight).value(i)
+) -> Tuple[int, _LevelComplex]:
+    """The piece's complex at its certified level, read once for every
+    index, after the level's largest exponent (reported as `stab_k`)."""
+    level = _certified_level(module, support, n, weight)
+    return max(level), _LevelComplex(module, _complex(support, level), n, weight)
 
 
 def _certified_level(
@@ -400,61 +381,69 @@ def _certified_level(
     support: SupportSpec,
     n: Degree,
     weight: Optional[int],
-) -> int:
-    """A level d0 from which H^i(Hom(F^(d), M)) is the colimit H^i_I(M) on
-    the (n, weight) piece for every i, F^(d) the support's complex at level d.
+) -> Tuple[int, ...]:
+    """A level, one exponent d_v per variable, from which H^i(Hom(F^(e), M))
+    is the colimit H^i_I(M) on the (n, weight) piece for every i and every
+    e >= d, F^(e) the support's complex on the x_v^(e_v).
 
     Let b run over the twists of all the free modules of M's minimal free
     resolution F_., and N_j be the number of variables of multidegree e_j.
     For the irrelevant ideal B, and for the ideal m of all the variables
-    without a weight slice,
-        d0 = max(1, max_{b, j} (b_j - n_j - N_j + 1)).
-    For m in the weight slice w, with W the sum of the variable weights
-    (every weight is positive),
-        d0 = max(1, max_{b, v} floor((w_b - w - W + w_v) / w_v)).
+    without a weight slice, every variable v of block j gets
+        d_j = max(1, max_b (b_j - n_j - N_j + 1)),
+    and a multidegree-0 variable gets 1.  For m in the weight slice w, with
+    W the sum of the variable weights (every weight is positive),
+        d_v = max(1, max_b floor((w_b - w - W + w_v) / w_v)).
+    F^(e) resolves S/I_e, I_e = B_1^[e] ... B_r^[e] with B_j^[e] the ideal
+    of the x_v^(e_v) in block j, or I_e = (x_v^(e_v) : all v).  Each I_e
+    lies between two powers I^[k] = I_(k, ..., k), so the I_e are cofinal
+    with them and their colimit is the same.
 
     Free module S(-b).  Its n-piece splits into the fine degrees a in
-    Z^nvars of S of multidegree n - b.  Hom(F^(d), S)_a has one summand
-    S_(a + c) per twist c of F^(d), each c a vector of 0s and ds, and
-    S_(a + c) != 0 iff a + c >= 0.  So the complex is 0 if some a_v < -d;
+    Z^nvars of S of multidegree n - b.  Hom(F^(e), S)_a has one summand
+    S_(a + c) per twist c of F^(e), each c_v either 0 or e_v, and
+    S_(a + c) != 0 iff a + c >= 0.  So the complex is 0 if some a_v < -e_v;
     if none is, it depends only on which a_v are negative and equals the
     fine piece of the Cech complex, whose cohomology is H_I(S)_a.
     H_B(S)_a = 0 unless every block of a is all >= 0 or all <= -1, and
     H_m(S)_a = 0 unless every a_v <= -1.  In a block j that is all <= -1
-    the entries sum to m_j = n_j - b_j, so each a_v >= m_j + N_j - 1; with
-    a weight slice, the a_v <= -1 weigh w - w_b in all, so each
-    w_v * a_v >= w - w_b + W - w_v.  Either way a_v >= -d0.
-    So for d >= d0 each fine degree has at level d either the colimit's
-    piece or a zero complex whose colimit piece is acyclic too, and the map
-    from level d to the colimit is a quasi-isomorphism on the n-piece.
+    the entries sum to m_j = n_j - b_j, so each a_v >= m_j + N_j - 1 >= -d_j,
+    block by block; with a weight slice, the a_v <= -1 weigh w - w_b in
+    all, so each w_v * a_v >= w - w_b + W - w_v and a_v >= -d_v, variable
+    by variable.  So for e >= d each fine degree has at level e either the
+    colimit's piece or a zero complex whose colimit piece is acyclic too,
+    and the map from level e to the colimit is a quasi-isomorphism on the
+    n-piece.
 
-    General M.  Hom(F^(d), F_.)_n is a bounded double complex, and its
-    total complex computes Ext(S/I^[d], M)_n because F^(d) is a bounded
-    complex of free modules; its colimit over d computes H_I(M)_n because
+    General M.  Hom(F^(e), F_.)_n is a bounded double complex, and its
+    total complex computes Ext(S/I_e, M)_n because F^(e) is a bounded
+    complex of free modules; its colimit over e computes H_I(M)_n because
     the colimit is exact.  Compare the two column by column: column p is
-    Hom(F^(d), F_p)_n, a sum over the twists b of F_p, so the map is a
+    Hom(F^(e), F_p)_n, a sum over the twists b of F_p, so the map is a
     quasi-isomorphism on every column, and a map of bounded double
     complexes that is one on every column is one on the total complexes.
 
-    Level d0 - 1 can be wrong.  Multidegree-0 variables are not in B and
-    stay >= 0 in every nonzero fine degree; without a weight slice they
-    make the pieces infinite, which `piece_basis` refuses.  Other supports
-    and other gradings have no bound here and raise InputError."""
+    One block's exponents lowered by one, the others kept, can be wrong.
+    Multidegree-0 variables are not in B and stay >= 0 in every nonzero
+    fine degree; without a weight slice they make the pieces infinite,
+    which `piece_basis` refuses.  Other gradings have no bound here and
+    raise InputError."""
     ring = module.ring
-    if support.kind == "custom" and support.generators != maximal_support(ring).generators:
-        raise InputError("no certified colimit level for a custom support "
-                         "other than the variables")
     twists = minimal_free_resolution(module).shifts
-    if support.kind == "custom" and weight is not None:
+    if support.kind == "variables" and weight is not None:
         total = sum(ring.weights)
-        return max([1] + [(wb - weight - total + wv) // wv
-                          for _, ws in twists for wb in ws for wv in ring.weights])
+        return tuple(max([1] + [(wb - weight - total + wv) // wv for _, ws in twists for wb in ws])
+                     for wv in ring.weights)
     blocks = _irrelevant_blocks(ring)
     if sum(map(len, blocks)) + len(ring.base_variable_indices()) != ring.nvars:
         raise InputError("no certified colimit level: a variable's multidegree "
                          "is neither 0 nor some e_j")
-    return max([1] + [b[j] - n[j] - len(block) + 1
-                      for mds, _ in twists for b in mds for j, block in enumerate(blocks)])
+    level = [1] * ring.nvars
+    for j, block in enumerate(blocks):
+        d = max([1] + [b[j] - n[j] - len(block) + 1 for mds, _ in twists for b in mds])
+        for v in block:
+            level[v] = d
+    return tuple(level)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +466,10 @@ def local_cohomology_dim(
 ) -> CohomologyValue:
     """dim_k of the (n[, weight]) piece of H^i against the support ideal.
 
-    The colimit route reads one level, the certified level d0 of
-    `_certified_level`, which `stab_k` holds.  The piece's complex at d0
-    (`_level_complex`) reads d0 once and keeps its pieces and ranks for
-    every index i."""
+    The colimit route reads one level, the certified level of
+    `_certified_level`, whose largest exponent `stab_k` holds.  The piece's
+    complex at that level (`_level_complex`) reads it once and keeps its
+    pieces and ranks for every index i."""
     if i < 0:
         raise InputError("negative cohomological index")
     ring = module.ring
@@ -498,8 +487,8 @@ def local_cohomology_dim(
         w = None if weight is None else -weight
         return CohomologyValue(graded_piece_dim(ext, deg_neg(n), w), "duality", None)
 
-    level = _level_complex(module, support, n, weight)
-    return CohomologyValue(level.value(i), "koszul-colimit", level.level)
+    stab_k, piece = _level_complex(module, support, n, weight)
+    return CohomologyValue(piece.value(i), "koszul-colimit", stab_k)
 
 
 def local_cohomology_layer_vanishes(

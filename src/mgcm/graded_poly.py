@@ -222,8 +222,8 @@ class GradedRing:
     generators.  A K-polynomial depends only on J and the grading (Bigatti
     1997), and the grading is the ring's, so every basis over the ring with
     the same lead ideal reads one entry.  A third, `supports`, holds at most
-    two entries: the support ideals `cohomology` builds from the ring alone
-    (the irrelevant ideal and the ideal of all the variables), keyed by kind.
+    three: the support ideals `cohomology` builds from the ring alone (the
+    irrelevant ideal, and the variables' ideal by duality and by colimit).
     """
 
     __slots__ = (

@@ -39,7 +39,6 @@ from .homological import (
     v_of,
 )
 from .cohomology import (
-    custom_support,
     default_window,
     degree_box,
     irrelevant_support,
@@ -49,6 +48,7 @@ from .cohomology import (
     sections_natural_iso,
     sheaf_cohomology_dim,
     support_E_vanishes,
+    variables_support,
 )
 from .rees_constructions import (
     diagonal_of,
@@ -554,7 +554,7 @@ def dual_route_report(
     if weights is None:
         weights = (None,) if ring.is_field_base() else tuple(range(0, 4))
     dual = maximal_support(ring)
-    kozs = custom_support(ring.gens())
+    kozs = variables_support(ring)
     checks: List[CheckRecord] = []
     for n in box:
         for i in i_range:

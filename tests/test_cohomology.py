@@ -24,15 +24,24 @@ from mgcm.groebner_engine import (
     normal_form_column,
     presentation,
 )
-from mgcm.homological import _relations_gb, ext_dual_module, graded_piece_dim, piece_basis
+from mgcm.homological import (
+    _relations_gb,
+    ext_dual_module,
+    graded_piece_dim,
+    is_zero_module,
+    minimal_free_resolution,
+    piece_basis,
+)
 from mgcm.cohomology import (
     CohomologyValue,
+    SupportSpec,
+    _LevelComplex,
+    _block_complex,
+    _certified_level,
     _complex,
     _level_complex,
-    _level_value,
     _mult_matrix,
     cohomology_table,
-    custom_support,
     default_window,
     degree_box,
     irrelevant_support,
@@ -45,6 +54,7 @@ from mgcm.cohomology import (
     sheaf_cohomology_dim,
     sparse_rank,
     support_E_vanishes,
+    variables_support,
 )
 from test_acceptance import _corpus_modules, _line_h, _plane_h, _product_h
 
@@ -195,12 +205,12 @@ def test_irrelevant_support_requires_block_variables():
 
 
 def test_equal_supports_built_twice_share_the_complex_cache():
-    # equality and hash are by value, so each fresh Koszul support on the
-    # variables (one per dual-route report) reads the level complexes
-    # already built, and builds no complex, piece or matrix again
+    # equality and hash are by value, so a support equal to the ring's
+    # variables support but built again reads the level complexes already
+    # built, and builds no complex, piece or matrix again
     R = p1xp1_ring()
     S = cyclic_presentation(R, ())
-    first, second = custom_support(R.gens()), custom_support(R.gens())
+    first, second = variables_support(R), SupportSpec("variables", R.gens())
     assert first is not second
     assert first == second and hash(first) == hash(second)
     local_cohomology_dim(S, first, 4, (-2, -2))
@@ -210,12 +220,6 @@ def test_equal_supports_built_twice_share_the_complex_cache():
     after = [c.cache_info() for c in caches]
     assert after[0].hits > before[0].hits
     assert [a.misses for a in after] == [b.misses for b in before]
-
-
-def test_custom_support_rejects_empty():
-    R = p1_ring()
-    with pytest.raises(InputError):
-        custom_support((R.zero(),))
 
 
 # ---------------------------------------------------------------------------
@@ -269,66 +273,69 @@ def _check_complex(ring, shifts, maps):
     return {t: c for t, c in euler.items() if c}
 
 
+def _raised(g, level):
+    """The monomial g, a product of distinct variables, with each variable
+    x_v raised to level[v]."""
+    return g.ring.monomial(tuple(e * d for e, d in zip(g.terms[0][0], level)))
+
+
 @pytest.mark.parametrize("sizes, base", RESOLUTION_RINGS,
                          ids=[_ring_id(*case) for case in RESOLUTION_RINGS])
 def test_irrelevant_resolution_is_a_complex_with_the_k_polynomial_of_s_mod_b_d(sizes, base):
-    # both support kinds through the one producer: the irrelevant ideal B
-    # (S/B^[d], one block per variable block) and the ideal of all the
-    # variables as a custom support (S/(x^d), one block)
+    # both colimit supports through the one producer: the irrelevant ideal
+    # B (S/B_1^[d_1]...B_r^[d_r], one block per variable block) and the
+    # ideal of all the variables (S/(x_v^(d_v)), one block), at equal
+    # exponents and at exponents that differ from block to block and from
+    # variable to variable
     ring = _block_ring(sizes, base)
     degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
+    block_of = [next((j for j, e in enumerate(m) if e), 0) for m in ring.degrees]
     irrelevant = irrelevant_support(ring)
     for support, length in ((irrelevant, 2 + sum(s - 1 for s in sizes)),
-                            (custom_support(ring.gens()), 1 + ring.nvars)):
+                            (variables_support(ring), 1 + ring.nvars)):
         for d in (1, 2, 3):
-            shifts, maps = _complex(support, d)
-            assert len(shifts) == length
-            assert all(len(m.terms) == 1 for entries in maps for _, _, _, m in entries)
-            euler = _check_complex(ring, shifts, maps)
-            # the image of F_1 is generated by the g^d
-            powers = [g ** d for g in support.generators]
-            assert [m for _, _, _, m in maps[0]] == powers
-            assert euler == _k_polynomial([g.terms[0][0] for g in powers], degs), (sizes, d)
-
-
-@pytest.mark.parametrize("char", [32003, 0])
-def test_koszul_complex_on_non_monomial_generators_is_a_complex(char):
-    plane = GradedRing(field_for_char(char), ("x", "y", "z"), ((1,),) * 3, (1, 1, 1))
-    weighted = GradedRing(field_for_char(char), ("x", "y", "z"), ((1,),) * 3, (1, 2, 3))
-    quad = p1xp1_ring(char)
-    cases = [(plane, ("x + y", "x - y")), (plane, ("x^2 + y*z", "y", "z^3 - x^2*y")),
-             (weighted, ("x*z - y^2", "y", "x^2")),
-             (weighted, ("x*z + 2*y^2", "x*y*z - y^3", "x^3")),
-             (quad, ("x0*y0 + x1*y1", "x0*y1 - 3*x1*y0", "x0*y0 - x1*y1"))]
-    for ring, texts in cases:
-        support = custom_support([parse_polynomial(ring, t) for t in texts])
-        for d in (1, 2, 3):
-            shifts, maps = _complex(support, d)
-            assert len(shifts) == 1 + len(texts)
-            assert [m for _, _, _, m in maps[0]] == [g ** d for g in support.generators]
-            _check_complex(ring, shifts, maps)
+            steps = (d,) * ring.nvars, tuple(d + j for j in block_of)
+            if support.kind == "variables":
+                steps += (tuple(d + v % 2 for v in range(ring.nvars)),)
+            for level in steps:
+                shifts, maps = _complex(support, level)
+                assert len(shifts) == length
+                assert all(len(m.terms) == 1 for entries in maps for _, _, _, m in entries)
+                euler = _check_complex(ring, shifts, maps)
+                # the image of F_1 is generated by the generators raised to
+                # the level
+                powers = [_raised(g, level) for g in support.generators]
+                assert [m for _, _, _, m in maps[0]] == powers
+                assert euler == _k_polynomial([g.terms[0][0] for g in powers], degs), \
+                    (sizes, level)
 
 
 @pytest.mark.parametrize("sizes", [(2,), (3,), (4,)], ids=_ring_id)
 def test_rank_one_resolution_is_the_koszul_complex_of_the_irrelevant_generators(sizes):
-    # in rank 1 both supports build the same complex at every level
-    ring = _block_ring(sizes, 1)
-    irrelevant = irrelevant_support(ring)
-    koszul = custom_support(irrelevant.generators)
-    for d in (1, 2, 3):
-        assert _complex(irrelevant, d) == _complex(koszul, d)
+    # in rank 1 the irrelevant complex is the Koszul complex on the d-th
+    # powers of B's generators; with no multidegree-0 variable B is the
+    # ideal of the variables, and both supports build the same complex
+    for base in (0, 1):
+        ring = _block_ring(sizes, base)
+        irrelevant = irrelevant_support(ring)
+        for d in (1, 2, 3):
+            level = (d,) * ring.nvars
+            koszul = _block_complex([[g ** d for g in irrelevant.generators]])
+            assert _complex(irrelevant, level) == koszul
+            if not base:
+                assert _complex(variables_support(ring), level) == koszul
 
 
 def test_irrelevant_and_koszul_complexes_give_the_same_local_cohomology():
     """The resolution of S/B^[d] (irrelevant support, at its certified
-    level) against the Koszul complex on the same generators (custom
-    support), in every index, on the Cox corpus modules and on the kunneth
-    bench's free modules of P^a x P^b.  In rank 1 the generators of B are
-    the variables, whose Koszul complex has a certified level of its own.
-    In rank 2 it has none, so local_cohomology_dim refuses it, and the
-    Koszul complex is read at two fixed levels past where it settles here.
-    P^1 x P^2 is left to the Kunneth test: over this box its 64-summand
-    Koszul complex is about 25 times slower than the resolution."""
+    level) against the Koszul complex on the d-th powers of the same
+    generators, in every index, on the Cox corpus modules and on the
+    kunneth bench's free modules of P^a x P^b.  In rank 1 the generators of
+    B are the variables, whose ideal has a certified level of its own.  In
+    rank 2 it has none, and the Koszul complex is read at two fixed levels
+    past where it settles here.  P^1 x P^2 is left to the Kunneth test:
+    over this box its 64-summand Koszul complex is about 25 times slower
+    than the resolution."""
     cox = [M for label, M in _corpus_modules() if label.startswith("cox-")]
     assert len(cox) == 6
     cases = [(M, degree_box((-3,) * M.ring.rank, (2,) * M.ring.rank)) for M in cox]
@@ -338,18 +345,16 @@ def test_irrelevant_and_koszul_complexes_give_the_same_local_cohomology():
     checked = 0
     for M, box in cases:
         irrelevant = irrelevant_support(M.ring)
-        koszul = custom_support(irrelevant.generators)
-        if M.ring.rank > 1:
-            with pytest.raises(InputError, match="custom support"):
-                local_cohomology_dim(M, koszul, 0, box[0])
+        gens = irrelevant.generators
+        koszul = [_block_complex([[g ** d for g in gens]]) for d in (4, 5)]
         for n in box:
-            for i in range(len(koszul.generators) + 1):
+            for i in range(len(gens) + 1):
                 got = local_cohomology_dim(M, irrelevant, i, n)
                 assert got.mode == "koszul-colimit"
                 if M.ring.rank == 1:
-                    want = [local_cohomology_dim(M, koszul, i, n).value]
+                    want = [local_cohomology_dim(M, variables_support(M.ring), i, n).value]
                 else:
-                    want = [_level_value(M, koszul, d, i, n, None) for d in (4, 5)]
+                    want = [_LevelComplex(M, k, n, None).value(i) for k in koszul]
                 assert want == [got.value] * len(want), (M.ring.names, i, n)
                 checked += 1
     assert checked == 834
@@ -417,31 +422,22 @@ def test_top_local_cohomology_of_plane():
 
 def test_duality_equals_colimit_small_window():
     R = p1_ring()
-    x, y = R.gens()
     S = cyclic_presentation(R, ())
     ms = maximal_support(R)
-    cs = custom_support(R.gens())
-    # (x + y, x - y) has the same radical as (x, y); its powers are not
-    # monomials, so every Koszul block goes through normal forms.  It has
-    # no certified level, so it is read at two fixed levels, past where it
-    # settles on this window
-    other = custom_support((x + y, x - y))
-    with pytest.raises(InputError, match="custom support"):
-        local_cohomology_dim(S, other, 0, (0,))
+    cs = variables_support(R)
     for n in range(-4, 2):
         for i in range(3):
             a = local_cohomology_dim(S, ms, i, (n,))
             b = local_cohomology_dim(S, cs, i, (n,))
             assert a.value == b.value, (i, n)
             assert a.mode == "duality" and b.mode == "koszul-colimit"
-            assert [_level_value(S, other, d, i, (n,), None) for d in (3, 4)] == [a.value] * 2
 
 
 def test_certified_level_needs_a_standard_grading_or_a_weight_slice():
     R = GradedRing(field_for_char(32003), ("x0", "x1", "y0", "y1", "z"),
                    ((1, 0), (1, 0), (0, 1), (0, 1), (1, 1)), (1, 1, 1, 1, 2))
     S = cyclic_presentation(R, ())
-    cs = custom_support(R.gens())
+    cs = variables_support(R)
     with pytest.raises(InputError, match="neither 0 nor some e_j"):
         sheaf_cohomology_dim(S, 1, (0, 0))
     with pytest.raises(InputError, match="neither 0 nor some e_j"):
@@ -538,6 +534,97 @@ def test_shifted_line_bundles_on_p1xp2_match_kunneth():
             assert sheaf_cohomology_dim(M, i, (n, m)) == want, (i, n, m)
             checked += 1
     assert checked == 196
+
+
+def test_mixed_twists_on_p1xp2_and_p2xp2_match_kunneth():
+    """h^i(O(t, -t)) and h^i(O(-t, t)), t = 1..6, on P^1 x P^2 and P^2 x P^2
+    by Kunneth and Bott, on 108 cells.  One block needs level 1 there and
+    the other about t, so each block reads its own certified exponent."""
+    checked = 0
+    for sizes, fx in (((2, 3), _line_h), ((3, 3), _plane_h)):
+        M = free_presentation(_block_ring(sizes), (((0, 0), 0),))
+        for t in range(1, 7):
+            for n, m in ((t, -t), (-t, t)):
+                for i in range(M.ring.nvars - 1):
+                    want = _product_h(fx, _plane_h, i, n, m)
+                    assert sheaf_cohomology_dim(M, i, (n, m)) == want, (sizes, i, n, m)
+                    checked += 1
+    assert checked == 108
+
+
+def test_one_block_below_its_certified_level_reads_wrong():
+    """On S over P^1 x P^2, H^i_B(S)_n against its Kunneth closed form for n
+    in [-5, 2]^2: right at the certified level, and with one block's
+    exponents lowered by one and the other block's kept, wrong on some
+    cell for each block.  At n = (-5, -3) the level is (4, 4 | 1, 1, 1),
+    and lowering block 1 makes H^4_B read 2 instead of 4."""
+    ring = p1xp2_ring()
+    S = free_presentation(ring, (((0, 0), 0),))
+    B = irrelevant_support(ring)
+    blocks = ring.unit_blocks
+    wrong = [0, 0]
+    for n in degree_box((-5, -5), (2, 2)):
+        want = [_product_h(_line_h, _plane_h, i - 1, *n) if i >= 2 else 0 for i in range(5)]
+        assert [local_cohomology_dim(S, B, i, n).value for i in range(5)] == want, n
+        level = _certified_level(S, B, n, None)
+        for j, block in enumerate(blocks):
+            if level[block[0]] == 1:
+                continue
+            lowered = tuple(d - (v in block) for v, d in enumerate(level))
+            piece = _LevelComplex(S, _complex(B, lowered), n, None)
+            got = [piece.value(i) for i in range(5)]
+            wrong[j] += got != want
+            if n == (-5, -3) and j == 0:
+                assert level == (4, 4, 1, 1, 1) and (got[4], want[4]) == (2, 4)
+    assert wrong == [18, 14]
+
+
+def _serre_region(M):
+    """The nonzero E_q = Ext^q(M, S(-w_total)), and the test of the cells n
+    with -n_j >= b_j - N_j + 1 in every block j, for every twist b of the
+    minimal resolutions of the nonzero E_q.  There every H^k_B(E_q)_(-n) is
+    0, by the free-module argument of the certified level, so the
+    local-to-global spectral sequence of Ext(F, omega_X(-n)) degenerates,
+    and Serre duality gives h^i(F(n)) = dim (E_(D-i))_(-n), D = dim X
+    (Hartshorne III.6.7, III.7.1)."""
+    ring = M.ring
+    ext = {q: ext_dual_module(M, q) for q in range(ring.nvars + 1)}
+    ext = {q: E for q, E in ext.items() if not is_zero_module(E)}
+    bound = [max(b[j] - len(block) + 1 for E in ext.values()
+                 for mds, _ in minimal_free_resolution(E).shifts for b in mds)
+             for j, block in enumerate(ring.unit_blocks)]
+    return ext, lambda n: all(-x >= c for x, c in zip(n, bound))
+
+
+def _p2xp2_module():
+    """S/(x0y0 + x1y1 + x2y2, x0^2y1 - x1x2y2) on P^2 x P^2."""
+    ring = GradedRing(field_for_char(32003), ("x0", "x1", "x2", "y0", "y1", "y2"),
+                      ((1, 0),) * 3 + ((0, 1),) * 3, (1,) * 6)
+    gens = [parse_polynomial(ring, t) for t in ("x0*y0 + x1*y1 + x2*y2", "x0^2*y1 - x1*x2*y2")]
+    return cyclic_presentation(ring, tuple(gens))
+
+
+def test_serre_duality_region_agrees_with_the_colimit():
+    """Every cell of [-4, 1]^r in the Serre region of the P^2 x P^2 module
+    and of the six Cox corpus modules, in every index: the colimit's sheaf
+    value against the piece of the dual Ext module.  On the P^2 x P^2
+    module the region is n <= (-1, -1), 16 cells and 80 checks."""
+    cox = [M for label, M in _corpus_modules() if label.startswith("cox-")]
+    assert len(cox) == 6
+    checked = []
+    for M in [_p2xp2_module()] + cox:
+        ext, in_region = _serre_region(M)
+        D = M.ring.nvars - M.ring.rank
+        checked.append(0)
+        for n in degree_box((-4,) * M.ring.rank, (1,) * M.ring.rank):
+            if not in_region(n):
+                continue
+            for i in range(D + 1):
+                E = ext.get(D - i)
+                want = 0 if E is None else graded_piece_dim(E, tuple(-x for x in n))
+                assert sheaf_cohomology_dim(M, i, n) == want, (M.ring.names, i, n)
+                checked[-1] += 1
+    assert checked[0] == 80 and all(checked), checked
 
 
 def _p1xp2_quotient():

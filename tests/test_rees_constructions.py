@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import mgcm.rees_constructions as rc
-from mgcm.cohomology import custom_support
+from mgcm.cohomology import SupportSpec
 from mgcm.graded_poly import GradedRing, InputError, RationalField, parse_polynomial
 from mgcm.groebner_engine import (
     ModulePresentation,
@@ -122,7 +122,7 @@ def test_irrelevant_gate_names_its_ideal(monkeypatch):
     # the irrelevant ideal of a public ring is generated by variable
     # products, so only a planted constant generator trips the gate
     S = GradedRing(QQ, ("x", "y"), [(1,), (1,)], [1, 1])
-    monkeypatch.setattr(rc, "irrelevant_support", lambda ring: custom_support((ring.one(),)))
+    monkeypatch.setattr(rc, "irrelevant_support", lambda ring: SupportSpec("irrelevant", (ring.one(),)))
     with pytest.raises(InputError, match="irrelevant ideal must have positive grade"):
         irrelevant_rees(free_presentation(S, (((0,), 0),)))
 

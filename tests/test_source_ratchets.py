@@ -13,6 +13,7 @@ from mgcm.cohomology import (
     local_cohomology_dim,
     maximal_support,
     sheaf_cohomology_dim,
+    variables_support,
 )
 from mgcm.graded_poly import GradedRing, InputError, field_for_char, parse_polynomial
 from mgcm.groebner_engine import (
@@ -44,6 +45,11 @@ MAX_LEVEL_READS_PER_PIECE = 1
 # walk plans built for pieces of one module in one mode: the relations
 # basis keeps its plan, so never raise it
 MAX_WALK_PLANS_PER_MODE = 1
+# piece monomials listed for h^0..h^3 of one mixed cell on P^2 x P^2: each
+# variable block reads its own certified exponent, so the block that needs
+# level 1 is not raised to the other's (4635 with one level for all
+# blocks); never raise it
+MAX_MIXED_CELL_PIECE_MONOMIALS = 1683
 
 
 def _source_count(needle):
@@ -128,11 +134,14 @@ def _p1xp1():
 
 
 def test_a_ring_keeps_one_irrelevant_and_one_maximal_support():
-    # an equal ring built again is the same ring, with the same supports
+    # an equal ring built again is the same ring, with the same supports;
+    # the variables' ideal is kept twice, once per route
     R, again = _p1xp1(), _p1xp1()
-    for support in (irrelevant_support, maximal_support):
+    for support in (irrelevant_support, maximal_support, variables_support):
         assert support(R) is support(R)
         assert support(again) is support(R)
+    assert maximal_support(R) != variables_support(R)
+    assert sorted(R.supports) == ["irrelevant", "maximal", "variables"]
 
 
 def test_sheaf_values_build_one_support_per_ring(monkeypatch):
@@ -206,5 +215,33 @@ def test_pieces_of_one_module_in_two_degrees_build_one_walk_plan(monkeypatch):
         for n in ((1, 1), (2, 1)):
             assert len(piece_basis(M, n)) == graded_piece_dim(M, n)
         assert len(built) <= MAX_WALK_PLANS_PER_MODE, f"{len(built)} walk plans"
+    finally:
+        _clear_caches()
+
+
+def test_a_mixed_cell_lists_few_piece_monomials(monkeypatch):
+    # h^0..h^3 at (-4, 4) of S/(x0y0 + x1y1 + x2y2, x0^2y1 - x1x2y2) on
+    # P^2 x P^2, cold caches: the monomials of every piece the colimit lists
+    # through `piece_basis`, each counted once, on its cache miss
+    listed = []
+    pieces = cohomology.piece_basis
+
+    def counting(*args):
+        misses = pieces.cache_info().misses
+        basis = pieces(*args)
+        if pieces.cache_info().misses != misses:
+            listed.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(cohomology, "piece_basis", counting)
+    R = GradedRing(field_for_char(32003), ("x0", "x1", "x2", "y0", "y1", "y2"),
+                   ((1, 0),) * 3 + ((0, 1),) * 3, (1,) * 6)
+    M = cyclic_presentation(R, tuple(parse_polynomial(R, g) for g in
+                                     ("x0*y0 + x1*y1 + x2*y2", "x0^2*y1 - x1*x2*y2")))
+    _clear_caches()
+    try:
+        assert [sheaf_cohomology_dim(M, i, (-4, 4)) for i in range(4)] == [0, 25, 0, 0]
+        total = sum(listed)
+        assert total <= MAX_MIXED_CELL_PIECE_MONOMIALS, f"{total} piece monomials"
     finally:
         _clear_caches()
