@@ -523,8 +523,9 @@ def test_line_bundles_on_p1xp2_match_kunneth():
 def test_shifted_line_bundles_on_p1xp2_match_kunneth():
     """S(-1,2) + S(3,-2) on P^1 x P^2: h^i(n) = h^i(O(n1-1, n2+2)) +
     h^i(O(n1+3, n2-2)) by Kunneth and Bott, on 196 cells.  The two
-    summands' twists pull the certified level d0 apart in opposite
-    directions; with d0 planted one too low, 32 of the cells read wrong."""
+    summands' twists pull each block's certified exponent in opposite
+    directions; with block 1's or block 2's exponents planted one too low,
+    20 or 24 of the cells read wrong."""
     M = free_presentation(p1xp2_ring(), (((1, -2), -1), ((-3, 2), 1)))
     checked = 0
     for n, m in degree_box((-4, -4), (2, 2)):

@@ -174,7 +174,7 @@ def test_a_ring_without_an_irrelevant_ideal_raises_every_time():
 
 
 def test_every_index_of_one_piece_reads_its_certified_level_once(monkeypatch):
-    # H^0..H^4 of S at (-2, -2) on P^1 x P^1, cold caches: one level d0 for
+    # H^0..H^4 of S at (-2, -2) on P^1 x P^1, cold caches: one level for
     # the piece, read off the resolution once and not once per index
     reads = []
     certified = cohomology._certified_level
