@@ -224,6 +224,11 @@ class GradedRing:
     the same lead ideal reads one entry.  A third, `supports`, holds at most
     three: the support ideals `cohomology` builds from the ring alone (the
     irrelevant ideal, and the variables' ideal by duality and by colimit).
+    The fourth, `term_keys`, holds one key table per term order of a free
+    module over the ring, keyed by (weight shifts, sorted eliminated
+    variables, split); `groebner_engine` fills it.  Each table is bounded:
+    it starts over when it reaches `groebner_engine.TERM_KEY_TABLE_SIZE`
+    keys.  The number of tables is not: there is one per order met.
     """
 
     __slots__ = (
@@ -237,6 +242,7 @@ class GradedRing:
         "_counts",
         "k_polynomials",
         "supports",
+        "term_keys",
         "_blocks",
         "_unit_blocks",
         "_base_vars",
@@ -291,6 +297,7 @@ class GradedRing:
         ring._counts: Dict[Tuple[int, Degree, Optional[int]], int] = {}
         ring.k_polynomials = {}
         ring.supports = {}
+        ring.term_keys = {}
         ring._blocks: Optional[Tuple[Tuple[Tuple[Degree, int], Tuple[int, ...]], ...]] = None
         ring._unit_blocks: Optional[Tuple[Tuple[int, ...], ...]] = None
         ring._base_vars: Optional[Tuple[int, ...]] = None

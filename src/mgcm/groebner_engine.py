@@ -25,6 +25,10 @@ Design points, fixed once for the whole package:
     F -> (+)_k F(-deg f_k)/U, e_j |-> (f_k e_j)_k, whose block k lowers F's
     shifts by deg f_k so the map has degree 0; no exact division is
     involved.  `submodules_equal` compares reduced bases, which are unique;
+  * a term order's keys live on the ring: one table per (weight shifts,
+    eliminated variables, split), shared by every basis, elimination and
+    normal form over the ring in that order, each starting over at
+    TERM_KEY_TABLE_SIZE keys;
   * a basis keeps one form: the (lead term, vec) pairs Buchberger ends
     with, sorted by lead.  Normal forms, standard-monomial enumeration and
     piece counts read them as they are; syzygies and kernels pick their
@@ -76,6 +80,14 @@ Vec = Dict[Term, object]
 # them at 256 added misses on kunneth.  An evicted value is rebuilt exactly,
 # because every public result is canonically sorted.
 BASIS_CACHE_SIZE = 256
+
+# The most keys one term order's table keeps (`_TermKeys`): a table that
+# reaches it starts over.  The tables live on the interned rings for the
+# life of the process.  Unbounded, h^0..h^3 at (-16, -16) of a quotient of
+# the P^2 x P^2 ring left 296,177 keys in one table and read 173 MB peak
+# RSS, against 55.6 MB at this bound and 54.4 MB with a table per call.  A
+# whole blowup round builds 5,352 keys over all its rings.
+TERM_KEY_TABLE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +219,18 @@ def basis_multiples(f: Polynomial, rank: int) -> Tuple[Column, ...]:
 
 
 class _TermKeys(dict):
-    """Term -> key tuple of one order, built on first lookup and kept; a
-    bigger key is a bigger term.
+    """Term -> key tuple of one order, built on first lookup and kept until
+    the table holds TERM_KEY_TABLE_SIZE keys, when it starts over; a bigger
+    key is a bigger term.
 
-    split: first `split` components dominate the rest (syzygy embedding);
-    elim: variable indices whose block total degree is compared first.
-    One Buchberger run looks up every term's key through one table, so it
-    builds each key once.
+    The key of x^e in component c is one flat tuple (blockflag, tagdeg, w,
+    -e_n, ..., -e_1, -c), every key over a ring of one length.  split: the first
+    `split` components dominate the rest (syzygy embedding), by blockflag;
+    elim: variable indices whose total degree tagdeg is compared next.  A
+    key is a value, so a table that starts over, even inside a `max` over
+    its terms, changes no comparison.  Each ring keeps one table per order
+    (`_term_keys`), so every Buchberger run, elimination and normal form
+    over the ring in that order reads the keys the others built.
     """
 
     __slots__ = ("weights", "wshift", "elimset", "split")
@@ -226,13 +243,27 @@ class _TermKeys(dict):
         self.split = split
 
     def __missing__(self, term: Term):
+        if len(self) >= TERM_KEY_TABLE_SIZE:
+            self.clear()
         c, e = term
         split = self.split
         blockflag = 1 if (split is None or c < split) else 0
         tagdeg = sum(map(e.__getitem__, self.elimset))
         w = sum(map(mul, e, self.weights)) + self.wshift[c]
-        k = self[term] = (blockflag, tagdeg, w, tuple(map(neg, reversed(e))), -c)
+        k = self[term] = (blockflag, tagdeg, w, *map(neg, reversed(e)), -c)
         return k
+
+
+def _term_keys(free: FreeModule, elim: Sequence[int], split: Optional[int]):
+    """The key function of the order on `free` with `elim` and `split`, read
+    through the table its ring keeps for that order (`GradedRing.term_keys`)."""
+    elim = tuple(sorted(elim))
+    tables = free.ring.term_keys
+    order = (free.weight_shifts, elim, split)
+    table = tables.get(order)
+    if table is None:
+        table = tables[order] = _TermKeys(free, elim, split)
+    return table.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +354,9 @@ class GroebnerBasis:
     split: Optional[int] = None
 
     def term_key(self):
-        """A key function of the basis's order, with a table of its own."""
-        return _TermKeys(self.free, (), self.split).__getitem__
+        """A key function of the basis's order, read through the table its
+        ring keeps for that order (`_term_keys`)."""
+        return _term_keys(self.free, (), self.split)
 
     @property
     def lead_terms(self) -> Tuple[Term, ...]:
@@ -469,16 +501,16 @@ def _k_polynomial(gens, degs) -> Dict[Tuple[int, ...], int]:
     return k_of(_minimal_monomials(gens))
 
 
-def _buchberger_vecs(free: FreeModule, gens: Sequence[Column], keyf,
+def _buchberger_vecs(free: FreeModule, gens: Sequence[Vec], keyf,
                      split: Optional[int]) -> List[Tuple[Term, Vec]]:
-    """A Groebner basis as monic (lead term, vec) pairs, not reduced: seeds
-    and S-pairs are reduced only until no lead divides their leading term,
-    and `_reduced_basis` reduces the tails once at the end."""
+    """A Groebner basis of the vecs as monic (lead term, vec) pairs, not
+    reduced: seeds and S-pairs are reduced only until no lead divides their
+    leading term, and `_reduced_basis` reduces the tails once at the end."""
     field = free.ring.field
     p = field.char
     rank1 = free.rank == 1 and split is None
 
-    seed = [v for v in map(_col_to_vec, gens) if v]
+    seed = [v for v in gens if v]
 
     basis: List[Tuple[Term, Vec]] = []
     pairs: List[Tuple[int, int, int]] = []  # heap of (degree, counter, component)
@@ -575,8 +607,8 @@ def groebner_module(
     `submodules_equal` check the raw columns they are given; `module_kernel`
     and `syzygy_basis` check theirs, and the embedding `_kernel` builds from
     checked columns is homogeneous by its shifts."""
-    keyf = _TermKeys(free, (), split).__getitem__
-    pairs = _buchberger_vecs(free, gens, keyf, split)
+    keyf = _term_keys(free, (), split)
+    pairs = _buchberger_vecs(free, [_col_to_vec(col) for col in gens], keyf, split)
     return GroebnerBasis(free, tuple(_reduced_basis(free, pairs, keyf)), split)
 
 
@@ -791,13 +823,37 @@ def eliminate_module(
     free: FreeModule, gens: Sequence[Column], drop: Sequence[str]
 ) -> Tuple[FreeModule, Tuple[Column, ...]]:
     """Module elimination: the reduced basis of (gens) intersected with the
-    free module over the ring without `drop`.
+    free module over the ring without `drop`.  The column front end of
+    `eliminate_vecs`: it validates the columns and passes them on as vecs."""
+    _validate(free, gens)
+    return eliminate_vecs(free, [_col_to_vec(col) for col in gens], drop)
+
+
+def _check_homogeneous(free: FreeModule, vecs: Sequence[Vec]) -> None:
+    """Refuse a vec whose terms do not all have one (multidegree, weight)
+    in the free module's shifts, as `FreeModule.validate_column` refuses
+    such a column."""
+    ring = free.ring
+    mshifts, wshifts = free.mdeg_shifts, free.weight_shifts
+    for v in vecs:
+        if len({(deg_add(ring.monomial_mdeg(e), mshifts[c]), ring.monomial_weight(e) + wshifts[c])
+                for c, e in v}) > 1:
+            raise InputError("inhomogeneous column")
+
+
+def eliminate_vecs(
+    free: FreeModule, gens: Sequence[Vec], drop: Sequence[str]
+) -> Tuple[FreeModule, Tuple[Column, ...]]:
+    """`eliminate_module` on generators given as vecs of the free module
+    ({(component, exponents): coefficient}, coefficients in the field's
+    range), for a caller that builds them term by term.  Each vec is
+    checked for homogeneity here.
 
     Under the block order the tag-free elements of a Groebner basis are a
     Groebner basis of the elimination, so only they are interreduced."""
+    _check_homogeneous(free, gens)
     elim = tuple(free.ring.var_index(nm) for nm in drop)
-    _validate(free, gens)
-    keyf = _TermKeys(free, elim, None).__getitem__
+    keyf = _term_keys(free, elim, None)
     # tag degree is compared first, so a lead without `drop` means none at all
     kept = [(lt, v) for lt, v in _buchberger_vecs(free, gens, keyf, None)
             if not any(lt[1][i] for i in elim)]

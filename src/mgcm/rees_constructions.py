@@ -5,10 +5,12 @@ ideal generator, multidegree e_j, weight inherited from the generator).
 One routine, `_blow_up`, builds the graph T - image * t of the substitution
 in a ring with internal tag variables t, places it on every generator of a
 module, and eliminates the tags once from it together with the module's
-relations; every column it returns is checked by substituting the images
-back.  Every construction returns a plain `ModulePresentation`: the
-multi-Rees algebra is the Rees module of the cyclic free module, and the
-regraded module of the irrelevant ideal used by the vanishing checks
+relations.  It builds both term by term as vecs of the tag ring, whose
+first variables are the module's, and hands them to the elimination's vec
+core, `eliminate_vecs`; every column it returns is checked by substituting
+the images back.  Every construction returns a plain `ModulePresentation`:
+the multi-Rees algebra is the Rees module of the cyclic free module, and
+the regraded module of the irrelevant ideal used by the vanishing checks
 differs from a Rees module only in how it grades the tag ring.
 Layered on top: the diagonal, taken from a module and its ideals as the
 Rees module of their product, and fiber cones with their analytic spread.
@@ -30,7 +32,7 @@ from .groebner_engine import (
     BASIS_CACHE_SIZE,
     ModulePresentation,
     basis_multiples,
-    eliminate_module,
+    eliminate_vecs,
     free_module,
     free_presentation,
     groebner_module,
@@ -122,9 +124,13 @@ def _blow_up(
     per generator in its block's degree (`block_degrees`, weight of g) and
     one tag t_j per block in `tag_degrees` (weight 0).  The graph T - g * t_j
     is placed on every generator of M and the tags are eliminated once from
-    it together with M's relations.  Every returned column is checked by
-    substituting the images back: it must lie in the span of M's relations
-    over the tag ring, so it must vanish when M is free."""
+    it together with M's relations.  Both are built term by term as vecs of
+    the tag ring's free module and handed to `eliminate_vecs`: M's variables
+    come first in the tag ring, so a term of M's ring only needs its
+    exponents padded with zeros, and a term of g * t_j with a 1 at t_j.
+    Every returned column is checked by substituting the images back: it
+    must lie in the span of M's relations over the tag ring, so it must
+    vanish when M is free."""
     base = M.ring
     taken = set(base.names)
     tnames = _tvar_names(taken, blocks)
@@ -138,14 +144,23 @@ def _blow_up(
     weights = list(base.weights) + [g.degree_pair()[1] for gens in blocks for g in gens]
     tag_ring = GradedRing(base.field, names, degrees + list(tag_degrees),
                           weights + [0] * len(tags), _allow_zero_weight=True)
-    images = {nm: substitute(g, tag_ring, {}) * tag_ring.var(tag)
-              for tag, gens, blk in zip(tags, blocks, tnames) for g, nm in zip(gens, blk)}
+    added = names[base.nvars:]
+    pad = (0,) * len(added)
+    vecs = [{(i, e + pad): c for i, entry in enumerate(col) for e, c in entry.terms}
+            for col in M.relations]
+    one, neg = tag_ring.field.one, tag_ring.field.neg
+    images = {}
+    for tag, gens, blk in zip(tags, blocks, tnames):
+        tagged = tuple(int(nm == tag) for nm in added)
+        for g, nm in zip(gens, blk):
+            terms = [(e + tagged, c) for e, c in g.terms]
+            images[nm] = tag_ring.from_dict(dict(terms))
+            unit = tuple(int(x == nm) for x in names)
+            vecs.extend({(i, unit): one, **{(i, e): neg(c) for e, c in terms}}
+                        for i in range(M.rank))
     free = free_module(tag_ring, shifts)
+    subfree, kernel = eliminate_vecs(free, vecs, tags)
     rels = tuple(tuple(substitute(e, tag_ring, {}) for e in col) for col in M.relations)
-    cols = list(rels)
-    for nm, image in images.items():
-        cols.extend(basis_multiples(tag_ring.var(nm) - image, M.rank))
-    subfree, kernel = eliminate_module(free, cols, tags)
     for col in kernel:
         back = tuple(substitute(e, tag_ring, images) for e in col)
         if not submodule_contains(free, rels, back):

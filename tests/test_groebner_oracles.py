@@ -10,6 +10,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from mgcm import groebner_engine
 from mgcm.graded_poly import GradedRing, field_for_char, parse_polynomial
 from mgcm.groebner_engine import (
     _buchberger_vecs,
@@ -22,6 +23,7 @@ from mgcm.groebner_engine import (
     groebner_basis,
     groebner_module,
     normal_form,
+    normal_form_column,
     submodules_equal,
 )
 from mgcm.homological import graded_piece_dim
@@ -241,7 +243,8 @@ def test_module_basis_matches_naive_buchberger(case):
         # the Buchberger run and interreduction that eliminate_module builds
         # on, under the block order
         keyf = _TermKeys(free, elim_idx, split).__getitem__
-        got = _reduced_basis(free, _buchberger_vecs(free, gens, keyf, split), keyf)
+        vecs = [_col_to_vec(col) for col in gens]
+        got = _reduced_basis(free, _buchberger_vecs(free, vecs, keyf, split), keyf)
     else:
         got = groebner_module(free, gens, split).reducers
     key = _order_key(shifts, elim_idx, split)
@@ -255,6 +258,48 @@ def test_module_basis_matches_naive_buchberger(case):
         assert [_col_to_vec(col) for col in kernel] == [
             {(c, tuple(e[i] for i in keep)): x for (c, e), x in v.items()}
             for (_, lead), v in want if not any(lead[i] for i in elim_idx)]
+
+
+# x1*e0 leads x1*e0 + x0*e1 when e0 dominates and x0*e1 leads it when it
+# does not, so a table shared by the split and the unsplit order misorders
+@example(((0, 0), 1, (), [[_terms("x1"), _terms("x0")], [_terms("x0^2"), _terms("x1^2")]]))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_module_cases())
+def test_shared_key_tables_give_the_results_of_fresh_ones(case):
+    """A basis under the split, an elimination under the eliminated
+    variables and a normal form read one key table per order off the ring.
+    Built with the ring's tables cleared before each, then twice on warm
+    tables, then with tables that start over at 4 keys, in the middle of
+    every scan for a leading term, they agree element for element."""
+    shifts, split, elim, cols = case
+    free = free_module(RING, tuple(((s,), s) for s in shifts))
+    gens = tuple(tuple(RING.from_dict(entry) for entry in col) for col in cols)
+    # every monomial of one degree in every component
+    top = max(shifts) + 2
+    col = tuple(RING.from_dict({e: 1 for e in _monomials(top - s)}) for s in shifts)
+
+    def run(cold):
+        results = []
+        for step in range(3):
+            if cold:
+                RING.term_keys.clear()
+            if step == 0:
+                gb = groebner_module.__wrapped__(free, gens, split)
+                results.append([(lt, dict(v)) for lt, v in gb.reducers])
+            elif step == 1:
+                results.append(normal_form_column(gb, col))
+            else:
+                results.append(eliminate_module(free, gens, elim)[1])
+        return results
+
+    want = run(cold=True)
+    assert run(cold=False) == want
+    assert run(cold=False) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner_engine, "TERM_KEY_TABLE_SIZE", 4)
+        RING.term_keys.clear()
+        assert run(cold=False) == want
+        assert all(len(table) <= 4 for table in RING.term_keys.values())
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,21 @@ import itertools
 import pytest
 
 import mgcm.rees_constructions as rc
-from mgcm.cohomology import SupportSpec
-from mgcm.graded_poly import GradedRing, InputError, RationalField, parse_polynomial
+from mgcm.cohomology import SupportSpec, irrelevant_support
+from mgcm.graded_poly import (
+    GradedRing,
+    InputError,
+    RationalField,
+    field_for_char,
+    parse_polynomial,
+    substitute,
+)
 from mgcm.groebner_engine import (
     ModulePresentation,
+    _col_to_vec,
+    basis_multiples,
     cyclic_presentation,
-    eliminate_module,
+    eliminate_vecs,
     free_module,
     free_presentation,
     ideal_power_product,
@@ -212,11 +221,11 @@ def _append_to_elimination(monkeypatch, column):
     """Make every blow-up's elimination return one more column, built by
     `column` from the eliminated ring."""
 
-    def with_extra_column(free, gens, drop):
-        subfree, cols = eliminate_module(free, gens, drop)
+    def with_extra_column(free, vecs, drop):
+        subfree, cols = eliminate_vecs(free, vecs, drop)
         return subfree, cols + (column(subfree.ring),)
 
-    monkeypatch.setattr(rc, "eliminate_module", with_extra_column)
+    monkeypatch.setattr(rc, "eliminate_vecs", with_extra_column)
 
 
 def test_tag_substitution_check_rejects_a_column_off_a_free_module(
@@ -246,6 +255,64 @@ def test_tag_substitution_check_accepts_only_columns_in_the_relations(
     _append_to_elimination(monkeypatch, lambda R: (R.var("a"),))
     with pytest.raises(AssertionError, match="tag substitution check"):
         rees_module_presentation(N, blocks)
+
+
+def _polynomial_graph(M, blocks, free, drop):
+    """As vecs, the columns of a blow-up's elimination built from
+    polynomials: M's relations substituted into the tag ring, then
+    basis_multiples(T - g * t_j) for each generator g of block j in turn."""
+    R = free.ring
+    cols = [tuple(substitute(e, R, {}) for e in col) for col in M.relations]
+    tnames = iter(R.names[M.ring.nvars:R.nvars - len(drop)])
+    for tag, gens in zip(drop, blocks):
+        for g in gens:
+            image = substitute(g, R, {}) * R.var(tag)
+            cols.extend(basis_multiples(R.var(next(tnames)) - image, M.rank))
+    return [_col_to_vec(col) for col in cols]
+
+
+def test_blow_up_builds_the_polynomial_graph_as_vecs(A, monkeypatch, fresh_rees_cache):
+    # the vecs each blow-up hands to the elimination, against the columns
+    # built from substitute, * and -: a rank-2 module with weight shifts
+    # and relations over two ideals (over Q), a Rees algebra, and the
+    # irrelevant ideal of P^1 x P^1 (over F_p), whose ring appends a 0 to
+    # the base degrees and gives the tag degree (-1, -1, 1)
+    seen = []
+
+    def recording(free, vecs, drop):
+        seen.append((free, vecs, drop))
+        return eliminate_vecs(free, vecs, drop)
+
+    monkeypatch.setattr(rc, "eliminate_vecs", recording)
+    a, b = A.gens()
+    N = presentation(A, (((0,), 0), ((0,), 1)), [(a * a, b), (a * b, a - b)])
+    ideals = ((a, b * b), (a * b,))
+    P = GradedRing(field_for_char(32003), ("x0", "x1", "y0", "y1"),
+                   ((1, 0), (1, 0), (0, 1), (0, 1)), (1, 1, 1, 1))
+    Q = cyclic_presentation(P, (parse_polynomial(P, "x0*y1 - 3*x1*y0"),))
+    builds = [
+        (N, ideals, lambda: rees_module_presentation(N, ideals)),
+        (free_presentation(A, (((0,), 0),)), ((a * a, a * b, b * b),),
+         lambda: multi_rees_algebra_presentation(A, ((a * a, a * b, b * b),))),
+        (Q, (irrelevant_support(P).generators,), lambda: irrelevant_rees(Q)),
+    ]
+    for M, blocks, build in builds:
+        build()
+        free, vecs, drop = seen.pop()
+        assert vecs == _polynomial_graph(M, blocks, free, drop)
+    assert free.ring.degrees[-1] == (-1, -1, 1)
+    assert not seen
+
+
+def test_elimination_core_refuses_an_inhomogeneous_vec():
+    # x0*e_0 + x1^2*e_1 is homogeneous only when e_1 sits one degree
+    # below e_0
+    R = GradedRing(QQ, ("x0", "x1"), ((1,), (1,)), (1, 1))
+    vec = {(0, (1, 0)): QQ.one, (1, (0, 2)): QQ.one}
+    shifted = free_module(R, (((0,), 0), ((-1,), -1)))
+    assert eliminate_vecs(shifted, [vec], ("x1",))[1] == ()
+    with pytest.raises(InputError, match="inhomogeneous"):
+        eliminate_vecs(free_module(R, (((0,), 0), ((0,), 0))), [vec], ("x1",))
 
 
 # -- diagonals ----------------------------------------------------------------

@@ -50,6 +50,12 @@ MAX_WALK_PLANS_PER_MODE = 1
 # level 1 is not raised to the other's (4635 with one level for all
 # blocks); never raise it
 MAX_MIXED_CELL_PIECE_MONOMIALS = 1683
+# term keys built on a second pass over the Rees algebra of (a, b, c^2)
+# over k[a,b,c] and its a-invariant, with cold caches: each ring keeps one
+# key table per term order, so the second pass reads the keys the first
+# built (89 when every basis, elimination and normal form built a table of
+# its own); never raise it
+MAX_TERM_KEYS_ON_REPEAT = 0
 
 
 def _source_count(needle):
@@ -75,6 +81,13 @@ def _clear_caches():
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+def _clear_term_keys():
+    # the rings' key tables outlive `_clear_caches`; a table that earlier
+    # tests left near its bound would start over inside a measured pass
+    for ring in GradedRing._registry.values():
+        ring.term_keys.clear()
 
 
 @pytest.mark.parametrize("gens", sorted(MAX_A_INVARIANT_BASES))
@@ -107,6 +120,31 @@ def test_rees_algebra_of_a_free_module_takes_few_bases(ideals):
         rees_module_presentation(N, blocks)
         misses = groebner_module.cache_info().misses
         assert misses <= MAX_REES_BUILD_BASES[ideals], f"{misses} bases for the Rees algebra"
+    finally:
+        _clear_caches()
+
+
+def test_a_repeated_rees_build_builds_no_term_key(monkeypatch):
+    # the blowup workload's first step twice, every cache cleared before
+    # each pass, counting `_TermKeys.__missing__` on the second
+    built = []
+    missing = groebner_engine._TermKeys.__missing__
+
+    def counting(self, term):
+        built.append(term)
+        return missing(self, term)
+
+    A = GradedRing(field_for_char(32003), ("a", "b", "c"), ((0,),) * 3, (1, 1, 1))
+    N = free_presentation(A, (((0,), 0),))
+    ideal = tuple(parse_polynomial(A, g) for g in ("a", "b", "c^2"))
+    monkeypatch.setattr(groebner_engine._TermKeys, "__missing__", counting)
+    _clear_term_keys()
+    try:
+        for _ in range(2):
+            _clear_caches()
+            built.clear()
+            assert a_invariant(rees_module_presentation(N, (ideal,))) == (-1,)
+        assert len(built) <= MAX_TERM_KEYS_ON_REPEAT, f"{len(built)} term keys on the repeat"
     finally:
         _clear_caches()
 
@@ -219,6 +257,13 @@ def test_pieces_of_one_module_in_two_degrees_build_one_walk_plan(monkeypatch):
         _clear_caches()
 
 
+def _p2xp2_module():
+    R = GradedRing(field_for_char(32003), ("x0", "x1", "x2", "y0", "y1", "y2"),
+                   ((1, 0),) * 3 + ((0, 1),) * 3, (1,) * 6)
+    return cyclic_presentation(R, tuple(parse_polynomial(R, g) for g in
+                                        ("x0*y0 + x1*y1 + x2*y2", "x0^2*y1 - x1*x2*y2")))
+
+
 def test_a_mixed_cell_lists_few_piece_monomials(monkeypatch):
     # h^0..h^3 at (-4, 4) of S/(x0y0 + x1y1 + x2y2, x0^2y1 - x1x2y2) on
     # P^2 x P^2, cold caches: the monomials of every piece the colimit lists
@@ -234,14 +279,30 @@ def test_a_mixed_cell_lists_few_piece_monomials(monkeypatch):
         return basis
 
     monkeypatch.setattr(cohomology, "piece_basis", counting)
-    R = GradedRing(field_for_char(32003), ("x0", "x1", "x2", "y0", "y1", "y2"),
-                   ((1, 0),) * 3 + ((0, 1),) * 3, (1,) * 6)
-    M = cyclic_presentation(R, tuple(parse_polynomial(R, g) for g in
-                                     ("x0*y0 + x1*y1 + x2*y2", "x0^2*y1 - x1*x2*y2")))
+    M = _p2xp2_module()
     _clear_caches()
     try:
         assert [sheaf_cohomology_dim(M, i, (-4, 4)) for i in range(4)] == [0, 25, 0, 0]
         total = sum(listed)
         assert total <= MAX_MIXED_CELL_PIECE_MONOMIALS, f"{total} piece monomials"
+    finally:
+        _clear_caches()
+
+
+def test_no_key_table_outgrows_its_bound(monkeypatch):
+    # h^0..h^3 at (-4, -4) of the same module, cold caches and tables: one
+    # order's table meets 4041 keys, just under TERM_KEY_TABLE_SIZE, so the
+    # bound is lowered to 1024 and that table starts over three times; no
+    # table a ring keeps may hold more keys than the bound, and the values
+    # stay as they are
+    monkeypatch.setattr(groebner_engine, "TERM_KEY_TABLE_SIZE", 1024)
+    M = _p2xp2_module()
+    _clear_caches()
+    _clear_term_keys()
+    try:
+        assert [sheaf_cohomology_dim(M, i, (-4, -4)) for i in range(4)] == [0, 0, 63, 0]
+        sizes = [len(table) for ring in GradedRing._registry.values()
+                 for table in ring.term_keys.values()]
+        assert sizes and max(sizes) <= 1024, f"a key table holds {max(sizes)} keys"
     finally:
         _clear_caches()
