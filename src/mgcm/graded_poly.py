@@ -595,19 +595,13 @@ class Polynomial:
 
     # -- grading ---------------------------------------------------------
 
-    def term_degrees(self) -> Iterator[Tuple[Degree, int]]:
-        for e, _ in self.terms:
-            yield self.ring.monomial_mdeg(e), self.ring.monomial_weight(e)
-
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        seen = None
-        for pair in self.term_degrees():
-            if seen is None:
-                seen = pair
-            elif pair != seen:
-                return False
+        """Zero, or a single (multidegree, weight) over all terms, by the
+        rule of `degree_pair`."""
+        try:
+            self.degree_pair()
+        except InputError:
+            return not self.terms
         return True
 
     def degree_pair(self) -> Tuple[Degree, int]:

@@ -40,7 +40,9 @@ Design points, fixed once for the whole package:
     per-term call goes through the field object; `field.inv` is called
     once per monic scaling.
 
-Inhomogeneous generators are rejected.  Every public result is canonically
+Inhomogeneous generators are rejected once, where they enter: each public
+function checks the columns it is given (`FreeModule.validate_column`) and
+`eliminate_vecs` checks its vecs.  Every public result is canonically
 sorted, so identical inputs give byte-identical outputs.
 """
 
@@ -50,6 +52,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from math import perm
 from operator import add, le, mul, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -372,14 +375,6 @@ class GroebnerBasis:
         """Normal form of a vec of the free module."""
         return _reduce_vec(self.free.ring.field.char, v, self.reducers, self.term_key())
 
-    def _component_leads(self) -> List[List[Tuple[int, ...]]]:
-        """Per component c, the exponents of c's lead terms: the generators
-        of the monomial ideal J_c."""
-        gens: List[List[Tuple[int, ...]]] = [[] for _ in range(self.free.rank)]
-        for c, exps in self.lead_terms:
-            gens[c].append(exps)
-        return gens
-
     @cached_property
     def hilbert_numerators(self) -> Tuple[Tuple[Tuple[Degree, int, int], ...], ...]:
         """Per component c, the K-polynomial of P/J_c in the (multidegree,
@@ -389,8 +384,11 @@ class GroebnerBasis:
         ring = self.free.ring
         table = ring.k_polynomials
         degs = [d + (w,) for d, w in zip(ring.degrees, ring.weights)]
+        gens: List[List[Tuple[int, ...]]] = [[] for _ in range(self.free.rank)]
+        for (c, exps), _ in self.reducers:
+            gens[c].append(exps)
         out = []
-        for g in self._component_leads():
+        for g in gens:
             key = _minimal_monomials(g)
             terms = table.get(key)
             if terms is None:
@@ -408,37 +406,29 @@ class GroebnerBasis:
 
     @cached_property
     def krull_dim(self) -> int:
-        """max over the components c of dim P/J_c, read off the supports of
-        the lead terms alone; -1 when every J_c is P.  Built on first use."""
-        nvars = self.free.ring.nvars
-        return max((_free_vars([sum(1 << v for v, k in enumerate(exps) if k) for exps in g], nvars)
-                    for g in self._component_leads()), default=-1)
+        """max over the components c of dim P/J_c, -1 when every J_c is P.
+        Built on first use, from `hilbert_numerators` alone.
 
-
-def _free_vars(supports: Sequence[int], nvars: int) -> int:
-    """dim P/J for a monomial ideal J given by its generators' variable
-    supports (bitmasks): the most variables that contain no support, -1 when
-    J = P.  Branches on a support inside the allowed set; the answer depends
-    on that set alone, so it is memoised and there are at most 2^nvars states.
-    """
-    supports = sorted(set(supports), key=lambda s: bin(s).count("1"))
-    memo: Dict[int, int] = {}
-
-    def most(allowed: int) -> int:
-        hit = memo.get(allowed)
-        if hit is None:
-            inside = next((s for s in supports if s & allowed == s), None)
-            if inside is None:
-                hit = bin(allowed).count("1")
-            else:
-                hit = max(
-                    (most(allowed & ~(1 << v)) for v in range(nvars) if inside >> v & 1),
-                    default=-1,
-                )
-            memo[allowed] = hit
-        return hit
-
-    return most((1 << nvars) - 1)
+        dim P/J is the pole order at t = 1 of its Hilbert series K(t) /
+        prod_v (1 - t^w_v) (Bruns-Herzog, Cohen-Macaulay Rings, Sec. 4.1 and
+        4.4), with K the K-polynomial summed by weight: nvars minus the least
+        j whose j-th derivative sum_w k_w perm(w, j) at t = 1 is nonzero.
+        That needs every variable weight >= 1, so a ring with a weight-0
+        variable raises.  K is 0 exactly when J_c = P, and such a component
+        is skipped."""
+        ring = self.free.ring
+        if min(ring.weights) < 1:
+            raise AssertionError("krull_dim needs every variable weight >= 1")
+        dims = []
+        for terms in self.hilbert_numerators:
+            k: Dict[int, int] = {}
+            for _, w, c in terms:
+                k[w] = k.get(w, 0) + c
+            if any(k.values()):
+                order = next(j for j in itertools.count()
+                             if sum(c * perm(w, j) for w, c in k.items()))
+                dims.append(ring.nvars - order)
+        return max(dims, default=-1)
 
 
 def _minimal_monomials(gens) -> Tuple[Tuple[int, ...], ...]:
@@ -603,10 +593,11 @@ def groebner_module(
     The columns must already be validated (`FreeModule.validate_column`):
     Buchberger does not check them again.  Each is checked once, where it
     enters the package: `ModulePresentation` checks its relations;
-    `groebner_basis`, `eliminate_module`, `submodule_contains` and
-    `submodules_equal` check the raw columns they are given; `module_kernel`
-    and `syzygy_basis` check theirs, and the embedding `_kernel` builds from
-    checked columns is homogeneous by its shifts."""
+    `groebner_basis`, `submodule_contains` and `submodules_equal` check the
+    raw columns they are given; `module_kernel` and `syzygy_basis` check
+    theirs, and the embedding `_kernel` builds from checked columns is
+    homogeneous by its shifts; `eliminate_vecs` checks the vecs it is given
+    for homogeneity."""
     keyf = _term_keys(free, (), split)
     pairs = _buchberger_vecs(free, [_col_to_vec(col) for col in gens], keyf, split)
     return GroebnerBasis(free, tuple(_reduced_basis(free, pairs, keyf)), split)
@@ -819,16 +810,6 @@ def subring_without(ring: GradedRing, drop: Sequence[str]) -> Tuple[GradedRing, 
     return sub, keep
 
 
-def eliminate_module(
-    free: FreeModule, gens: Sequence[Column], drop: Sequence[str]
-) -> Tuple[FreeModule, Tuple[Column, ...]]:
-    """Module elimination: the reduced basis of (gens) intersected with the
-    free module over the ring without `drop`.  The column front end of
-    `eliminate_vecs`: it validates the columns and passes them on as vecs."""
-    _validate(free, gens)
-    return eliminate_vecs(free, [_col_to_vec(col) for col in gens], drop)
-
-
 def _check_homogeneous(free: FreeModule, vecs: Sequence[Vec]) -> None:
     """Refuse a vec whose terms do not all have one (multidegree, weight)
     in the free module's shifts, as `FreeModule.validate_column` refuses
@@ -844,10 +825,11 @@ def _check_homogeneous(free: FreeModule, vecs: Sequence[Vec]) -> None:
 def eliminate_vecs(
     free: FreeModule, gens: Sequence[Vec], drop: Sequence[str]
 ) -> Tuple[FreeModule, Tuple[Column, ...]]:
-    """`eliminate_module` on generators given as vecs of the free module
-    ({(component, exponents): coefficient}, coefficients in the field's
-    range), for a caller that builds them term by term.  Each vec is
-    checked for homogeneity here.
+    """Module elimination: the reduced basis of (gens) intersected with the
+    free module over the ring without `drop`.  The generators are vecs of
+    the free module ({(component, exponents): coefficient}, coefficients in
+    the field's range), which the caller builds term by term; each is
+    checked for homogeneity here, as the columns' entry points check theirs.
 
     Under the block order the tag-free elements of a Groebner basis are a
     Groebner basis of the elimination, so only they are interreduced."""

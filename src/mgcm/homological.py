@@ -7,10 +7,12 @@ the minimal resolution via Auslander-Buchsbaum (depth = #vars - pd).
 Vanishing, minimal generator degrees, Krull dimension and graded piece
 dimensions come from the initial module F/in(U) of the relations' Groebner
 basis, which has the same Hilbert function as M; dim is the largest
-dim P/J_c over its monomial components.  A piece dimension is counted from
-the K-polynomials of the P/J_c and the ring's monomial counts, without
-listing the piece; `piece_basis` lists standard monomials for callers that
-need a basis.  The grade of an ideal on P is its height (#vars - dim P/I).
+dim P/J_c over its monomial components, each read off the K-polynomial of
+P/J_c as the pole order of its Hilbert series at t = 1.  A piece dimension
+is counted from the same K-polynomials and the ring's monomial counts,
+without listing the piece; `piece_basis` lists standard monomials for
+callers that need a basis.  The grade of an ideal on P is its height
+(#vars - dim P/I).
 
 Duality: ext_dual_module(M, i) presents Ext^i(M, P(-w_total)) where w_total
 is the sum of all variable degrees.  Its graded pieces are the k-duals of
@@ -276,9 +278,13 @@ def v_of(module: ModulePresentation) -> Degree:
 
 
 def krull_dim(module: ModulePresentation) -> int:
-    """max over the components c of dim P/J_c; -1 for the zero module.  Kept
-    on the relations' basis (`GroebnerBasis.krull_dim`), so it lives as long
-    as the basis cache keeps that basis."""
+    """max over the components c of dim P/J_c; -1 for the zero module.  Each
+    dim P/J_c is the pole order at t = 1 of the Hilbert series K_c(t) /
+    prod_v (1 - t^w_v), read off the K-polynomial K_c that piece dimensions
+    use too (Bruns-Herzog, Cohen-Macaulay Rings, Sec. 4.1 and 4.4); this
+    needs every variable weight >= 1, as every public ring has.  Kept on the
+    relations' basis (`GroebnerBasis.krull_dim`), so it lives as long as the
+    basis cache keeps that basis."""
     return _relations_gb(module).krull_dim
 
 

@@ -306,6 +306,8 @@ def verify_regraded_vanishing(
     """All local-cohomology layers of the blow-up of the irrelevant ideal
     with M as coefficients vanish at degrees below the generator degrees of
     M, for every nonnegative blow-up exponent in range."""
+    if not k_range:
+        raise InputError("empty range of blow-up exponents")
     if any(k < 0 for k in k_range):
         raise InputError("blow-up exponents must be nonnegative")
     if is_zero_module(M):
@@ -498,6 +500,8 @@ def verify_spread_vanishing(
     vanishes.  The fiber-supported line is checked only on field bases and
     is otherwise skipped with a mode tag.  The hypothesis that N is locally
     free is checked only as N free (projective dimension 0)."""
+    if not weight_range:
+        raise InputError("empty weight range")
     _refuse_zero_source(N)
     (gens,), hyps, L = _rees_opening(N, (ideal_gens,))
     if L is not None:

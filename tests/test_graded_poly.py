@@ -1,5 +1,7 @@
 """Fields, degrees, rings, polynomials, parsing and printing."""
 
+import itertools
+
 import pytest
 import sympy
 from fractions import Fraction
@@ -171,6 +173,32 @@ def test_degree_pair_rejects_inhomogeneous():
     x, y = R.gens()
     with pytest.raises(InputError):
         (x + y * y).degree_pair()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_is_homogeneous_agrees_with_degree_pair(data):
+    """Zero is homogeneous and has no degree pair; any other polynomial is
+    homogeneous exactly when degree_pair gives its one (multidegree, weight).
+    x and z share a multidegree and x and y a weight; the terms come from
+    the monomials of degree <= 2, which often share one of the two, and the
+    draws keep all terms or those that share the first term's weight,
+    multidegree or both."""
+    R = GradedRing(field_for_char(32003), ("x", "y", "z"), ((1, 0), (0, 1), (1, 0)), (1, 1, 2))
+    pool = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+    exps = data.draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    keep = data.draw(st.sampled_from(((), (R.monomial_weight,), (R.monomial_mdeg,),
+                                      (R.monomial_weight, R.monomial_mdeg))))
+    exps = [e for e in exps if all(g(e) == g(exps[0]) for g in keep)]
+    f = R.from_dict({e: data.draw(_coefficients(32003)) for e in exps})
+    pairs = {(R.monomial_mdeg(e), R.monomial_weight(e)) for e, _ in f.terms}
+    assert f.is_homogeneous() == (len(pairs) <= 1)
+    if len(pairs) == 1:
+        assert f.degree_pair() == pairs.pop()
+    else:
+        with pytest.raises(InputError):
+            f.degree_pair()
+    assert R.zero().is_homogeneous()
 
 
 def test_zero_polynomial_degree_undefined():

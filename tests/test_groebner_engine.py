@@ -4,7 +4,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgcm.graded_poly import (
     GradedRing,
@@ -23,7 +23,7 @@ from mgcm.groebner_engine import (
     basis_multiples,
     colon_in_quotient,
     cyclic_presentation,
-    eliminate_module,
+    eliminate_vecs,
     free_module,
     free_presentation,
     groebner_basis,
@@ -49,6 +49,14 @@ def std_ring(char=0, names=("x", "y")):
 
 def P(ring, s):
     return parse_polynomial(ring, s)
+
+
+def eliminate_columns(free, gens, drop):
+    """Elimination on columns: each is checked as the public entry points
+    check theirs, then handed to `eliminate_vecs` as a vec."""
+    for col in gens:
+        free.validate_column(col)
+    return eliminate_vecs(free, [_col_to_vec(col) for col in gens], drop)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +158,7 @@ def test_syzygy_basis_columns_are_syzygies(case):
 def test_eliminate_module_columns_avoid_dropped_variables(case):
     free, gens, drop = case
     ring = free.ring
-    sub_free, cols = eliminate_module(free, gens, drop)
+    sub_free, cols = eliminate_columns(free, gens, drop)
     sub = sub_free.ring
     assert sub.names == tuple(nm for nm in ring.names if nm not in drop)
     for col in cols:
@@ -165,8 +173,8 @@ def test_equal_eliminations_share_their_ring():
     R = GradedRing(field_for_char(0), ("x", "y", "t"), ((2,), (3,), (1,)), (2, 3, 1))
     x, y, t = R.gens()
     free = free_module(R, (((0,), 0),))
-    first, _ = eliminate_module(free, ((x - t * t,), (y - t * t * t,)), ("t",))
-    second, _ = eliminate_module(free, [(x - t ** 2,), (y - t ** 3,)], ["t"])
+    first, _ = eliminate_columns(free, ((x - t * t,), (y - t * t * t,)), ("t",))
+    second, _ = eliminate_columns(free, [(x - t ** 2,), (y - t ** 3,)], ["t"])
     assert first.ring is second.ring
 
 
@@ -179,7 +187,6 @@ def test_groebner_requires_homogeneous():
 VALIDATING_ENTRY_POINTS = {
     "presentation": lambda R, fm, good, col: presentation(R, (((0,), 0),), (col,)),
     "groebner_basis": lambda R, fm, good, col: groebner_basis(R, col),
-    "eliminate_module": lambda R, fm, good, col: eliminate_module(fm, (good, col), ("x",)),
     "submodule_contains": lambda R, fm, good, col: submodule_contains(fm, (good, col), good),
     "submodules_equal": lambda R, fm, good, col: submodules_equal(fm, (good,), (good, col)),
     "module_kernel": lambda R, fm, good, col: module_kernel(
@@ -649,7 +656,7 @@ def test_eliminate_monomial_curve():
     R = GradedRing(field_for_char(0), ("x", "y", "t"), ((2,), (3,), (1,)), (2, 3, 1))
     x, y, t = R.gens()
     free = free_module(R, (((0,), 0),))
-    sub_free, cols = eliminate_module(free, ((x - t * t,), (y - t * t * t,)), ("t",))
+    sub_free, cols = eliminate_columns(free, ((x - t * t,), (y - t * t * t,)), ("t",))
     sub = sub_free.ring
     assert sub.names == ("x", "y")
     assert cols == ((parse_polynomial(sub, "x^3 - y^2"),),)
@@ -660,7 +667,7 @@ def test_eliminate_module_graph():
     R = GradedRing(field_for_char(0), ("x", "t"), ((1,), (1,)), (1, 1))
     x, t = R.gens()
     free = free_module(R, (((0,), 0),))
-    sub_free, cols = eliminate_module(free, ((x - t,), (t * t,)), ("t",))
+    sub_free, cols = eliminate_columns(free, ((x - t,), (t * t,)), ("t",))
     assert sub_free.ring.names == ("x",)
     (xs,) = sub_free.ring.gens()
     assert submodules_equal(sub_free, cols, ((xs * xs,),))
@@ -745,3 +752,84 @@ def test_bounded_caches_rebuild_what_they_evict():
                    _rees_module):
         assert cached.cache_info().maxsize == BASIS_CACHE_SIZE
         assert not _reaches_a_basis(_cache_keys(cached)), cached.__name__
+
+
+# ---------------------------------------------------------------------------
+# Krull dimension from the K-polynomials
+
+
+def _free_vars(supports, nvars):
+    """Reference dim P/J for a monomial ideal J given by its generators'
+    variable supports (bitmasks): the most variables that contain no
+    support, -1 when J = P.  Branches on a support inside the allowed set;
+    the answer depends on that set alone, so it is memoised and there are at
+    most 2^nvars states."""
+    supports = sorted(set(supports), key=lambda s: bin(s).count("1"))
+    memo = {}
+
+    def most(allowed):
+        hit = memo.get(allowed)
+        if hit is None:
+            inside = next((s for s in supports if s & allowed == s), None)
+            if inside is None:
+                hit = bin(allowed).count("1")
+            else:
+                hit = max(
+                    (most(allowed & ~(1 << v)) for v in range(nvars) if inside >> v & 1),
+                    default=-1,
+                )
+            memo[allowed] = hit
+        return hit
+
+    return most((1 << nvars) - 1)
+
+
+@st.composite
+def _lead_sets(draw):
+    """A ring on 2-5 variables of weight 1..3 and multidegree rank 1 or 2,
+    and per component of a free module of rank 1-3 the exponents of its
+    monomial generators: none, the unit, or 1-4 monomials."""
+    nvars = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, 2))
+    degrees = tuple(tuple(draw(st.integers(0, 2)) for _ in range(rank)) for _ in range(nvars))
+    weights = tuple(draw(st.integers(1, 3)) for _ in range(nvars))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("empty", "unit", "monomials", "monomials")))
+        if kind == "empty":
+            comps.append([])
+        elif kind == "unit":
+            comps.append([(0,) * nvars])
+        else:
+            comps.append(draw(st.lists(exps, min_size=1, max_size=4)))
+    return degrees, weights, comps
+
+
+# one component with proper leads, one with a unit lead, one with none
+@example((((1, 0), (0, 1), (1, 1)), (1, 2, 3), [[(1, 0, 0), (0, 2, 1)], [(0, 0, 0)], []]))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_lead_sets())
+def test_krull_dim_matches_the_support_search(case):
+    """The pole order of the K-polynomials at t = 1 gives, per component and
+    over the module, the dimension the support search finds."""
+    degrees, weights, comps = case
+    R = GradedRing(field_for_char(32003), tuple(f"x{i}" for i in range(len(weights))),
+                   degrees, weights)
+    want = [_free_vars([sum(1 << v for v, k in enumerate(e) if k) for e in comp], R.nvars)
+            for comp in comps]
+    for comp, dim in zip(comps, want):
+        assert groebner_basis(R, [R.from_dict({e: 1}) for e in comp]).krull_dim == dim
+    free = free_module(R, tuple(((0,) * len(degrees[0]), 0) for _ in comps))
+    gens = tuple(tuple(R.from_dict({e: 1}) if j == c else R.zero() for j in range(len(comps)))
+                 for c, comp in enumerate(comps) for e in comp)
+    assert groebner_module(free, gens).krull_dim == max(want)
+
+
+def test_krull_dim_refuses_a_ring_with_a_weight_zero_variable():
+    # a variable of weight 0 gives the Hilbert series' denominator a factor
+    # 1 - t^0 = 0, so its pole order at t = 1 says nothing
+    R = GradedRing(field_for_char(0), ("x", "t"), ((1,), (0,)), (1, 0), _allow_zero_weight=True)
+    gb = groebner_basis(R, (R.var("x"),))
+    with pytest.raises(AssertionError, match="weight"):
+        gb.krull_dim

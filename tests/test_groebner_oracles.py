@@ -18,7 +18,6 @@ from mgcm.groebner_engine import (
     _reduced_basis,
     _TermKeys,
     cyclic_presentation,
-    eliminate_module,
     free_module,
     groebner_basis,
     groebner_module,
@@ -27,6 +26,7 @@ from mgcm.groebner_engine import (
     submodules_equal,
 )
 from mgcm.homological import graded_piece_dim
+from test_groebner_engine import eliminate_columns
 
 PRIME = 32003
 NAMES = ("x0", "x1", "x2", "x3")
@@ -240,7 +240,7 @@ def test_module_basis_matches_naive_buchberger(case):
     gens = tuple(tuple(RING.from_dict(entry) for entry in col) for col in cols)
     elim_idx = tuple(NAMES.index(nm) for nm in elim)
     if elim:
-        # the Buchberger run and interreduction that eliminate_module builds
+        # the Buchberger run and interreduction that eliminate_vecs builds
         # on, under the block order
         keyf = _TermKeys(free, elim_idx, split).__getitem__
         vecs = [_col_to_vec(col) for col in gens]
@@ -252,9 +252,9 @@ def test_module_basis_matches_naive_buchberger(case):
     want = _reference_basis(vecs, key)
     assert [(lt, dict(v)) for lt, v in got] == want
     if elim and split is None:
-        # eliminate_module returns the reference's tag-free elements
+        # the elimination returns the reference's tag-free elements
         keep = [i for i in range(len(NAMES)) if i not in elim_idx]
-        _, kernel = eliminate_module(free, gens, elim)
+        _, kernel = eliminate_columns(free, gens, elim)
         assert [_col_to_vec(col) for col in kernel] == [
             {(c, tuple(e[i] for i in keep)): x for (c, e), x in v.items()}
             for (_, lead), v in want if not any(lead[i] for i in elim_idx)]
@@ -289,7 +289,7 @@ def test_shared_key_tables_give_the_results_of_fresh_ones(case):
             elif step == 1:
                 results.append(normal_form_column(gb, col))
             else:
-                results.append(eliminate_module(free, gens, elim)[1])
+                results.append(eliminate_columns(free, gens, elim)[1])
         return results
 
     want = run(cold=True)
@@ -332,7 +332,7 @@ def test_eliminate_module_matches_the_t_free_part_of_sympy_lex(gens):
     t = ring.var("t")
     polys = [ring.var(nm) - ring.from_dict({e + (0,) * (k + 1): c for e, c in g.items()}) * t
              for nm, g in zip(tnames, gens)]
-    sub_free, cols = eliminate_module(free, [(f,) for f in polys], ("t",))
+    sub_free, cols = eliminate_columns(free, [(f,) for f in polys], ("t",))
     sub = sub_free.ring
     assert sub.names == names[:-1]
 

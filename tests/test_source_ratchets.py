@@ -1,5 +1,6 @@
 """Ratchets on the package source: counts that may fall but never rise."""
 
+import ast
 import pathlib
 
 import pytest
@@ -74,6 +75,29 @@ def test_no_more_than_three_unbounded_caches():
     # takes groebner_engine.BASIS_CACHE_SIZE
     n = _source_count("maxsize=None")
     assert n <= MAX_UNBOUNDED_CACHES, f"{n} caches with maxsize=None in src/mgcm"
+
+
+def test_every_private_function_and_class_is_named_in_the_package():
+    # a module-level private function or class that nothing else in
+    # src/mgcm names is dead code; only Name and Attribute nodes count, so a
+    # mention in a docstring or a call from its own body keeps nothing alive
+    src = pathlib.Path(mgcm.__file__).parent
+    defined, named = [], set()
+    for path in sorted(src.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_"):
+                    defined.append((path.name, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    named.add((node.id, own))
+                elif isinstance(node, ast.Attribute):
+                    named.add((node.attr, own))
+    used = {name for name, owner in named if name != owner}
+    orphans = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert not orphans, f"private definitions named nowhere else in src/mgcm: {orphans}"
 
 
 def _clear_caches():

@@ -744,6 +744,22 @@ def test_run_corpus_exit_codes():
     assert agg.exit_code() == 0 and agg.passed == 1
 
 
+def test_empty_ranges_are_input_errors_in_run_corpus():
+    # both checkers refuse an empty range at entry: the spread check would
+    # index it (an IndexError, which run_corpus does not isolate) and the
+    # regraded check would report holds with no rows
+    A = local_plane()
+    N = free_presentation(A, (((0,), 0),))
+    S = line_ring()
+    M = cyclic_presentation(S, (p(S, "x0^2"),))
+    agg = run_corpus([
+        ("spread", lambda: verify_spread_vanishing(N, (p(A, "a"), p(A, "b")), range(0))),
+        ("regraded", lambda: verify_regraded_vanishing(M, k_range=())),
+    ])
+    assert [r.verdict for r in agg.entries] == ["input-error", "input-error"]
+    assert agg.exit_code() == 2
+
+
 VERDICTS_WORST_FIRST = ("violated", "input-error", "resource-limit", "hypothesis-not-met", "holds")
 EXIT_CODE = {"violated": 1, "input-error": 2, "resource-limit": 3,
              "hypothesis-not-met": 0, "holds": 0}
